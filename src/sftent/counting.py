@@ -3,8 +3,10 @@
 Three routes compute the number of locally admissible assignments on a finite
 lattice:
 
-* ``count_bruteforce`` -- exhaustive backtracking over all assignments, the
-  reference oracle, budgeted at ``N ** |L|`` leaves.
+* ``count_bruteforce`` -- exhaustive depth-first search over all assignments,
+  the reference oracle, budgeted at ``N ** |L|`` leaves.  The same search
+  (``_search``) enumerates admissible patterns, decides extension questions
+  and backs the multiplicative brute force.
 * ``count_profile_dp`` -- a frontier dynamic program for specs whose forbidden
   shapes fit a 2x2 window.  When constraints never leave a single row (or
   column) the count factorises over maximal runs and is evaluated as a product
@@ -21,6 +23,8 @@ the routes and also exposes the extendable-count refinement.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,66 +38,88 @@ ABSENT = -1                  # marker for bounding-box cells outside the lattice
 
 
 # ---------------------------------------------------------------------------
-# brute force
+# exhaustive search
 # ---------------------------------------------------------------------------
 
 
 def _check_budget(alphabet_size: int, cells: int, budget: int) -> None:
-    if alphabet_size ** cells > budget:
-        raise BudgetExceeded(
-            f"{alphabet_size}**{cells} assignments exceed budget {budget}"
-        )
+    # N >= 2, so N**cells >= 2**cells > budget once cells >= budget.bit_length()
+    if cells >= int(budget).bit_length() or alphabet_size ** cells > budget:
+        raise BudgetExceeded(f"{alphabet_size}**{cells} assignments exceed budget {budget}")
 
 
-def _backtrack_count(lat: FiniteLattice, spec: SftSpec, fixed=None, stop_at=None) -> int:
-    """Count admissible assignments by DFS; `fixed` pins cells to symbols.
+def _search(domains, checks, budget=math.inf):
+    """Depth-first search over admissible assignments, on an explicit stack.
 
-    Each forbidden placement is checked exactly once, when its last cell (in
-    canonical order) receives a symbol.
+    Cell i takes symbols from ``domains[i]`` except ``banned[read(assign)]``
+    for each ``(read, banned)`` in ``checks[i]``.  Yields ``(assign, leaves)``
+    per admissible assignment of all cells but the last, ``leaves`` being the
+    last cell's admissible symbols (no cells: one leaf).  Raises
+    :class:`BudgetExceeded` past ``budget`` admissible symbols offered to cells.
     """
-    cells = list(lat)
-    n_cells = len(cells)
-    checks_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n_cells)]
-    for idx, syms in forbidden_occurrences(lat, spec):
-        last = max(idx)
-        others = tuple((i, s) for i, s in zip(idx, syms) if i != last)
-        last_sym = dict(zip(idx, syms))[last]
-        checks_at[last].append((others, (last_sym,)))
-    fixed_syms = None
-    if fixed:
-        fixed_syms = {}
-        for p, s in fixed.items():
-            key = (int(p[0]), int(p[1]))
-            fixed_syms[key] = int(s)
-    assign = [0] * n_cells
-    domain = []
-    for i, p in enumerate(cells):
-        if fixed_syms and (p.x, p.y) in fixed_syms:
-            domain.append((fixed_syms[(p.x, p.y)],))
-        else:
-            domain.append(tuple(range(spec.alphabet_size)))
+    n = len(domains)
+    assign = [0] * n
+    if n == 0:
+        yield assign, (None,)
+        return
+    last, assigned, i = n - 1, 0, 0
+    untried, nxt = [()] * n, [0] * n     # per cell: admissible symbols, next to try
+    while True:
+        syms = domains[i]
+        for read, banned in checks[i]:
+            ban = banned.get(read(assign))
+            if ban:
+                syms = [s for s in syms if s not in ban]
+        if syms:
+            assigned += len(syms)
+            if assigned > budget:
+                raise BudgetExceeded(f"search exceeds {budget} cell assignments")
+            if i < last:
+                untried[i], nxt[i], assign[i] = syms, 1, syms[0]
+                i += 1
+                continue
+            yield assign, syms
+        # backtrack to the deepest cell with an untried symbol
+        i -= 1
+        while i >= 0 and nxt[i] == len(untried[i]):
+            i -= 1
+        if i < 0:
+            return
+        assign[i] = untried[i][nxt[i]]
+        nxt[i] += 1
+        i += 1
 
-    total = 0
 
-    def descend(i: int) -> bool:
-        nonlocal total
-        if i == n_cells:
-            total += 1
-            return stop_at is not None and total >= stop_at
-        for sym in domain[i]:
-            ok = True
-            for others, (last_sym,) in checks_at[i]:
-                if sym == last_sym and all(assign[j] == s for j, s in others):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = sym
-                if descend(i + 1):
-                    return True
-        return False
+def _occurrence_checks(occurrences, n_cells: int):
+    """``_search`` checks for forbidden (cells, symbols) occurrences, each
+    attached to its last cell; occurrences sharing other cells share a lookup."""
+    groups: list[dict] = [{} for _ in range(n_cells)]
+    for idx, syms in occurrences:
+        pairs = sorted(zip(idx, syms))
+        last, last_sym = pairs.pop()
+        cells, key = tuple(i for i, _ in pairs), tuple(s for _, s in pairs)
+        banned = groups[last].setdefault(cells, {})
+        banned.setdefault(key[0] if len(key) == 1 else key, set()).add(last_sym)
+    return [tuple((itemgetter(*cells) if cells else lambda _: (), banned)
+                  for cells, banned in g.items()) for g in groups]
 
-    descend(0)
-    return total
+
+@lru_cache(maxsize=8)
+def _constraint_table(lat: FiniteLattice, spec: SftSpec):
+    """Cell index by point and ``_search`` checks, built once per lattice and spec."""
+    checks = _occurrence_checks(forbidden_occurrences(lat, spec), len(lat))
+    return {(p.x, p.y): i for i, p in enumerate(lat)}, checks
+
+
+def _domains(lat: FiniteLattice, spec: SftSpec, fixed):
+    """``_search`` arguments for `lat`; a cell in `fixed` has one symbol."""
+    index, checks = _constraint_table(lat, spec)
+    domains = [tuple(range(spec.alphabet_size))] * len(lat)
+    for (x, y), s in (fixed or {}).items():
+        i = index.get((int(x), int(y)))
+        if i is not None:
+            domains[i] = (int(s),)
+    return domains, checks
 
 
 def count_bruteforce(
@@ -105,43 +131,28 @@ def count_bruteforce(
     """Exhaustive count of locally admissible assignments (reference oracle)."""
     free = len(lat) - (len(fixed) if fixed else 0)
     _check_budget(spec.alphabet_size, max(free, 0), budget)
-    value = _backtrack_count(lat, spec, fixed=fixed)
+    value = sum(len(leaves) for _, leaves in _search(*_domains(lat, spec, fixed)))
     return CountResult(value, "local", len(lat))
 
 
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
     """Yield every admissible assignment as a symbol tuple in canonical order."""
     _check_budget(spec.alphabet_size, len(lat), budget)
-    cells = list(lat)
-    checks_at: list[list] = [[] for _ in range(len(cells))]
-    for idx, syms in forbidden_occurrences(lat, spec):
-        last = max(idx)
-        others = tuple((i, s) for i, s in zip(idx, syms) if i != last)
-        checks_at[last].append((others, dict(zip(idx, syms))[last]))
-    assign = [0] * len(cells)
-
-    def descend(i: int):
-        if i == len(cells):
+    if len(lat) == 0:
+        yield ()
+        return
+    for assign, leaves in _search(*_domains(lat, spec, None)):
+        for sym in leaves:
+            assign[-1] = sym
             yield tuple(assign)
-            return
-        for sym in range(spec.alphabet_size):
-            ok = True
-            for others, last_sym in checks_at[i]:
-                if sym == last_sym and all(assign[j] == s for j, s in others):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = sym
-                yield from descend(i + 1)
-
-    yield from descend(0)
 
 
 def admissible_extension_exists(
     lat: FiniteLattice, spec: SftSpec, fixed: dict, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Is there at least one admissible assignment agreeing with `fixed`?"""
-    return _backtrack_count(lat, spec, fixed=fixed, stop_at=1) > 0
+    """Is there an admissible assignment agreeing with `fixed`?  The search may
+    assign at most `budget` cells, else it raises BudgetExceeded."""
+    return any(_search(*_domains(lat, spec, fixed), budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +374,20 @@ def count_extendable(
 
     margin = 0 coincides with the local count.  The enumeration runs over the
     core lattice (budgeted at N ** |lat|); each candidate is kept when a
-    backtracking search finds one admissible completion of the dilation ring.
+    search finds one admissible completion of the dilation ring, and each such
+    search may assign at most `budget` cells.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if margin == 0:
         base = count(lat, spec, budget=budget)
         return CountResult(base.value, "extendable", len(lat), margin=0)
-    _check_budget(spec.alphabet_size, len(lat), budget)
     dilated = dilate(lat, margin)
     core_points = list(lat)
-    kept = 0
-    for symbols in enumerate_admissible(lat, spec, budget=budget):
-        fixed = {p: s for p, s in zip(core_points, symbols)}
-        if admissible_extension_exists(dilated, spec, fixed):
-            kept += 1
+    kept = sum(
+        admissible_extension_exists(dilated, spec, dict(zip(core_points, symbols)), budget=budget)
+        for symbols in enumerate_admissible(lat, spec, budget=budget)
+    )
     return CountResult(kept, "extendable", len(lat), margin=margin)
 
 

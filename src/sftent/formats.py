@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Callable
 
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, rectangle
 from .sft import BUILTIN_SPECS, SftSpec, full_shift
 from .systems import (
     ExpandingSystem,
@@ -37,26 +37,62 @@ class FormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# named generators: shorthand and JSON parse to one parameter dict
+# ---------------------------------------------------------------------------
+
+
+def _pair(value) -> tuple[int, int]:
+    x, y = value
+    return int(x), int(y)
+
+
+# parameter name -> converter for every generator; pairs take two shorthand numbers
+_CONVERT: dict[str, Callable] = {"m": int, "n": int, "q": int, "b": int, "origin": _pair,
+                                 "v": _pair, "a_target": float, "w": str, "h": str}
+
+
+def _build(registry: dict, kind: str, name, params: dict):
+    """Build `name` from `registry` out of its parameter dict (shorthand or JSON)."""
+    if name not in registry:
+        raise FormatError(f"unknown {kind} {name!r}")
+    build, fields, defaults = registry[name]
+    try:
+        args = {f: _CONVERT[f](params[f]) if f in params else defaults[f] for f in fields}
+        ok = set(params) <= set(fields)
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise FormatError(f"{kind} {name!r} takes ({', '.join(fields)}), got {params!r}")
+    return build(**args)
+
+
+def _shorthand(text: str, registry: dict) -> tuple[str, dict]:
+    """'name:a,b,...' -> (name, parameter dict); pair parameters take two numbers."""
+    name, _, rest = text.partition(":")
+    tokens, params = rest.split(",") if rest else [], {}
+    for field in registry[name][1] if name in registry else ():
+        if tokens:
+            width = 2 if _CONVERT[field] is _pair else 1
+            params[field] = tokens[0] if width == 1 else tokens[:2]
+            tokens = tokens[width:]
+    if tokens:
+        params["extra arguments"] = tokens      # rejected by _build
+    return name, params
+
+
+# ---------------------------------------------------------------------------
 # lattices
 # ---------------------------------------------------------------------------
 
-_GENERATORS: dict[str, Callable] = {
-    "rect": lambda params: _rect_from_params(params),
-    "omega_q": lambda params: omega_q(int(params["q"]), int(params["n"])),
-    "omega_q_plus": lambda params: omega_q_plus(int(params["q"]), int(params["n"])),
-    "lshape": lambda params: lshape(int(params["n"])),
-    "staircase": lambda params: staircase(int(params["n"])),
-    "stick": lambda params: stick_augmented(
-        int(params["n"]), tuple(params.get("v", (0, 1))), int(params["b"])
-    ),
+# generator name -> (builder, parameters in shorthand order, defaults)
+_LATTICES: dict[str, tuple] = {
+    "rect": (lambda m, n, origin: rectangle(origin, m, n), ("m", "n", "origin"), {"origin": (0, 0)}),
+    "omega_q": (omega_q, ("q", "n"), {}),
+    "omega_q_plus": (omega_q_plus, ("q", "n"), {}),
+    "lshape": (lshape, ("n",), {}),
+    "staircase": (staircase, ("n",), {}),
+    "stick": (stick_augmented, ("n", "v", "b"), {"v": (0, 1)}),
 }
-
-
-def _rect_from_params(params) -> FiniteLattice:
-    from .lattice import rectangle
-
-    origin = tuple(params.get("origin", (0, 0)))
-    return rectangle(origin, int(params["m"]), int(params["n"]))
 
 
 def lattice_from_dict(data: dict) -> FiniteLattice:
@@ -68,10 +104,7 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
                 raise FormatError(f"lattice points must be integer pairs, got {p!r}")
         return FiniteLattice(pts)
     if kind == "generator":
-        name = data.get("name")
-        if name not in _GENERATORS:
-            raise FormatError(f"unknown lattice generator {name!r}")
-        return _GENERATORS[name](data.get("params", {}))
+        return _build(_LATTICES, "lattice generator", data.get("name"), data.get("params", {}))
     raise FormatError(f"lattice type must be 'points' or 'generator', got {kind!r}")
 
 
@@ -163,23 +196,21 @@ def parse_size_expr(text: str) -> Callable[[int], int]:
     return evaluate
 
 
+# system name -> (builder, parameters in shorthand order, defaults)
+_SYSTEMS: dict[str, tuple] = {
+    "squares": (squares, (), {}),
+    "omega_q": (omega_q_system, ("q",), {}),
+    "lshape": (lshape_system, (), {}),
+    "staircase": (staircase_system, (), {}),
+    "stick": (stick_system, ("v", "a_target"), {"v": (0, 1)}),
+    "rect": (lambda w, h: rect_system(parse_size_expr(w), parse_size_expr(h), name=f"rect:{w}x{h}"),
+             ("w", "h"), {}),
+}
+
+
 def system_from_dict(data: dict) -> ExpandingSystem:
-    kind = data.get("system")
-    if kind == "squares":
-        return squares()
-    if kind == "omega_q":
-        return omega_q_system(int(data["q"]))
-    if kind == "lshape":
-        return lshape_system()
-    if kind == "staircase":
-        return staircase_system()
-    if kind == "stick":
-        return stick_system(tuple(data.get("v", (0, 1))), float(data["a_target"]))
-    if kind == "rect":
-        w = parse_size_expr(data["w"])
-        h = parse_size_expr(data["h"])
-        return rect_system(w, h, name=f"rect:{data['w']}x{data['h']}")
-    raise FormatError(f"unknown system {kind!r}")
+    params = {k: v for k, v in data.items() if k != "system"}
+    return _build(_SYSTEMS, "system", data.get("system"), params)
 
 
 def resolve_system(text: str) -> ExpandingSystem:
@@ -187,41 +218,13 @@ def resolve_system(text: str) -> ExpandingSystem:
     text = text.strip()
     if text.startswith("{"):
         return system_from_dict(json.loads(text))
-    name, _, rest = text.partition(":")
-    if name == "squares":
-        return squares()
-    if name == "omega_q":
-        return omega_q_system(int(rest))
-    if name == "lshape":
-        return lshape_system()
-    if name == "staircase":
-        return staircase_system()
-    if name == "stick":
-        vx, vy, a = rest.split(",")
-        return stick_system((int(vx), int(vy)), float(a))
-    if name == "rect":
-        w, h = rest.split(",")
-        return rect_system(parse_size_expr(w), parse_size_expr(h), name=f"rect:{w}x{h}")
-    raise FormatError(f"unknown system shorthand {text!r}")
+    name, params = _shorthand(text, _SYSTEMS)
+    return system_from_dict({"system": name, **params})
 
 
 def resolve_lattice(text: str) -> FiniteLattice:
     """Shorthand like 'rect:3,2' / 'omega_q:2,2', or a lattice file path."""
     if ":" in text:
-        name, rest = text.split(":", 1)
-        args = [int(t) for t in rest.split(",")]
-        if name == "rect":
-            origin = (args[2], args[3]) if len(args) == 4 else (0, 0)
-            return _rect_from_params({"m": args[0], "n": args[1], "origin": origin})
-        if name == "omega_q":
-            return omega_q(args[0], args[1])
-        if name == "omega_q_plus":
-            return omega_q_plus(args[0], args[1])
-        if name == "lshape":
-            return lshape(args[0])
-        if name == "staircase":
-            return staircase(args[0])
-        if name == "stick":
-            return stick_augmented(args[0], (args[1], args[2]), args[3])
-        raise FormatError(f"unknown lattice shorthand {name!r}")
+        name, params = _shorthand(text, _LATTICES)
+        return lattice_from_dict({"type": "generator", "name": name, "params": params})
     return load_lattice(text)

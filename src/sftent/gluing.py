@@ -94,15 +94,15 @@ def verify_block_gluing(
     if not 1 <= window <= 4:
         raise ValueError("window must be between 1 and 4")
     offsets = _offsets(gap, window, extent, variant)
+
+    def verdict(method: str, pairs_checked: int, counterexample=None) -> GluingVerdict:
+        return GluingVerdict(spec.name, gap, window, extent, variant, counterexample is None,
+                             counterexample, method, len(offsets), pairs_checked)
+
     if spec.safe_symbols:
         # padding with a symbol absent from every forbidden pattern extends any
         # pair of admissible windows, at any offset
-        return GluingVerdict(
-            spec.name, gap, window, extent, variant,
-            verified=True, counterexample=None,
-            method=f"padding-witness(symbol={spec.safe_symbols[0]})",
-            offsets_checked=len(offsets), pairs_checked=0,
-        )
+        return verdict(f"padding-witness(symbol={spec.safe_symbols[0]})", 0)
     base = rectangle((0, 0), window, window)
     admissible = [Pattern(base, syms) for syms in enumerate_admissible(base, spec)]
     margin = max(1, spec.forbidden_diameter)
@@ -112,26 +112,14 @@ def verify_block_gluing(
         joint = dilate(base.union(shifted), margin)
         sep = rectangle_separation(offset, window)
         for first in admissible:
-            fixed_first = {p: s for p, s in zip(first.support, first.symbols)}
+            fixed_first = dict(zip(first.support, first.symbols))
             for second_syms in (p.symbols for p in admissible):
-                fixed = dict(fixed_first)
-                fixed.update({p: s for p, s in zip(shifted, second_syms)})
+                fixed = {**fixed_first, **dict(zip(shifted, second_syms))}
                 pairs_checked += 1
                 if not admissible_extension_exists(joint, spec, fixed):
-                    cex = GluingCounterexample(
-                        first, Pattern(shifted, second_syms), offset, sep
-                    )
-                    return GluingVerdict(
-                        spec.name, gap, window, extent, variant,
-                        verified=False, counterexample=cex,
-                        method="exhaustive-pairs",
-                        offsets_checked=len(offsets), pairs_checked=pairs_checked,
-                    )
-    return GluingVerdict(
-        spec.name, gap, window, extent, variant,
-        verified=True, counterexample=None, method="exhaustive-pairs",
-        offsets_checked=len(offsets), pairs_checked=pairs_checked,
-    )
+                    cex = GluingCounterexample(first, Pattern(shifted, second_syms), offset, sep)
+                    return verdict("exhaustive-pairs", pairs_checked, cex)
+    return verdict("exhaustive-pairs", pairs_checked)
 
 
 def replay_counterexample(spec: SftSpec, cex: GluingCounterexample) -> int:

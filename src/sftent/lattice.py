@@ -24,8 +24,10 @@ class Point(NamedTuple):
     y: int
 
 
-# int64 packing of (x, y); collision-free for |coordinates| < 2**31
 def _keys(coords: np.ndarray) -> np.ndarray:
+    """Pack (x, y) rows into int64 keys, collision-free on [-2**31, 2**31)."""
+    if coords.size and (coords.min() < -2**31 or coords.max() >= 2**31):
+        raise ValueError("coordinates outside [-2**31, 2**31) cannot be packed")
     return coords[:, 1] * np.int64(2**32) + coords[:, 0]
 
 

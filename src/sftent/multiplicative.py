@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .counting import _occurrence_checks, _search
 from .errors import BudgetExceeded
 
 _fib_cache = [1, 2, 3]  # a_0 = 1 (empty string), a_1 = 2, a_2 = 3
@@ -81,30 +82,14 @@ def log_count_multiplicative(n: int, q: int) -> float:
 
 def count_multiplicative_bruteforce(n: int, q: int, budget: int = 2 ** 24) -> int:
     """Enumerate all binary strings and test the constraint directly."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if 2 ** n > budget:
         raise BudgetExceeded(f"2**{n} strings exceed budget {budget}")
-    # positions are 1-based; check the pair (k, q*k) once x_{qk} is assigned
-    pair_with = [0] * (n + 1)
-    for k in range(1, n + 1):
-        if k % q == 0 and k // q >= 1:
-            pair_with[k] = k // q
-    total = 0
-    assign = [0] * (n + 1)
-
-    def descend(k: int):
-        nonlocal total
-        if k > n:
-            total += 1
-            return
-        for bit in (0, 1):
-            if bit and pair_with[k] and assign[pair_with[k]]:
-                continue
-            assign[k] = bit
-            descend(k + 1)
-        assign[k] = 0
-
-    descend(1)
-    return total
+    # cell k - 1 holds x_k; the pair (x_{k/q}, x_k) may not be (1, 1)
+    pairs = [((k // q - 1, k - 1), (1, 1)) for k in range(q, n + 1, q)]
+    search = _search([(0, 1)] * n, _occurrence_checks(pairs, n))
+    return sum(len(leaves) for _, leaves in search)
 
 
 def multiplicative_entropy_series(q: int, terms: int) -> SeriesValue:
@@ -120,6 +105,10 @@ def multiplicative_entropy_series(q: int, terms: int) -> SeriesValue:
     value = (q - 1) ** 2 * math.fsum(
         math.log(fibonacci(k)) / q ** (k + 1) for k in range(1, terms + 1)
     )
+    return SeriesValue(value, _geometric_tail(q, terms))
+
+
+def _geometric_tail(q: int, terms: int) -> float:
+    """(q-1)^2 log 2 * sum_{k > terms} k x^(k+1) with x = 1/q, in closed form."""
     x = 1.0 / q
-    tail = (q - 1) ** 2 * math.log(2) * x ** (terms + 2) * ((terms + 1) - terms * x) / (1 - x) ** 2
-    return SeriesValue(value, tail)
+    return (q - 1) ** 2 * math.log(2) * x ** (terms + 2) * ((terms + 1) - terms * x) / (1 - x) ** 2

@@ -216,11 +216,9 @@ def placements(shape: FiniteLattice, lat: FiniteLattice) -> list[Point]:
         return []
     anchor = shape.coords[0]
     candidates = lat.coords - anchor                # (P, 2) candidate vectors
-    lat_keys = _keys(lat.coords)
     offs = shape.coords[np.newaxis, :, :]           # (1, S, 2)
     cells = candidates[:, np.newaxis, :] + offs     # (P, S, 2)
-    flat = cells.reshape(-1, 2)
-    inside = np.isin(flat[:, 1] * np.int64(2**32) + flat[:, 0], lat_keys)
+    inside = np.isin(_keys(cells.reshape(-1, 2)), _keys(lat.coords))
     ok = inside.reshape(len(lat), len(shape)).all(axis=1)
     vecs = candidates[ok]
     order = np.lexsort((vecs[:, 0], vecs[:, 1]))

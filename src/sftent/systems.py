@@ -25,7 +25,7 @@ from .lattice import (
     rectangle,
     run_census,
 )
-from .multiplicative import SeriesValue, fibonacci
+from .multiplicative import SeriesValue, _geometric_tail, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
 DECAY_RATIO = 0.7        # or the per-third envelope maxima must shrink this fast
@@ -177,9 +177,7 @@ def omega_q_entropy_series(q: int, terms: int) -> SeriesValue:
     value = 0.5 * (q - 1) ** 2 * math.fsum(
         math.log(fibonacci(2 * k)) / q ** (k + 1) for k in range(1, terms + 1)
     )
-    x = 1.0 / q
-    tail = (q - 1) ** 2 * math.log(2) * x ** (terms + 2) * ((terms + 1) - terms * x) / (1 - x) ** 2
-    return SeriesValue(value, tail)
+    return SeriesValue(value, _geometric_tail(q, terms))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ def test_resolve_lattice_shorthand():
     assert resolve_lattice("omega_q:2,2") == omega_q(2, 2)
     with pytest.raises(FormatError):
         resolve_lattice("hexagon:3")
+    # shorthand parses to the JSON generator form; argument counts are checked
+    as_dict = {"type": "generator", "name": "stick", "params": {"n": 3, "v": [0, 1], "b": 4}}
+    assert resolve_lattice("stick:3,0,1,4") == lattice_from_dict(as_dict)
+    for text in ("rect:1,2,3", "lshape:3,4", "rect:"):
+        with pytest.raises(FormatError):
+            resolve_lattice(text)
 
 
 def test_parse_size_expr():
@@ -82,6 +88,10 @@ def test_resolve_system_shorthand_and_json():
     assert resolve_system("stick:0,1,0.5").lattice(4).bbox[2] == 16  # stick top y = b(4) = 15
     sys_rect = resolve_system('{"system":"rect","w":"n^2","h":"n"}')
     assert len(sys_rect.lattice(3)) == 27
+    assert resolve_system("rect:n^2,n").name == sys_rect.name == "rect:n^2xn"
+    for text in ('{"system":"omega_q"}', '{"system":"squares","q":2}', "omega_q", "stick:0,1"):
+        with pytest.raises(FormatError):
+            resolve_system(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +141,12 @@ def test_count_extendable_mode(capsys):
     assert code == 0
     value, mode, cells = out.split()
     assert mode == "extendable" and int(value) == 125  # = local count a_3^3
+    code, out, _ = run_cli(
+        capsys, "count", "--spec", "golden-mean-h", "--lattice", "rect:2,2",
+        "--mode", "ext:15",
+    )
+    assert code == 0
+    assert out == "9 extendable 4\n"
 
 
 def test_count_budget_exit_code(capsys):
@@ -146,12 +162,28 @@ def test_count_budget_exit_code(capsys):
         assert "budget" in err.lower()
     finally:
         os.unlink(path)
+    # 2**1 core patterns fit the budget, one extension search on 3x3 does not
+    code, out, err = run_cli(
+        capsys, "count", "--spec", "golden-mean-h", "--lattice", "rect:1,1",
+        "--mode", "ext:1", "--budget", "4",
+    )
+    assert code == 3 and out == ""
+    assert "budget" in err.lower()
 
 
 def test_count_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--spec", "golden-mean-h", "--lattice", "hexagon:1")
     assert code == 2
     assert err
+    # missing arguments are usage errors, not tracebacks
+    for argv in (
+        ["count", "--spec", "golden-mean-h", "--lattice", "rect:2"],
+        ["count", "--spec", "golden-mean-h", "--lattice", "omega_q:2"],
+        ["count", "--spec", "golden-mean-h", "--lattice", "stick:3,0,1"],
+        ["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q"}'],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_entropy_rect_csv(capsys):

@@ -20,6 +20,7 @@ from sftent import (
     rectangle,
     staircase,
 )
+from sftent.counting import _check_budget, admissible_extension_exists
 from conftest import random_connected_lattice
 
 
@@ -60,6 +61,18 @@ def test_vertical_spec_strip_counts():
 def test_bruteforce_budget():
     with pytest.raises(BudgetExceeded):
         count_bruteforce(rectangle((0, 0), 5, 5), GM_H, budget=2**24)
+
+
+@pytest.mark.parametrize(
+    "alphabet_size, cells, accepted",
+    [(2, 24, True), (2, 25, False), (3, 4_000_000, False)],
+)
+def test_check_budget_is_exact(alphabet_size, cells, accepted):
+    if accepted:
+        _check_budget(alphabet_size, cells, 2**24)
+    else:
+        with pytest.raises(BudgetExceeded):
+            _check_budget(alphabet_size, cells, 2**24)
 
 
 def test_bruteforce_fixed_cells():
@@ -286,6 +299,17 @@ def test_extendable_golden_mean_equals_local():
     local = count(lat, GM_H).value
     for margin in (1, 2):
         assert count_extendable(lat, GM_H, margin).value == local
+    # a 32 x 32 dilation: deeper than any recursive search could go
+    assert count_extendable(rectangle((0, 0), 2, 2), GM_H, 15).value == 9
+
+
+def test_extension_search_enforces_budget():
+    square = rectangle((0, 0), 6, 6)
+    with pytest.raises(BudgetExceeded):
+        admissible_extension_exists(square, GM_H, {(0, 0): 1}, budget=1)
+    assert admissible_extension_exists(square, GM_H, {(0, 0): 1}, budget=100)
+    with pytest.raises(BudgetExceeded):
+        count_extendable(rectangle((0, 0), 1, 1), GM_H, 1, budget=4)
 
 
 def test_extendable_monotone_in_margin():

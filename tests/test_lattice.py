@@ -133,6 +133,14 @@ def test_set_algebra_roundtrip():
     assert a.issubset(u) and b.issubset(u)
 
 
+def test_set_algebra_rejects_unpackable_coordinates():
+    # (2**32, 0) and (0, 1) pack to the same int64 key without the range check
+    with pytest.raises(ValueError):
+        FiniteLattice([(2**32, 0)]).issubset(FiniteLattice([(0, 1)]))
+    edge = FiniteLattice([(-2**31, 2**31 - 1)])
+    assert edge.issubset(edge.union(FiniteLattice([(0, 1)])))
+
+
 def test_empty_lattice_is_legal():
     empty = FiniteLattice()
     assert len(empty) == 0

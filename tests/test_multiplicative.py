@@ -54,6 +54,8 @@ def test_count_equals_bruteforce():
     for q in (2, 3, 4):
         for n in range(1, 21):
             assert count_multiplicative(n, q) == count_multiplicative_bruteforce(n, q)
+    with pytest.raises(ValueError):
+        count_multiplicative_bruteforce(5, 1)
 
 
 def test_log_count_matches_exact():
