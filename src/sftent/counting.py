@@ -11,10 +11,20 @@ lattice:
   shapes fit a 2x2 window.  When constraints never leave a single row (or
   column) the count factorises over maximal runs and is evaluated as a product
   of 1-D transfer counts, which keeps lattices with millions of cells exact.
-  Otherwise a broken-profile sweep over the bounding box carries one symbol
-  (or an absent marker for cells outside the lattice) per frontier position.
-* ``log_count`` -- natural log of the count, normalising per step on the
-  generic path so huge lattices never materialise huge integers.
+  Otherwise a broken-profile sweep runs cell by cell over the bounding box,
+  with the frontier along its shorter side (at most ``FRONTIER_CAP`` cells).
+  The live frontier states are one numpy array of base-N integer codes, the
+  newest cell least significant.  Whether a cell is absent (in the bounding
+  box but not the lattice) depends only on the lattice, so an absent cell
+  holds digit 0 and every constraint reaching it is dropped in advance.
+  Codes are int64 while ``N ** (frontier + 1) < 2**63`` and Python ints
+  (``dtype=object``) beyond.  Exact weights are int64 limbs of
+  ``62 - N.bit_length()`` bits, one more whenever the count bound
+  ``N ** cells <= 2 ** (cells * ceil(log2 N))`` needs it, normalised by one
+  carry pass per cell.
+* ``log_count`` -- natural log of the count through the same sweep, with
+  one float64 weight per state, renormalised once the total passes 1e12 so
+  huge lattices never materialise huge integers.
 
 Counts are exact arbitrary-precision integers; ``count`` dispatches between
 the routes and also exposes the extendable-count refinement.
@@ -34,7 +44,6 @@ from .sft import CountResult, SftSpec, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| for exhaustive routes
 FRONTIER_CAP = 24            # cap on the broken-profile frontier length
-ABSENT = -1                  # marker for bounding-box cells outside the lattice
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +115,21 @@ def _occurrence_checks(occurrences, n_cells: int):
 
 @lru_cache(maxsize=8)
 def _constraint_table(lat: FiniteLattice, spec: SftSpec):
-    """Cell index by point and ``_search`` checks, built once per lattice and spec."""
+    """Cell index by point, free domains and ``_search`` checks, built once per
+    lattice and spec."""
     checks = _occurrence_checks(forbidden_occurrences(lat, spec), len(lat))
-    return {(p.x, p.y): i for i, p in enumerate(lat)}, checks
+    index = {p: i for i, p in enumerate(lat)}
+    return index, [tuple(range(spec.alphabet_size))] * len(lat), checks
 
 
 def _domains(lat: FiniteLattice, spec: SftSpec, fixed):
     """``_search`` arguments for `lat`; a cell in `fixed` has one symbol."""
-    index, checks = _constraint_table(lat, spec)
-    domains = [tuple(range(spec.alphabet_size))] * len(lat)
-    for (x, y), s in (fixed or {}).items():
-        i = index.get((int(x), int(y)))
+    index, free, checks = _constraint_table(lat, spec)
+    domains = free.copy()
+    for p, s in (fixed or {}).items():
+        i = index.get(p)          # Points and int pairs hash alike
+        if i is None:
+            i = index.get((int(p[0]), int(p[1])))
         if i is not None:
             domains[i] = (int(s),)
     return domains, checks
@@ -211,29 +224,18 @@ def _run_multiset(lat: FiniteLattice, horizontal: bool) -> dict[int, int]:
     return {int(m): int(counts[m]) for m in range(1, counts.size) if counts[m]}
 
 
-def _axis_product_count(lat: FiniteLattice, spec: SftSpec) -> int:
+def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
+    """Product of 1-D run counts; returns the exact count or its natural log."""
     axis = spec.pure_axis
     work_spec = spec if axis == "horizontal" else spec.transpose()
-    runs = _run_multiset(lat, horizontal=(axis == "horizontal"))
     rc = _RunCounter(work_spec)
-    value = 1
-    for length, mult in runs.items():
-        value *= rc.count(length) ** mult
-    return value
-
-
-def _axis_product_log(lat: FiniteLattice, spec: SftSpec) -> float:
-    axis = spec.pure_axis
-    work_spec = spec if axis == "horizontal" else spec.transpose()
-    runs = _run_multiset(lat, horizontal=(axis == "horizontal"))
-    rc = _RunCounter(work_spec)
-    total = 0.0
-    for length, mult in runs.items():
-        c = rc.count(length)
-        if c == 0:
-            return float("-inf")
-        total += mult * math.log(c)
-    return total
+    runs = [(rc.count(length), mult)
+            for length, mult in _run_multiset(lat, horizontal=(axis == "horizontal")).items()]
+    if not log_domain:
+        return math.prod(c ** mult for c, mult in runs)
+    if any(c == 0 for c, _ in runs):
+        return float("-inf")
+    return sum(mult * math.log(c) for c, mult in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,92 +243,115 @@ def _axis_product_log(lat: FiniteLattice, spec: SftSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _profile_checks(spec: SftSpec, height: int):
-    """Constraint table for the cell-by-cell sweep.
+def _profile_patterns(spec: SftSpec):
+    """Each forbidden pattern as (last symbol, back cells): its last cell in the
+    column-major sweep order, and every other cell as (dx, dy, symbol) offsets
+    back from it."""
+    out = []
+    for pat in spec.forbidden:
+        cells = sorted(((p.x, p.y), s) for p, s in pat.cells)
+        (lx, ly), lsym = cells.pop()
+        out.append((lsym, tuple((lx - x, ly - y, s) for (x, y), s in cells)))
+    return out
 
-    The sweep runs column-major over the bounding box; the frontier keeps the
-    last `height + 1` processed symbols.  Each forbidden placement is attached
-    to its last cell in sweep order and expressed through back-distances into
-    the frontier.  Entries are grouped by (y within column, x == 0).
-    """
-    table: dict[tuple[int, bool], list] = {}
-    for y in range(height):
-        for x0 in (True, False):
-            entries = []
-            for pat in spec.forbidden:
-                cells = [(p.x, p.y, s) for p, s in pat.cells]
-                last = max(cells, key=lambda c: (c[0], c[1]))
-                lx, ly, lsym = last
-                back = []
-                valid = True
-                for cx, cy, s in cells:
-                    if (cx, cy) == (lx, ly):
-                        continue
-                    ddx, ddy = lx - cx, ly - cy
-                    yy = y - ddy
-                    if not 0 <= yy < height:
-                        valid = False
-                        break
-                    if x0 and ddx > 0:
-                        valid = False
-                        break
-                    back.append((ddx * height + ddy, s))
-                if valid:
-                    entries.append((lsym, tuple(back)))
-            table[(y, x0)] = entries
-    return table
+
+def _cell_bans(patterns, mask, x: int, y: int, n: int):
+    """Per symbol at present cell (x, y): None when a single-cell pattern bans
+    it outright, else the (back distance, symbol) tuples that ban it.  A
+    pattern is dropped when one of its back cells is absent from `mask`."""
+    h = mask.shape[0]
+    bans: list = [[] for _ in range(n)]
+    for lsym, back in patterns:
+        if bans[lsym] is None:
+            continue
+        if not back:
+            bans[lsym] = None
+        elif all(x >= dx and 0 <= y - dy < h and mask[y - dy, x - dx] for dx, dy, _ in back):
+            bans[lsym].append(tuple((dx * h + dy, s) for dx, dy, s in back))
+    return bans
 
 
 def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
-    """Run the broken-profile DP; returns either an int or (log, ok)."""
-    (ox, oy), w, h = lat.bbox
+    """Run the broken-profile DP; returns the exact count or its natural log."""
     mask = lat._mask
+    h, w = mask.shape
     if h > w:
-        mask = mask.T
-        spec = spec.transpose()
-        w, h = h, w
-    if h + 1 > FRONTIER_CAP + 1:
+        mask, spec = mask.T, spec.transpose()
+        h, w = w, h
+    if h > FRONTIER_CAP:
         raise BudgetExceeded(
             f"frontier length {h} exceeds cap {FRONTIER_CAP} for a two-axis spec"
         )
-    checks = _profile_checks(spec, h)
-    depth = h + 1
-    init = (ABSENT,) * depth
-    states: dict[tuple, object] = {init: 1.0 if log_domain else 1}
-    log_scale = 0.0
-    symbols = tuple(range(spec.alphabet_size))
-    for x in range(w):
-        col = mask[:, x]
-        for y in range(h):
-            entries = checks[(y, x == 0)]
-            nxt: dict[tuple, object] = {}
-            choices = symbols if col[y] else (ABSENT,)
-            for state, weight in states.items():
-                for sym in choices:
-                    bad = False
-                    for lsym, back in entries:
-                        if sym == lsym and all(state[-d] == s for d, s in back):
-                            bad = True
-                            break
-                    if bad:
-                        continue
-                    ns = state[1:] + (sym,)
-                    if ns in nxt:
-                        nxt[ns] += weight
-                    else:
-                        nxt[ns] = weight
-            states = nxt
-            if not states:
-                return (float("-inf"), True) if log_domain else 0
-            if log_domain:
-                total = math.fsum(states.values())
-                if total > 1e12:
-                    inv = 1.0 / total
-                    states = {s: w_ * inv for s, w_ in states.items()}
-                    log_scale += math.log(total)
+    n = spec.alphabet_size
+    patterns = _profile_patterns(spec)
+    present = mask.T.ravel()              # sweep order: cell x * h + y
+    # a state is the last h + 1 cells' symbols as one base-n code, the newest
+    # cell least significant; absent cells hold digit 0
+    dtype = np.int64 if n ** (h + 1) < 2 ** 63 else object
+    top = n ** h
+    codes = np.zeros(1, dtype=dtype)
+    # exact weights: int64 limbs in base 2**bits_per_limb, one more whenever the
+    # bound n**present <= 2**bits needs it, so no carry leaves the top limb; log
+    # weights: one float64 column, renormalised as it grows
+    bits_per_limb = 62 - n.bit_length()
+    limb_mask = (1 << bits_per_limb) - 1
+    weights = np.ones((1, 1), dtype=np.float64 if log_domain else np.int64)
+    bits, log_scale = 0, 0.0
+    for t in range(w * h):
+        if present[t]:
+            if not log_domain:
+                bits += (n - 1).bit_length()
+                if bits >= weights.shape[1] * bits_per_limb:
+                    weights = np.hstack([weights, np.zeros((len(codes), 1), np.int64)])
+            ok = np.ones((len(codes), n), dtype=bool)
+            digits: dict = {}
+            for sym, bans in enumerate(_cell_bans(patterns, mask, t // h, t % h, n)):
+                if bans is None:
+                    ok[:, sym] = False
+                for back in bans or ():
+                    hit = True
+                    for d, s in back:
+                        if d not in digits:
+                            digits[d] = codes // n ** (d - 1) % n
+                        hit = hit & (digits[d] == s)
+                    ok[:, sym] &= ~hit
+            rows, syms = np.nonzero(ok)   # in state order, then symbol order
+        else:
+            rows, syms = np.arange(len(codes)), 0
+        if not len(rows):
+            return float("-inf") if log_domain else 0
+        # the oldest digit leaves the frontier; only a present cell there can
+        # make two states meet
+        merging = t > h and present[t - h - 1]
+        dest = (codes % top if merging else codes)[rows] * n + syms
+        if not merging:
+            codes, weights = dest, weights.take(rows, axis=0)
+        else:
+            # group successors by code, at most n sources each, added in state
+            # order; states keep the order of their first source
+            order = np.argsort(dest, kind="stable")
+            dest, src = dest[order], rows[order]
+            starts = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
+            ends = np.append(starts[1:], len(dest))
+            merged = weights.take(src[starts], axis=0)
+            for k in range(1, n):
+                more = (starts + k < ends)[:, None]
+                merged += weights.take(src[np.minimum(starts + k, len(dest) - 1)], axis=0) * more
+            keep = np.argsort(order[starts])
+            codes, weights = dest[starts[keep]], merged.take(keep, axis=0)
+        if log_domain:
+            total = math.fsum(weights[:, 0].tolist())
+            if total > 1e12:
+                weights *= 1.0 / total
+                log_scale += math.log(total)
+        elif weights.shape[1] > 1:
+            # one carry pass leaves every limb below 2**bits_per_limb + n
+            carry = weights[:, :-1] >> bits_per_limb
+            weights &= limb_mask
+            weights[:, 1:] += carry
     if log_domain:
-        return log_scale + math.log(math.fsum(states.values())), True
-    return sum(states.values())
+        return log_scale + math.log(math.fsum(weights[:, 0].tolist()))
+    return sum(sum(weights[:, i].tolist()) << (bits_per_limb * i) for i in range(weights.shape[1]))
 
 
 def _require_window(spec: SftSpec) -> None:
@@ -341,11 +366,8 @@ def count_profile_dp(lat: FiniteLattice, spec: SftSpec) -> CountResult:
     _require_window(spec)
     if len(lat) == 0:
         return CountResult(1, "local", 0)
-    if spec.pure_axis is not None:
-        value = _axis_product_count(lat, spec)
-    else:
-        value = _profile_sweep(lat, spec, log_domain=False)
-    return CountResult(value, "local", len(lat))
+    route = _axis_product if spec.pure_axis is not None else _profile_sweep
+    return CountResult(route(lat, spec, log_domain=False), "local", len(lat))
 
 
 def log_count(lat: FiniteLattice, spec: SftSpec) -> float:
@@ -353,10 +375,8 @@ def log_count(lat: FiniteLattice, spec: SftSpec) -> float:
     _require_window(spec)
     if len(lat) == 0:
         return 0.0
-    if spec.pure_axis is not None:
-        return _axis_product_log(lat, spec)
-    value, _ = _profile_sweep(lat, spec, log_domain=True)
-    return value
+    route = _axis_product if spec.pure_axis is not None else _profile_sweep
+    return route(lat, spec, log_domain=True)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ _CONVERT: dict[str, Callable] = {"m": int, "n": int, "q": int, "b": int, "origin
 
 def _build(registry: dict, kind: str, name, params: dict):
     """Build `name` from `registry` out of its parameter dict (shorthand or JSON)."""
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         raise FormatError(f"unknown {kind} {name!r}")
     build, fields, defaults = registry[name]
     try:
@@ -96,11 +96,16 @@ _LATTICES: dict[str, tuple] = {
 
 
 def lattice_from_dict(data: dict) -> FiniteLattice:
+    if not isinstance(data, dict):
+        raise FormatError(f"a lattice must be a JSON object, got {data!r}")
     kind = data.get("type")
     if kind == "points":
-        pts = data["points"]
+        pts = data.get("points")
+        if not isinstance(pts, (list, tuple)):
+            raise FormatError(f"lattice 'points' must be a list of integer pairs, got {pts!r}")
         for p in pts:
-            if len(p) != 2 or not all(isinstance(c, int) for c in p):
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and all(isinstance(c, int) for c in p)):
                 raise FormatError(f"lattice points must be integer pairs, got {p!r}")
         return FiniteLattice(pts)
     if kind == "generator":

@@ -106,18 +106,19 @@ def verify_block_gluing(
     base = rectangle((0, 0), window, window)
     admissible = [Pattern(base, syms) for syms in enumerate_admissible(base, spec)]
     margin = max(1, spec.forbidden_diameter)
+    firsts = [dict(zip(base, p.symbols)) for p in admissible]
     pairs_checked = 0
     for offset in offsets:
         shifted = base.translate(offset)
         joint = dilate(base.union(shifted), margin)
         sep = rectangle_separation(offset, window)
-        for first in admissible:
-            fixed_first = dict(zip(first.support, first.symbols))
-            for second_syms in (p.symbols for p in admissible):
-                fixed = {**fixed_first, **dict(zip(shifted, second_syms))}
+        shifted_points = list(shifted)
+        seconds = [dict(zip(shifted_points, p.symbols)) for p in admissible]
+        for first, fixed_first in zip(admissible, firsts):
+            for second, fixed_second in zip(admissible, seconds):
                 pairs_checked += 1
-                if not admissible_extension_exists(joint, spec, fixed):
-                    cex = GluingCounterexample(first, Pattern(shifted, second_syms), offset, sep)
+                if not admissible_extension_exists(joint, spec, fixed_first | fixed_second):
+                    cex = GluingCounterexample(first, Pattern(shifted, second.symbols), offset, sep)
                     return verdict("exhaustive-pairs", pairs_checked, cex)
     return verdict("exhaustive-pairs", pairs_checked)
 

@@ -171,17 +171,28 @@ def test_count_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
-def test_count_parse_error_exit_code(capsys):
+def test_count_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "--spec", "golden-mean-h", "--lattice", "hexagon:1")
     assert code == 2
     assert err
-    # missing arguments are usage errors, not tracebacks
-    for argv in (
+    # missing arguments and malformed lattice files are usage errors, not tracebacks
+    argvs = [
         ["count", "--spec", "golden-mean-h", "--lattice", "rect:2"],
         ["count", "--spec", "golden-mean-h", "--lattice", "omega_q:2"],
         ["count", "--spec", "golden-mean-h", "--lattice", "stick:3,0,1"],
         ["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q"}'],
-    ):
+    ]
+    for i, text in enumerate((
+        '[[0, 0], [1, 0]]',
+        '{"type": "points"}',
+        '{"type": "points", "points": 5}',
+        '{"type": "points", "points": [[0, 0], 5]}',
+        '{"type": "generator", "name": ["rect"]}',
+    )):
+        path = tmp_path / f"lattice{i}.json"
+        path.write_text(text)
+        argvs.append(["count", "--spec", "golden-mean-h", "--lattice", str(path)])
+    for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
 

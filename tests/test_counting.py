@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sftent import (
     BudgetExceeded,
@@ -168,6 +170,64 @@ def test_dp_three_cell_window_spec(rng):
     spec = SftSpec.make(2, [[((0, 0), 1), ((1, 0), 0), ((0, 1), 1)]], name="elbow")
     for lat in corpus(rng)[:12]:
         assert count_profile_dp(lat, spec).value == count_bruteforce(lat, spec).value
+
+
+WINDOW = [(0, 0), (1, 0), (0, 1), (1, 1)]
+HARD_SQUARE = SftSpec.make(
+    2, [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]], name="hard-square"
+)
+
+
+@st.composite
+def window_specs(draw):
+    """Two-axis 2x2-window specs, N in {2, 3}, 1-5 patterns (some single-cell)."""
+    n = draw(st.sampled_from((2, 3)))
+    pattern = st.lists(st.tuples(st.sampled_from(WINDOW), st.integers(0, n - 1)),
+                       min_size=1, max_size=4, unique_by=lambda cell: cell[0])
+    spec = SftSpec.make(n, draw(st.lists(pattern, min_size=1, max_size=5)))
+    assume(spec.pure_axis is None)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_specs(), st.randoms(use_true_random=False))
+def test_sweep_matches_oracle_on_random_window_specs(spec, rnd):
+    lat = random_connected_lattice(rnd, 12)
+    exact = count_profile_dp(lat, spec).value
+    assert exact == count_bruteforce(lat, spec).value
+    assert count_profile_dp(lat.transpose(), spec.transpose()).value == exact
+    if exact == 0:
+        assert log_count(lat, spec) == -math.inf
+    else:
+        assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
+
+
+def test_sweep_hard_squares_oeis_a006506():
+    # the 12 x 12 count has 87 bits: its weights carry across limbs
+    expected = {8: 660647962955, 10: 2030049051145980050,
+                12: 162481813349792588536582997}
+    for n, value in expected.items():
+        assert count_profile_dp(rectangle((0, 0), n, n), HARD_SQUARE).value == value
+
+
+def test_sweep_single_cell_bans_large_alphabets():
+    # symbols banned outright leave hard squares over the two symbols left
+    pairs = [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]]
+    six = SftSpec.make(6, [[((0, 0), s)] for s in range(2, 6)] + pairs)
+    assert (count_profile_dp(rectangle((0, 0), 24, 3), six).value
+            == count_profile_dp(rectangle((0, 0), 24, 3), HARD_SQUARE).value)
+    # hard squares on symbols 126 and 127 of 128: frontier codes reach
+    # 128**10 - 1 >= 2**63 on 9 x 9, so they need arbitrary-precision codes
+    top_pairs = [[((0, 0), 127), ((1, 0), 127)], [((0, 0), 127), ((0, 1), 127)]]
+    wide = SftSpec.make(128, [[((0, 0), s)] for s in range(126)] + top_pairs)
+    assert (count_profile_dp(rectangle((0, 0), 9, 9), wide).value
+            == count_profile_dp(rectangle((0, 0), 9, 9), HARD_SQUARE).value)
+    # 6**25 >= 2**63 at the full frontier of 24: one admissible pattern
+    only_zero = SftSpec.make(6, [[((0, 0), s)] for s in range(1, 6)]
+                             + [[((0, 0), 1), ((1, 1), 1)]])
+    square = rectangle((0, 0), 24, 24)
+    assert count_profile_dp(square, only_zero).value == 1
+    assert log_count(square, only_zero) == 0.0
 
 
 # ---------------------------------------------------------------------------
