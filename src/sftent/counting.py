@@ -39,7 +39,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BudgetExceeded, UnsupportedForbiddenShape
-from .lattice import FiniteLattice, dilate, _run_spans
+from .lattice import FiniteLattice, _run_lengths, dilate
 from .sft import CountResult, SftSpec, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| for exhaustive routes
@@ -216,21 +216,12 @@ class _RunCounter:
         return self._counts[length]
 
 
-def _run_multiset(lat: FiniteLattice, horizontal: bool) -> dict[int, int]:
-    """Multiset of maximal run lengths along the given axis."""
-    mask = lat._mask if horizontal else lat._mask.T
-    _, _, lengths = _run_spans(mask)
-    counts = np.bincount(lengths)
-    return {int(m): int(counts[m]) for m in range(1, counts.size) if counts[m]}
-
-
 def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     """Product of 1-D run counts; returns the exact count or its natural log."""
     axis = spec.pure_axis
     work_spec = spec if axis == "horizontal" else spec.transpose()
     rc = _RunCounter(work_spec)
-    runs = [(rc.count(length), mult)
-            for length, mult in _run_multiset(lat, horizontal=(axis == "horizontal")).items()]
+    runs = [(rc.count(length), mult) for length, mult in _run_lengths(lat, axis).items()]
     if not log_domain:
         return math.prod(c ** mult for c, mult in runs)
     if any(c == 0 for c, _ in runs):
@@ -316,6 +307,7 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
                         hit = hit & (digits[d] == s)
                     ok[:, sym] &= ~hit
             rows, syms = np.nonzero(ok)   # in state order, then symbol order
+            del ok, digits                # free each intermediate once consumed
         else:
             rows, syms = np.arange(len(codes)), 0
         if not len(rows):
@@ -324,21 +316,28 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
         # make two states meet
         merging = t > h and present[t - h - 1]
         dest = (codes % top if merging else codes)[rows] * n + syms
+        del codes, syms
         if not merging:
             codes, weights = dest, weights.take(rows, axis=0)
         else:
             # group successors by code, at most n sources each, added in state
             # order; states keep the order of their first source
             order = np.argsort(dest, kind="stable")
-            dest, src = dest[order], rows[order]
+            src = rows[order]
+            del rows
+            dest = dest[order]
             starts = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
             ends = np.append(starts[1:], len(dest))
+            keep = np.argsort(order[starts])
+            del order
+            dest = dest[starts]
             merged = weights.take(src[starts], axis=0)
             for k in range(1, n):
                 more = (starts + k < ends)[:, None]
-                merged += weights.take(src[np.minimum(starts + k, len(dest) - 1)], axis=0) * more
-            keep = np.argsort(order[starts])
-            codes, weights = dest[starts[keep]], merged.take(keep, axis=0)
+                np.add(merged, weights.take(src[np.minimum(starts + k, len(src) - 1)], axis=0),
+                       out=merged, where=more)
+            del weights, src
+            codes, weights = dest[keep], merged.take(keep, axis=0)
         if log_domain:
             total = math.fsum(weights[:, 0].tolist())
             if total > 1e12:

@@ -1,10 +1,13 @@
 """Finite sublattices of Z^2 and their geometric decompositions.
 
-A :class:`FiniteLattice` is an immutable finite point set stored in canonical
-row-major order (sorted by y, then x).  All statistics used by the entropy
-machinery (boundary size, residue of a block decomposition, run-length
-censuses) are computed on a cached boolean occupancy grid so that lattices
-with millions of cells stay cheap.
+A :class:`FiniteLattice` is an immutable finite point set stored as row runs:
+one int64 array of half-open intervals ``(y, x0, x1)``, sorted by ``(y, x0)``,
+with touching runs merged.  Points iterate in row-major order (by y, then x).
+Set algebra, interior and boundary, block residues, run-length censuses and
+the transpose all go through one coverage kernel over run endpoints
+(:func:`_cover`), so they cost time in the number of runs, not of cells: a
+rectangle with millions of cells has one run per row.  Point coordinates and
+the boolean occupancy grid are built only on demand.
 """
 
 from __future__ import annotations
@@ -24,81 +27,126 @@ class Point(NamedTuple):
     y: int
 
 
-def _keys(coords: np.ndarray) -> np.ndarray:
-    """Pack (x, y) rows into int64 keys, collision-free on [-2**31, 2**31)."""
-    if coords.size and (coords.min() < -2**31 or coords.max() >= 2**31):
-        raise ValueError("coordinates outside [-2**31, 2**31) cannot be packed")
-    return coords[:, 1] * np.int64(2**32) + coords[:, 0]
+# ---------------------------------------------------------------------------
+# row runs and the coverage kernel
+# ---------------------------------------------------------------------------
 
 
-def _canonical(arr: np.ndarray) -> np.ndarray:
-    """Dedup and sort by (y, x)."""
-    arr = np.asarray(arr, dtype=np.int64).reshape(-1, 2)
-    if arr.shape[0] == 0:
-        return arr
-    arr = np.unique(arr, axis=0)                      # dedup, sorted by (x, y)
-    return arr[np.lexsort((arr[:, 0], arr[:, 1]))]    # re-sort by (y, x)
+def _merge(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Runs (g, a, b) from disjoint pieces [a, b) sorted by (g, a), merging
+    pieces of one group that touch."""
+    new = np.ones(g.size, dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (a[1:] != b[:-1])
+    return np.column_stack([g[new], a[new], b[np.roll(new, -1)]])
+
+
+def _cover(keep, *parts) -> np.ndarray:
+    """The coverage kernel: canonical runs of the points whose weight satisfies
+    `keep`, where each part ``(runs, dy, w)`` adds weight w to the points of
+    `runs` moved dy rows.
+
+    Run ends become +w/-w events sorted by (row, x); their cumulative sum is
+    the weight of each piece between consecutive events."""
+    g = np.concatenate([runs[:, 0] + dy for runs, dy, _ in parts] * 2)
+    x = np.concatenate([runs[:, 1] for runs, _, _ in parts] + [runs[:, 2] for runs, _, _ in parts])
+    w = np.concatenate([np.full(len(runs), wt) for runs, _, wt in parts])
+    order = np.lexsort((x, g))
+    g, x, level = g[order], x[order], np.concatenate([w, -w])[order].cumsum()
+    piece = keep(level[:-1]) & (g[1:] == g[:-1]) & (x[1:] > x[:-1])
+    return _merge(g[:-1][piece], x[:-1][piece], x[1:][piece])
+
+
+def _size(runs: np.ndarray) -> int:
+    return int((runs[:, 2] - runs[:, 1]).sum())
+
+
+def _cells(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of every cell of the runs, in run order."""
+    lengths = runs[:, 2] - runs[:, 1]
+    first = lengths.cumsum() - lengths          # each run's first cell index
+    x = np.arange(lengths.sum(), dtype=np.int64) + np.repeat(runs[:, 1] - first, lengths)
+    return x, np.repeat(runs[:, 0], lengths)
+
+
+def _band(g0: int, count: int, a: int, b: int) -> np.ndarray:
+    """Runs [a, b) in `count` consecutive groups from g0."""
+    runs = np.empty((count, 3), dtype=np.int64)
+    runs[:, 0] = np.arange(g0, g0 + count, dtype=np.int64)
+    runs[:, 1], runs[:, 2] = a, b
+    return runs
 
 
 class FiniteLattice:
     """Immutable finite subset of Z^2 in canonical row-major point order."""
 
     def __init__(self, points: Iterable[tuple[int, int]] = ()):
-        coords = points if isinstance(points, np.ndarray) else np.array(
-            [(int(p[0]), int(p[1])) for p in points], dtype=np.int64
-        ).reshape(-1, 2)
-        self._coords = _canonical(coords)
-        self._coords.setflags(write=False)
+        if not isinstance(points, np.ndarray):
+            points = [(int(p[0]), int(p[1])) for p in points]
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        # sort by (y, x), drop repeats; consecutive x in one row join a run
+        order = np.lexsort((pts[:, 0], pts[:, 1]))
+        x, y = pts[order, 0], pts[order, 1]
+        fresh = np.ones(x.size, dtype=bool)
+        fresh[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+        x, y = x[fresh], y[fresh]
+        self._init(_merge(y, x, x + 1))
+
+    def _init(self, runs: np.ndarray, truns: np.ndarray | None = None) -> None:
+        runs.setflags(write=False)
+        self._runs = runs
+        self._len = _size(runs)
+        if truns is not None:
+            self.__dict__["_truns"] = truns
 
     @classmethod
-    def _trusted(cls, coords: np.ndarray) -> "FiniteLattice":
-        """Wrap an array already deduped and in canonical (y, x) order."""
+    def _from_runs(cls, runs: np.ndarray, truns: np.ndarray | None = None) -> "FiniteLattice":
+        """Wrap canonical runs; `truns`, when known, are the transpose's runs."""
         obj = cls.__new__(cls)
-        coords = np.ascontiguousarray(coords, dtype=np.int64).reshape(-1, 2)
-        coords.setflags(write=False)
-        obj._coords = coords
+        obj._init(runs, truns)
         return obj
 
     # -- basic container protocol ------------------------------------------
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
         """Read-only (P, 2) array of (x, y) pairs in canonical order."""
-        return self._coords
+        coords = np.column_stack(_cells(self._runs))
+        coords.setflags(write=False)
+        return coords
 
     @property
     def points(self) -> tuple[Point, ...]:
         return tuple(self)
 
     def __len__(self) -> int:
-        return self._coords.shape[0]
+        return self._len
 
     def __iter__(self) -> Iterator[Point]:
-        for x, y in self._coords.tolist():
+        for x, y in self.coords.tolist():
             yield Point(x, y)
 
     def __contains__(self, point) -> bool:
-        return (int(point[0]), int(point[1])) in self._point_set
+        x, y = int(point[0]), int(point[1])
+        rows = self._runs[:, 0]
+        lo, hi = np.searchsorted(rows, y), np.searchsorted(rows, y, "right")
+        i = lo + int(np.searchsorted(self._runs[lo:hi, 1], x, "right")) - 1
+        return bool(i >= lo and x < self._runs[i, 2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteLattice):
             return NotImplemented
-        return np.array_equal(self._coords, other._coords)
+        return np.array_equal(self._runs, other._runs)
 
     def __hash__(self) -> int:
-        return hash(self._coords.tobytes())
+        return hash(self._runs.tobytes())
 
     def __repr__(self) -> str:
         if len(self) <= 8:
-            body = ", ".join(f"({x},{y})" for x, y in self._coords.tolist())
+            body = ", ".join(f"({x},{y})" for x, y in self.coords.tolist())
         else:
             (ox, oy), w, h = self.bbox
             body = f"{len(self)} points in [{ox},{ox + w})x[{oy},{oy + h})"
         return f"FiniteLattice({body})"
-
-    @cached_property
-    def _point_set(self) -> frozenset:
-        return frozenset(map(tuple, self._coords.tolist()))
 
     # -- cached geometry ----------------------------------------------------
 
@@ -111,62 +159,59 @@ class FiniteLattice:
         """
         if len(self) == 0:
             return Point(0, 0), 0, 0
-        xs, ys = self._coords[:, 0], self._coords[:, 1]
-        ox, oy = int(xs.min()), int(ys.min())
-        return Point(ox, oy), int(xs.max()) - ox + 1, int(ys.max()) - oy + 1
+        ys, x0, x1 = self._runs.T
+        ox, oy = int(x0.min()), int(ys[0])
+        return Point(ox, oy), int(x1.max()) - ox, int(ys[-1]) - oy + 1
 
     @cached_property
     def _mask(self) -> np.ndarray:
         """(height, width) boolean occupancy grid relative to bbox origin."""
         (ox, oy), w, h = self.bbox
-        grid = np.zeros((h, w), dtype=bool)
-        if len(self):
-            grid[self._coords[:, 1] - oy, self._coords[:, 0] - ox] = True
-        return grid
+        edges = np.zeros((h, w + 1), dtype=np.int8)
+        rows = self._runs[:, 0] - oy
+        edges[rows, self._runs[:, 1] - ox] = 1
+        edges[rows, self._runs[:, 2] - ox] = -1
+        return edges.cumsum(axis=1, dtype=np.int8)[:, :w].astype(bool)
+
+    @cached_property
+    def _truns(self) -> np.ndarray:
+        """Runs of the transpose, (x, y0, y1) per vertical run.
+
+        Column x's runs start in the cells of row y minus row y - 1 and end in
+        those of row y minus row y + 1; both in (x, y) order pair up."""
+        runs = self._runs
+        sx, sy = _cells(_cover(lambda c: c == 1, (runs, 0, 1), (runs, 1, -1)))
+        ex, ey = _cells(_cover(lambda c: c == 1, (runs, 0, 1), (runs, -1, -1)))
+        s, e = np.lexsort((sy, sx)), np.lexsort((ey, ex))
+        return np.column_stack([sx[s], sy[s], ey[e] + 1])
 
     # -- set algebra ---------------------------------------------------------
 
+    def _with(self, other: "FiniteLattice", weight: int, keep) -> np.ndarray:
+        return _cover(keep, (self._runs, 0, 1), (other._runs, 0, weight))
+
     def union(self, other: "FiniteLattice") -> "FiniteLattice":
-        return FiniteLattice(np.concatenate([self._coords, other._coords]))
+        return FiniteLattice._from_runs(self._with(other, 1, lambda c: c >= 1))
 
     def difference(self, other: "FiniteLattice") -> "FiniteLattice":
-        if len(self) == 0 or len(other) == 0:
-            return self
-        keep = ~np.isin(_keys(self._coords), _keys(other._coords))
-        return FiniteLattice._trusted(self._coords[keep])
+        return FiniteLattice._from_runs(self._with(other, -1, lambda c: c == 1))
 
     def intersection(self, other: "FiniteLattice") -> "FiniteLattice":
-        if len(self) == 0 or len(other) == 0:
-            return FiniteLattice()
-        keep = np.isin(_keys(self._coords), _keys(other._coords))
-        return FiniteLattice._trusted(self._coords[keep])
+        return FiniteLattice._from_runs(self._with(other, 1, lambda c: c == 2))
 
     def issubset(self, other: "FiniteLattice") -> bool:
-        if len(self) == 0:
-            return True
-        if len(other) == 0:
-            return False
-        return bool(np.isin(_keys(self._coords), _keys(other._coords)).all())
+        return len(self.difference(other)) == 0
 
     def isdisjoint(self, other: "FiniteLattice") -> bool:
-        if len(self) == 0 or len(other) == 0:
-            return True
-        return not np.isin(_keys(self._coords), _keys(other._coords)).any()
+        return len(self.intersection(other)) == 0
 
     def translate(self, v) -> "FiniteLattice":
-        return FiniteLattice._trusted(self._coords + np.array([int(v[0]), int(v[1])], dtype=np.int64))
+        dx, dy = int(v[0]), int(v[1])
+        return FiniteLattice._from_runs(self._runs + np.array([dy, dx, dx], dtype=np.int64))
 
     def transpose(self) -> "FiniteLattice":
         """Swap x and y (reflection across the main diagonal)."""
-        return FiniteLattice(self._coords[:, ::-1])
-
-
-def _from_mask(mask: np.ndarray, origin: tuple[int, int]) -> FiniteLattice:
-    ys, xs = np.nonzero(mask)  # row-major scan: already sorted by (y, x)
-    coords = np.empty((xs.size, 2), dtype=np.int64)
-    coords[:, 0] = xs + origin[0]
-    coords[:, 1] = ys + origin[1]
-    return FiniteLattice._trusted(coords)
+        return FiniteLattice._from_runs(self._truns, self._runs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +224,20 @@ def rectangle(origin, m: int, n: int) -> FiniteLattice:
     if m < 1 or n < 1:
         raise ValueError(f"rectangle sides must be >= 1, got {m}x{n}")
     ox, oy = int(origin[0]), int(origin[1])
-    coords = np.empty((m * n, 2), dtype=np.int64)
-    coords[:, 0] = np.tile(np.arange(ox, ox + m, dtype=np.int64), n)
-    coords[:, 1] = np.repeat(np.arange(oy, oy + n, dtype=np.int64), m)
-    lat = FiniteLattice._trusted(coords)
-    # seed the cached grid: rebuilding it from 10^7 coordinates is the only
-    # expensive step for large rectangles
-    lat.__dict__["bbox"] = (Point(ox, oy), m, n)
-    lat.__dict__["_mask"] = np.ones((n, m), dtype=bool)
-    return lat
+    # a rectangle's transpose is a rectangle: no run ends to pair
+    return FiniteLattice._from_runs(_band(oy, n, ox, ox + m), _band(ox, m, oy, oy + n))
 
 
 def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
     """All points within Chebyshev distance `radius` of the lattice."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if radius == 0 or len(lat) == 0:
+    if radius == 0:
         return lat
-    (ox, oy), w, h = lat.bbox
-    grid = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
-    base = lat._mask
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            grid[dy:dy + h, dx:dx + w] |= base
-    return _from_mask(grid, (ox - radius, oy - radius))
+    wide = lat._runs + np.array([0, -radius, radius], dtype=np.int64)
+    return FiniteLattice._from_runs(
+        _cover(lambda c: c >= 1, *[(wide, dy, 1) for dy in range(-radius, radius + 1)])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,33 +245,27 @@ def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
-def _interior_mask(mask: np.ndarray) -> np.ndarray:
-    # keep (i, j) iff (i+1, j), (i, j+1), (i+1, j+1) are all present
-    h, w = mask.shape
-    padded = np.zeros((h + 1, w + 1), dtype=bool)
-    padded[:h, :w] = mask
-    return mask & padded[:h, 1:w + 1] & padded[1:h + 1, :w] & padded[1:h + 1, 1:w + 1]
+def _interior_runs(lat: FiniteLattice) -> np.ndarray:
+    # keep (x, y) iff (x+1, y), (x, y+1), (x+1, y+1) are all present: each run
+    # loses its last cell, then row y meets row y + 1
+    runs = lat._runs
+    shrunk = (runs - np.array([0, 0, 1], dtype=np.int64))[runs[:, 2] - runs[:, 1] > 1]
+    return _cover(lambda c: c == 2, (shrunk, 0, 1), (shrunk, -1, 1))
 
 
 def interior(lat: FiniteLattice) -> FiniteLattice:
     """Points whose +x, +y and +x+y neighbours also belong to the lattice."""
-    if len(lat) == 0:
-        return lat
-    return _from_mask(_interior_mask(lat._mask), lat.bbox[0])
+    return FiniteLattice._from_runs(_interior_runs(lat))
 
 
 def boundary(lat: FiniteLattice) -> FiniteLattice:
     """The lattice minus its interior."""
-    if len(lat) == 0:
-        return lat
-    return _from_mask(lat._mask & ~_interior_mask(lat._mask), lat.bbox[0])
+    return lat.difference(interior(lat))
 
 
 def boundary_size(lat: FiniteLattice) -> int:
     """|boundary(lat)| without materialising the point set."""
-    if len(lat) == 0:
-        return 0
-    return len(lat) - int(_interior_mask(lat._mask).sum())
+    return len(lat) - _size(_interior_runs(lat))
 
 
 def complement_in(inner: FiniteLattice, outer: FiniteLattice) -> FiniteLattice:
@@ -269,46 +298,32 @@ class BlockDecomposition:
     beta: int
 
 
-def _block_grid(mask: np.ndarray, origin: tuple[int, int], k: int, l: int):
-    """Pad the mask so its origin sits on the global k x l grid.
-
-    Returns (block_full, padded_mask, pad_x, pad_y, first_block_index).
-    """
-    h, w = mask.shape
-    ox, oy = origin
-    px, py = ox % k, oy % l          # Python mod: result is nonnegative
-    wp = -(-(w + px) // k) * k
-    hp = -(-(h + py) // l) * l
-    padded = np.zeros((hp, wp), dtype=bool)
-    padded[py:py + h, px:px + w] = mask
-    full = padded.reshape(hp // l, l, wp // k, k).all(axis=(1, 3))
-    return full, padded, px, py, ((ox - px) // k, (oy - py) // l)
+def _full_blocks(lat: FiniteLattice, k: int, l: int) -> np.ndarray:
+    """Runs (b, a0, a1) of the grid blocks [a*k, a*k + k) x [b*l, b*l + l)
+    inside the lattice: the blocks each row's runs contain, met over the l
+    rows of band b."""
+    if k < 1 or l < 1:
+        raise ValueError("block sides must be >= 1")
+    ys, x0, x1 = lat._runs.T
+    a0, a1 = -(-x0 // k), x1 // k
+    rows = np.column_stack([ys // l, a0, a1])[a1 > a0]
+    return _cover(lambda c: c == l, (rows, 0, 1))
 
 
 def block_residue_size(lat: FiniteLattice, k: int, l: int) -> int:
     """Number of cells not covered by fully-contained grid-aligned blocks."""
-    if len(lat) == 0:
-        return 0
-    full, _, _, _, _ = _block_grid(lat._mask, lat.bbox[0], k, l)
-    return len(lat) - int(full.sum()) * k * l
+    return len(lat) - _size(_full_blocks(lat, k, l)) * k * l
 
 
 def block_decompose(lat: FiniteLattice, k: int, l: int) -> BlockDecomposition:
     """Decompose against the k x l grid anchored at the global origin."""
-    if k < 1 or l < 1:
-        raise ValueError("block sides must be >= 1")
-    if len(lat) == 0:
-        return BlockDecomposition(k, l, frozenset(), 0, lat, lat, 0)
-    mask = lat._mask
-    (ox, oy), w, h = lat.bbox
-    full, _, px, py, (a0, b0) = _block_grid(mask, (ox, oy), k, l)
-    bs, as_ = np.nonzero(full)
-    index_set = frozenset((int(a) + a0, int(b) + b0) for b, a in zip(bs, as_))
-    covered_padded = np.repeat(np.repeat(full, l, axis=0), k, axis=1)
-    covered_mask = covered_padded[py:py + h, px:px + w]
-    alpha = int(full.sum())
-    covered = _from_mask(covered_mask, (ox, oy))
-    residue = _from_mask(mask & ~covered_mask, (ox, oy))
+    full = _full_blocks(lat, k, l)
+    index_set = frozenset((a, b) for b, a0, a1 in full.tolist() for a in range(a0, a1))
+    alpha = _size(full)
+    # the full blocks' bottom rows, repeated over the l rows of their band
+    bottom = full * np.array([l, k, k], dtype=np.int64)
+    covered = FiniteLattice._from_runs(_cover(lambda c: c >= 1, *[(bottom, j, 1) for j in range(l)]))
+    residue = lat.difference(covered)
     assert len(lat) == alpha * k * l + len(residue)
     return BlockDecomposition(k, l, index_set, alpha, covered, residue, len(residue))
 
@@ -318,51 +333,32 @@ def block_decompose(lat: FiniteLattice, k: int, l: int) -> BlockDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _run_spans(mask: np.ndarray):
-    """Start/length of every maximal horizontal run, over the row-padded scan."""
-    h, w = mask.shape
-    padded = np.zeros((h, w + 1), dtype=bool)
-    padded[:, :w] = mask
-    flat = padded.ravel()
-    diff = np.diff(flat.astype(np.int8))
-    starts = np.flatnonzero(diff == 1) + 1
-    ends = np.flatnonzero(diff == -1) + 1
-    if flat.size and flat[0]:
-        starts = np.concatenate([[0], starts])
-    return flat, starts, ends - starts
+def _axis_runs(lat: FiniteLattice, axis: str) -> np.ndarray:
+    """Maximal runs along the axis: the lattice's own, or its transpose's."""
+    if axis not in ("horizontal", "vertical"):
+        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    return lat._runs if axis == "horizontal" else lat._truns
+
+
+def _run_lengths(lat: FiniteLattice, axis: str) -> dict[int, int]:
+    """Map run length -> number of maximal runs of that length, ascending."""
+    runs = _axis_runs(lat, axis)
+    lengths, counts = np.unique(runs[:, 2] - runs[:, 1], return_counts=True)
+    return dict(zip(lengths.tolist(), counts.tolist()))
 
 
 def run_census(lat: FiniteLattice, axis: str) -> dict[int, int]:
     """Map run length -> number of cells whose maximal run has that length."""
-    if axis not in ("horizontal", "vertical"):
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-    if len(lat) == 0:
-        return {}
-    mask = lat._mask if axis == "horizontal" else lat._mask.T
-    _, _, lengths = _run_spans(mask)
-    counts = np.bincount(lengths)
-    return {int(m): int(m * counts[m]) for m in range(1, counts.size) if counts[m]}
+    return {m: m * c for m, c in _run_lengths(lat, axis).items()}
 
 
 def run_length_class(lat: FiniteLattice, axis: str, m: int) -> FiniteLattice:
     """Cells whose maximal axis-aligned run inside the lattice has length m."""
-    if axis not in ("horizontal", "vertical"):
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    runs = _axis_runs(lat, axis)
     if m < 1:
         raise ValueError("run length must be >= 1")
-    if len(lat) == 0:
-        return lat
-    transpose = axis == "vertical"
-    mask = lat._mask.T if transpose else lat._mask
-    flat, _, lengths = _run_spans(mask)
-    percell = np.repeat(lengths, lengths)          # aligned with True scan order
-    keep_flat = np.zeros(flat.size, dtype=bool)
-    positions = np.flatnonzero(flat)
-    keep_flat[positions[percell == m]] = True
-    keep = keep_flat.reshape(mask.shape[0], mask.shape[1] + 1)[:, :mask.shape[1]]
-    if transpose:
-        keep = keep.T
-    return _from_mask(keep, lat.bbox[0])
+    cls = FiniteLattice._from_runs(runs[runs[:, 2] - runs[:, 1] == m])
+    return cls if axis == "horizontal" else cls.transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +373,20 @@ def decompose_bands(lat: FiniteLattice, axis: str) -> list[FiniteLattice]:
     identical contiguous support, so the number of rectangles is minimal for
     line cuts.  Raises NotDecomposable when some row's support has a gap.
     """
-    if axis not in ("horizontal", "vertical"):
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    ys, x0, x1 = _axis_runs(lat, axis).T
     if len(lat) == 0:
         return []
-    coords = lat.coords if axis == "horizontal" else lat.transpose().coords
-    ys = coords[:, 1]
-    rows, first, counts = np.unique(ys, return_index=True, return_counts=True)
-    xmin = coords[first, 0]
-    xmax = coords[first + counts - 1, 0]
-    if not np.array_equal(counts, xmax - xmin + 1):
+    if (ys[1:] == ys[:-1]).any():
         raise NotDecomposable("a line's support is not contiguous")
+    cuts = np.flatnonzero((ys[1:] != ys[:-1] + 1) | (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1])) + 1
     bands: list[FiniteLattice] = []
-    start = 0
-    for i in range(1, rows.size + 1):
-        boundary_here = (
-            i == rows.size
-            or rows[i] != rows[i - 1] + 1
-            or xmin[i] != xmin[start]
-            or xmax[i] != xmax[start]
-        )
-        if boundary_here:
-            origin = (int(xmin[start]), int(rows[start]))
-            width = int(xmax[start] - xmin[start]) + 1
-            height = int(rows[i - 1] - rows[start]) + 1
-            if axis == "vertical":
-                origin = (origin[1], origin[0])
-                width, height = height, width
-            bands.append(rectangle(origin, width, height))
-            start = i
+    for first, last in zip([0, *cuts.tolist()], [*(cuts - 1).tolist(), ys.size - 1]):
+        origin = (int(x0[first]), int(ys[first]))
+        width, height = int(x1[first] - x0[first]), int(ys[last] - ys[first]) + 1
+        if axis == "vertical":
+            origin = (origin[1], origin[0])
+            width, height = height, width
+        bands.append(rectangle(origin, width, height))
     return bands
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SymbolOutOfRange
-from .lattice import FiniteLattice, Point, _keys
+from .lattice import FiniteLattice, Point
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,13 @@ BUILTIN_SPECS = {
 # ---------------------------------------------------------------------------
 # placements and admissibility
 # ---------------------------------------------------------------------------
+
+
+def _keys(coords: np.ndarray) -> np.ndarray:
+    """Pack (x, y) rows into int64 keys, collision-free on [-2**31, 2**31)."""
+    if coords.size and (coords.min() < -2**31 or coords.max() >= 2**31):
+        raise ValueError("coordinates outside [-2**31, 2**31) cannot be packed")
+    return coords[:, 1] * np.int64(2**32) + coords[:, 0]
 
 
 def placements(shape: FiniteLattice, lat: FiniteLattice) -> list[Point]:

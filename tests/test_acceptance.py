@@ -125,7 +125,7 @@ def test_c07_strict_gap():
 
 
 def test_c08_vanishing_trends_and_square_entropy():
-    with Criterion(8, "boundary/block ratios vanish (n <= 200); square entropy near log g", 60):
+    with Criterion(8, "boundary/block ratios vanish (n <= 200); square entropy near log g", 10):
         blocks = [(2, 2), (3, 3), (5, 5)]
         for system in (S.squares(), S.rect_system(lambda n: n * n, lambda n: n, "wide")):
             rep = S.condition_report(system, range(1, 201), m_max=1, block_sizes=blocks)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from sftent import (
     interior,
     is_tessellation,
     lshape,
+    placements,
     rectangle,
     run_census,
     run_length_class,
@@ -133,12 +135,25 @@ def test_set_algebra_roundtrip():
     assert a.issubset(u) and b.issubset(u)
 
 
-def test_set_algebra_rejects_unpackable_coordinates():
-    # (2**32, 0) and (0, 1) pack to the same int64 key without the range check
-    with pytest.raises(ValueError):
-        FiniteLattice([(2**32, 0)]).issubset(FiniteLattice([(0, 1)]))
+def test_set_algebra_exact_on_unpackable_coordinates():
+    # (2**32, 0) and (0, 1) share the packed key y * 2**32 + x; row runs never pack
+    far, near = FiniteLattice([(2**32, 0)]), FiniteLattice([(0, 1)])
+    assert not far.issubset(near) and far.isdisjoint(near)
+    assert set(far.union(near)) == {(2**32, 0), (0, 1)}
+    assert len(far.intersection(near)) == 0
+    assert far.difference(near) == far
     edge = FiniteLattice([(-2**31, 2**31 - 1)])
     assert edge.issubset(edge.union(FiniteLattice([(0, 1)])))
+
+
+def test_placements_reject_unpackable_coordinates():
+    with pytest.raises(ValueError):
+        placements(FiniteLattice([(0, 0)]), FiniteLattice([(2**31, 0)]))
+    with pytest.raises(ValueError):
+        placements(FiniteLattice([(0, 0)]), FiniteLattice([(0, -2**31 - 1)]))
+    assert placements(FiniteLattice([(0, 0)]), FiniteLattice([(2**31 - 1, -2**31)])) == [
+        (2**31 - 1, -2**31)
+    ]
 
 
 def test_empty_lattice_is_legal():
@@ -352,6 +367,98 @@ def test_bands_reunion_on_random_corpus(rng):
                 assert total.isdisjoint(band)
                 total = total.union(band)
             assert total == lat
+
+
+# ---------------------------------------------------------------------------
+# row runs against a point-set reference
+# ---------------------------------------------------------------------------
+
+cells = st.tuples(st.integers(-9, 9), st.integers(-4, 4))
+
+
+@st.composite
+def wide_point_sets(draw):
+    """A few rectangles minus scattered holes, plus scattered points: full
+    blocks, several runs per row and negative coordinates."""
+    points = set()
+    boxes = st.tuples(st.integers(-9, 6), st.integers(-4, 2), st.integers(1, 7), st.integers(1, 5))
+    for x, y, w, h in draw(st.lists(boxes, max_size=4)):
+        points |= {(x + i, y + j) for i in range(w) for j in range(h)}
+    points -= draw(st.sets(cells, max_size=12))
+    return points | draw(st.sets(cells, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_point_sets(), wide_point_sets(), st.integers(1, 4), st.integers(1, 4),
+       st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
+def test_row_runs_match_point_set_reference(points, other, k, l, v):
+    lat, oth = FiniteLattice(points), FiniteLattice(other)
+    assert len(lat) == len(points)
+    assert list(lat) == sorted(points, key=lambda p: (p[1], p[0]))
+    assert all(((x, y) in lat) == ((x, y) in points) for x in range(-10, 11) for y in range(-5, 6))
+    inner = interior_oracle(points)
+    assert set(interior(lat)) == inner
+    assert set(boundary(lat)) == points - inner
+    assert boundary_size(lat) == len(points) - len(inner)
+    for bk, bl in ((k, k), (k, l)):
+        full, beta = block_oracle(points, bk, bl)
+        bd = block_decompose(lat, bk, bl)
+        assert block_residue_size(lat, bk, bl) == bd.beta == beta
+        assert bd.index_set == full and bd.alpha == len(full)
+        covered = {(a * bk + i, b * bl + j) for a, b in full for i in range(bk) for j in range(bl)}
+        assert set(bd.covered) == covered and set(bd.residue) == points - covered
+    for axis in ("horizontal", "vertical"):
+        length = {p: run_length_oracle(points, axis, p) for p in points}
+        census: dict = {}
+        for m in length.values():
+            census[m] = census.get(m, 0) + 1
+        assert run_census(lat, axis) == census
+        for m in set(census) | {1, 2}:
+            assert set(run_length_class(lat, axis, m)) == {p for p in points if length[p] == m}
+    assert set(lat.union(oth)) == points | other
+    assert set(lat.intersection(oth)) == points & other
+    assert set(lat.difference(oth)) == points - other
+    assert lat.issubset(oth) == (points <= other)
+    assert lat.isdisjoint(oth) == points.isdisjoint(other)
+    assert lat.issubset(FiniteLattice(points | other))
+    assert FiniteLattice(points - other).isdisjoint(oth)
+    flipped = lat.transpose()
+    assert flipped == FiniteLattice([(y, x) for x, y in points])
+    assert flipped.transpose() == lat
+    assert lat.translate(v) == FiniteLattice([(x + v[0], y + v[1]) for x, y in points])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(1, 7), st.integers(1, 7))
+def test_rectangle_equals_its_point_set(origin, m, n):
+    rect = rectangle(origin, m, n)
+    points = FiniteLattice(list(rect))
+    assert rect == points and hash(rect) == hash(points)
+    # the rectangle's own transpose against the one paired from run ends
+    assert rect.transpose() == points.transpose() == rectangle(origin[::-1], n, m)
+    assert hash(rect.transpose()) == hash(points.transpose())
+
+
+def test_ten_million_cell_geometry_stays_in_row_runs():
+    m, n = 10_000, 1_000
+    tracemalloc.start()
+    try:
+        rect = rectangle((0, 0), m, n)
+        assert len(rect) == m * n
+        assert boundary_size(rect) == m + n - 1
+        for k in (2, 3):
+            assert block_residue_size(rect, k, k) == m * n - (m // k) * (n // k) * k * k
+        assert run_census(rect, "horizontal") == {m: m * n}
+        assert run_census(rect, "vertical") == {n: m * n}
+        # a staircase: its vertical runs come from pairing run ends, not a seed
+        stairs = rect.union(rectangle((0, n), m // 2, n))
+        assert boundary_size(stairs) == m + 2 * n - 1
+        assert run_census(stairs, "vertical") == {n: m // 2 * n, 2 * n: m // 2 * 2 * n}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 10**7 (x, y) coordinates alone would take 160 MB
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
