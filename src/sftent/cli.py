@@ -1,38 +1,29 @@
 """Command-line interface.
 
 Subcommands: ``count``, ``entropy-rect``, ``entropy-omega``, ``projectional``
-and ``reproduce`` (batch experiments with pass/fail verdicts).  All real
-numbers print with 12 significant digits (natural logarithm throughout); exact
-counts print in full decimal.  Exit codes: 0 ok, 1 reproduction failed,
-2 usage/parse error, 3 budget exceeded.
+and ``reproduce`` (the checks of :mod:`sftent.reproduce`, with pass/fail
+verdicts).  All real numbers print with 12 significant digits (natural
+logarithm throughout); exact counts print in full decimal.  Exit codes: 0 ok,
+1 reproduction failed, 2 usage/parse error, 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from . import counting, entropy, systems
+from . import counting, entropy
 from .errors import BudgetExceeded, SftentError
-from .formats import FormatError, resolve_lattice, resolve_spec, resolve_system
-from .multiplicative import (
-    count_multiplicative,
-    count_multiplicative_bruteforce,
-    log_count_multiplicative,
-    multiplicative_entropy_series,
-)
-from .sft import golden_mean_horizontal
+from .formats import FormatError, real_text, resolve_lattice, resolve_spec, resolve_system
+from .reproduce import DEFAULT_N, DEFAULT_Q, DEFAULT_TERMS, REPRODUCERS
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+_SEQUENCE_FORMATS = ("csv", "json", "plot")   # entropy tables and sequences
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -65,9 +56,9 @@ def _sequence_text(seq: entropy.EntropySequence, fmt: str) -> str:
     if fmt == "csv":
         lines = ["n,size,log_count,ratio"]
         lines += [
-            f"{r.n},{r.size},{_fmt(r.log_count)},{_fmt(r.ratio)}" for r in seq.records
+            f"{r.n},{r.size},{real_text(r.log_count)},{real_text(r.ratio)}" for r in seq.records
         ]
-        lines.append(f"# estimate,{_fmt(seq.estimate)},kind,{seq.estimator_kind}")
+        lines.append(f"# estimate,{real_text(seq.estimate)},kind,{seq.estimator_kind}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps(
@@ -83,18 +74,16 @@ def _sequence_text(seq: entropy.EntropySequence, fmt: str) -> str:
             sort_keys=True,
             separators=(",", ":"),
         ) + "\n"
-    if fmt == "plot":
-        return "".join(f"{r.n} {_fmt(r.ratio)}\n" for r in seq.records)
-    raise FormatError(f"unknown format {fmt!r}")
+    return "".join(f"{r.n} {real_text(r.ratio)}\n" for r in seq.records)   # plot
 
 
 def _table_text(table: entropy.RectTable, fmt: str) -> str:
     if fmt == "csv":
         lines = ["m,n,log_count,ratio"]
         lines += [
-            f"{m},{n},{_fmt(lc)},{_fmt(ratio)}" for m, n, lc, ratio in table.entries()
+            f"{m},{n},{real_text(lc)},{real_text(ratio)}" for m, n, lc, ratio in table.entries()
         ]
-        lines.append(f"# h_r_estimate,{_fmt(table.h_r_estimate)}")
+        lines.append(f"# h_r_estimate,{real_text(table.h_r_estimate)}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps(
@@ -108,13 +97,11 @@ def _table_text(table: entropy.RectTable, fmt: str) -> str:
             sort_keys=True,
             separators=(",", ":"),
         ) + "\n"
-    if fmt == "plot":
-        # per-width ratio at the tallest column: the table's converging edge
-        return "".join(
-            f"{m} {_fmt(table.ratio(m, table.max_height))}\n"
-            for m in range(1, table.max_width + 1)
-        )
-    raise FormatError(f"unknown format {fmt!r}")
+    # plot: the per-width ratio at the tallest column, the table's converging edge
+    return "".join(
+        f"{m} {real_text(table.ratio(m, table.max_height))}\n"
+        for m in range(1, table.max_width + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,142 +161,8 @@ def _cmd_projectional(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# reproduction experiments
-# ---------------------------------------------------------------------------
-
-
-def _rep_eq1_7(args):
-    q, n = args.q, args.n
-    census = systems.row_census(q, n)
-    total = sum(length * mult for length, mult in census.items())
-    expected = {n + 1: 1}
-    if q > 2:
-        expected[n] = expected.get(n, 0) + (q - 2)
-    for k in range(1, n):
-        expected[k] = expected.get(k, 0) + (q - 1) ** 2 * q ** (n - 1 - k)
-    ok = total == q ** n and census == expected
-    return ok, [
-        f"census weighted total = {total}, expected {q ** n}",
-        f"multiplicities match closed form: {census == expected}",
-    ]
-
-
-def _rep_eq1_10(args):
-    q, n = args.q, args.n
-    formula = systems.omega_q_golden_mean_count(q, n)
-    dp = counting.count_profile_dp(systems.omega_q(q, n), golden_mean_horizontal()).value
-    return formula == dp, [f"closed form = {formula}", f"DP count    = {dp}"]
-
-
-def _rep_eq1_11(args):
-    value, tail = systems.omega_q_entropy_series(args.q, args.terms)
-    return tail < 1e-6, [f"series value = {_fmt(value)} (tail bound {_fmt(tail)})"]
-
-
-def _rep_eq1_12(args):
-    table = entropy.rect_entropy_table(golden_mean_horizontal(), 12, 12)
-    ref = entropy.LOG_GOLDEN_MEAN
-    gap = table.h_r_estimate - ref
-    ok = 0 < gap < 0.015
-    return ok, [
-        f"table minimum = {_fmt(table.h_r_estimate)} at {table.argmin}",
-        f"log golden mean = {_fmt(ref)}, upper-bound gap = {_fmt(gap)}",
-    ]
-
-
-def _rep_eq1_13(args):
-    value, tail = systems.omega_q_entropy_series(args.q, args.terms)
-    margin = value - entropy.LOG_GOLDEN_MEAN
-    return margin > 0.02, [
-        f"series value = {_fmt(value)} (+/- {_fmt(tail)})",
-        f"exceeds log golden mean by {_fmt(margin)} (needs > 0.02)",
-    ]
-
-
-def _rep_eq1_5(args):
-    q = args.q
-    lines = []
-    ok = True
-    for n in range(1, 13):
-        exact = count_multiplicative(n, q)
-        brute = count_multiplicative_bruteforce(n, q)
-        ok &= exact == brute
-    lines.append(f"fiber product equals brute force for n <= 12: {ok}")
-    series, _ = multiplicative_entropy_series(q, args.terms)
-    horizon = log_count_multiplicative(q ** 10 if q == 2 else q ** 6, q)
-    n_h = q ** 10 if q == 2 else q ** 6
-    diff = abs(series - horizon / n_h)
-    lines.append(f"series = {_fmt(series)}, horizon ratio = {_fmt(horizon / n_h)}, diff = {_fmt(diff)}")
-    ok = ok and diff < 0.01
-    return ok, lines
-
-
-def _rep_prop2_1(args):
-    report = entropy.strict_gap_check(golden_mean_horizontal(), 12, 12)
-    from .sft import full_shift
-
-    full = entropy.strict_gap_check(full_shift(2), 6, 6)
-    flat = max(abs(r - math.log(2)) for _, _, _, r in full.table.entries())
-    ok = report.all_strict and flat <= 1e-12
-    return ok, [
-        f"golden mean: min margin over log g = {_fmt(report.min_margin)} at {report.argmin}",
-        f"full shift: max deviation from log 2 = {_fmt(flat)}",
-    ]
-
-
-def _rep_lemma3_1(args):
-    rep = systems.condition_report(
-        systems.squares(), range(1, 201), m_max=1, block_sizes=[(2, 2), (3, 3), (5, 5)]
-    )
-    keys = ["boundary_ratio", "block[2x2]", "block[3x3]", "block[5x5]"]
-    verdicts = {k: rep.verdicts[k] for k in keys}
-    ok = all(v == "vanishing" for v in verdicts.values())
-    return ok, [f"squares: {verdicts}"]
-
-
-def _rep_thm4_1(args):
-    rep = systems.condition_report(systems.omega_q_system(2), range(1, 9), m_max=2)
-    verdict = rep.verdicts["run_h[m=2]"]
-    seq = entropy.system_entropy(golden_mean_horizontal(), systems.omega_q_system(2), 1, 8)
-    table = entropy.rect_entropy_table(golden_mean_horizontal(), 12, 12)
-    gap = seq.records[-1].ratio - table.h_r_estimate
-    ok = verdict == "non_vanishing" and gap > 0.015
-    return ok, [
-        f"horizontal length-2 ratio verdict: {verdict}",
-        f"ratio at n=8 = {_fmt(seq.records[-1].ratio)}, rect upper bound = {_fmt(table.h_r_estimate)}, gap = {_fmt(gap)}",
-    ]
-
-
-def _rep_thm4_2(args):
-    system = systems.stick_system((0, 1), 0.5)
-    target = 0.5 * (entropy.LOG_GOLDEN_MEAN + math.log(2))
-    lat = system.lattice(48)
-    lc = counting.log_count(lat, golden_mean_horizontal())
-    ratio = lc / len(lat)
-    diff = abs(ratio - target)
-    return diff < 0.01, [
-        f"ratio at n=48 = {_fmt(ratio)}, target (log g + log 2)/2 = {_fmt(target)}",
-        f"|difference| = {_fmt(diff)} (needs < 0.01)",
-    ]
-
-
-_REPRODUCERS = {
-    "eq1_7": _rep_eq1_7,
-    "eq1_10": _rep_eq1_10,
-    "eq1_11": _rep_eq1_11,
-    "eq1_12": _rep_eq1_12,
-    "eq1_13": _rep_eq1_13,
-    "eq1_5": _rep_eq1_5,
-    "prop2_1": _rep_prop2_1,
-    "lemma3_1": _rep_lemma3_1,
-    "thm4_1": _rep_thm4_1,
-    "thm4_2": _rep_thm4_2,
-}
-
-
 def _cmd_reproduce(args) -> int:
-    ok, lines = _REPRODUCERS[args.target](args)
+    ok, lines = REPRODUCERS[args.target](q=args.q, n=args.n, terms=args.terms)
     verdict = "PASS" if ok else "FAIL"
     text = "\n".join(lines + [f"{verdict} {args.target}"]) + "\n"
     _emit(text, args.out)
@@ -332,8 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", default=None, help="csv|json|plot (command-specific default)")
+    def add_common(p, *formats):
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help=f"output format (default {formats[0]})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("count", help="count admissible patterns on a lattice")
@@ -342,37 +197,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="local", help="local (default) or ext:M")
     p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
                    help="cap on N**cells for enumeration routes")
-    add_common(p)
-    p.set_defaults(func=_cmd_count, format_default="text")
+    add_common(p, "text", "csv", "json")
+    p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("entropy-rect", help="rectangular entropy table")
     p.add_argument("--spec", required=True)
     p.add_argument("--table", default="12x12", help="MxN table size")
-    add_common(p)
-    p.set_defaults(func=_cmd_entropy_rect, format_default="csv")
+    add_common(p, *_SEQUENCE_FORMATS)
+    p.set_defaults(func=_cmd_entropy_rect)
 
     p = sub.add_parser("entropy-omega", help="entropy along an expanding system")
     p.add_argument("--spec", required=True)
     p.add_argument("--system", required=True, help="shorthand or JSON system description")
     p.add_argument("--n-range", default="1:8", help="index range a:b")
-    add_common(p)
-    p.set_defaults(func=_cmd_entropy_omega, format_default="csv")
+    add_common(p, *_SEQUENCE_FORMATS)
+    p.set_defaults(func=_cmd_entropy_omega)
 
     p = sub.add_parser("projectional", help="entropy along a lattice direction")
     p.add_argument("--spec", required=True)
     p.add_argument("--v", required=True, help="direction vector 'x,y' (primitive)")
     p.add_argument("--n-max", type=int, default=24)
     p.add_argument("--mode", default="local")
-    add_common(p)
-    p.set_defaults(func=_cmd_projectional, format_default="csv")
+    add_common(p, *_SEQUENCE_FORMATS)
+    p.set_defaults(func=_cmd_projectional)
 
     p = sub.add_parser("reproduce", help="run a named verification experiment")
-    p.add_argument("target", choices=sorted(_REPRODUCERS))
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--terms", type=int, default=40)
+    p.add_argument("target", choices=sorted(REPRODUCERS))
+    p.add_argument("--q", type=int, default=DEFAULT_Q)
+    p.add_argument("--n", type=int, default=DEFAULT_N)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     add_common(p)
-    p.set_defaults(func=_cmd_reproduce, format_default="text")
+    p.set_defaults(func=_cmd_reproduce)
 
     return parser
 
@@ -380,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.format_default
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -16,12 +16,12 @@ lattice:
   The live frontier states are one numpy array of base-N integer codes, the
   newest cell least significant.  Whether a cell is absent (in the bounding
   box but not the lattice) depends only on the lattice, so an absent cell
-  holds digit 0 and every constraint reaching it is dropped in advance.
-  Codes are int64 while ``N ** (frontier + 1) < 2**63`` and Python ints
-  (``dtype=object``) beyond.  Exact weights are int64 limbs of
-  ``62 - N.bit_length()`` bits, one more whenever the count bound
-  ``N ** cells <= 2 ** (cells * ceil(log2 N))`` needs it, normalised by one
-  carry pass per cell.
+  holds digit 0 and every constraint reaching it is dropped in advance; a
+  step whose cell and frontier are all absent is skipped.  Codes are int64
+  while ``N ** (frontier + 1) < 2**63`` and Python ints (``dtype=object``)
+  beyond.  Exact weights are int64 limbs of ``62 - N.bit_length()`` bits, one
+  more whenever the count bound ``N ** cells <= 2 ** (cells * ceil(log2 N))``
+  needs it, normalised by one carry pass per cell.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -288,7 +288,10 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     limb_mask = (1 << bits_per_limb) - 1
     weights = np.ones((1, 1), dtype=np.float64 if log_domain else np.int64)
     bits, log_scale = 0, 0.0
-    for t in range(w * h):
+    # where a cell and the h + 1 cells the state holds are all absent, the
+    # state is the single zero code and the step changes nothing
+    live = np.convolve(present, np.ones(h + 2, dtype=np.int64))[: w * h]
+    for t in np.flatnonzero(live).tolist():
         if present[t]:
             if not log_domain:
                 bits += (n - 1).bit_length()

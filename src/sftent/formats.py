@@ -36,6 +36,11 @@ class FormatError(ValueError):
     """Malformed lattice/spec/system description."""
 
 
+def real_text(x: float) -> str:
+    """A real as sftent prints it: 12 significant digits."""
+    return format(x, ".12g")
+
+
 # ---------------------------------------------------------------------------
 # named generators: shorthand and JSON parse to one parameter dict
 # ---------------------------------------------------------------------------

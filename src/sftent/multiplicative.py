@@ -93,22 +93,24 @@ def count_multiplicative_bruteforce(n: int, q: int, budget: int = 2 ** 24) -> in
 
 
 def multiplicative_entropy_series(q: int, terms: int) -> SeriesValue:
-    """Partial sum of (q-1)^2 * sum_k q^-(k+1) * log a_k, with a tail bound.
+    """Partial sum of (q-1)^2 * sum_k q^-(k+1) * log a_k, with a tail bound."""
+    return _fiber_entropy_series(q, terms, 1, 1)
 
-    The tail uses log a_k <= k log 2, giving the closed geometric-series bound
-    (q-1)^2 log2 * x^(K+2) * ((K+1) - K x) / (1-x)^2 with x = 1/q.
+
+def _fiber_entropy_series(q: int, terms: int, c: float, s: int) -> SeriesValue:
+    """c (q-1)^2 * sum_{k <= terms} q^-(k+1) log a_{s k}, with a rigorous tail bound.
+
+    Both series in use, (c, s) = (1, 1) here and (1/2, 2) on the mirrored
+    wedge, have c log a_{s k} <= k log 2, so the tail is the closed geometric
+    bound (q-1)^2 log2 * x^(K+2) * ((K+1) - K x) / (1-x)^2 with x = 1/q.
     """
     if terms < 1:
         raise ValueError("need at least one term")
     if q < 2:
         raise ValueError("q must be >= 2")
-    value = (q - 1) ** 2 * math.fsum(
-        math.log(fibonacci(k)) / q ** (k + 1) for k in range(1, terms + 1)
+    value = c * (q - 1) ** 2 * math.fsum(
+        math.log(fibonacci(s * k)) / q ** (k + 1) for k in range(1, terms + 1)
     )
-    return SeriesValue(value, _geometric_tail(q, terms))
-
-
-def _geometric_tail(q: int, terms: int) -> float:
-    """(q-1)^2 log 2 * sum_{k > terms} k x^(k+1) with x = 1/q, in closed form."""
     x = 1.0 / q
-    return (q - 1) ** 2 * math.log(2) * x ** (terms + 2) * ((terms + 1) - terms * x) / (1 - x) ** 2
+    tail = (q - 1) ** 2 * math.log(2) * x ** (terms + 2) * ((terms + 1) - terms * x) / (1 - x) ** 2
+    return SeriesValue(value, tail)

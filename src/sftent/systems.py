@@ -25,7 +25,7 @@ from .lattice import (
     rectangle,
     run_census,
 )
-from .multiplicative import SeriesValue, _geometric_tail, fibonacci
+from .multiplicative import SeriesValue, _fiber_entropy_series, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
 DECAY_RATIO = 0.7        # or the per-third envelope maxima must shrink this fast
@@ -168,16 +168,8 @@ def omega_q_golden_mean_count(q: int, n: int) -> int:
 
 
 def omega_q_entropy_series(q: int, terms: int) -> SeriesValue:
-    """(1/2)(q-1)^2 * sum_k q^-(k+1) log a_{2k}, plus a rigorous tail bound.
-
-    The tail uses log a_{2k} <= 2k log 2, summed in closed form.
-    """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    value = 0.5 * (q - 1) ** 2 * math.fsum(
-        math.log(fibonacci(2 * k)) / q ** (k + 1) for k in range(1, terms + 1)
-    )
-    return SeriesValue(value, _geometric_tail(q, terms))
+    """(1/2)(q-1)^2 * sum_k q^-(k+1) log a_{2k}, plus a rigorous tail bound."""
+    return _fiber_entropy_series(q, terms, 0.5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +269,19 @@ class ConditionReport:
     verdicts: dict[str, str]
 
     def ratios(self, key: str) -> list[float]:
-        if key == "boundary_ratio":
-            return [r.boundary_ratio for r in self.rows]
-        if key == "complement_ratio":
-            return [r.complement_ratio for r in self.rows]
-        if key.startswith("run_h[m="):
-            m = int(key[len("run_h[m="):-1])
-            return [r.run_ratio_h[m - 1] for r in self.rows]
-        if key.startswith("run_v[m="):
-            m = int(key[len("run_v[m="):-1])
-            return [r.run_ratio_v[m - 1] for r in self.rows]
-        if key.startswith("block["):
-            kl = tuple(int(t) for t in key[len("block["):-1].split("x"))
-            return [r.block_ratio[self.block_sizes.index(kl)] for r in self.rows]
-        raise KeyError(key)
+        return _ratio_columns(self.rows, self.m_max, self.block_sizes)[key]
+
+
+def _ratio_columns(rows, m_max: int, block_sizes) -> dict[str, list[float]]:
+    """Every ratio sequence of a report by verdict key, in verdict order."""
+    cols = {"boundary_ratio": [r.boundary_ratio for r in rows],
+            "complement_ratio": [r.complement_ratio for r in rows]}
+    for m in range(1, m_max + 1):
+        cols[f"run_h[m={m}]"] = [r.run_ratio_h[m - 1] for r in rows]
+        cols[f"run_v[m={m}]"] = [r.run_ratio_v[m - 1] for r in rows]
+    for j, (k, l) in enumerate(block_sizes):
+        cols[f"block[{k}x{l}]"] = [r.block_ratio[j] for r in rows]
+    return cols
 
 
 def classify_trend(
@@ -373,20 +364,11 @@ def condition_report(
             )
         )
     rows = tuple(rows)
-    verdicts: dict[str, str] = {
-        "boundary_ratio": classify_trend([r.boundary_ratio for r in rows]),
-        "complement_ratio": classify_trend([r.complement_ratio for r in rows]),
-    }
-    for m in range(1, m_max + 1):
-        verdicts[f"run_h[m={m}]"] = classify_trend([r.run_ratio_h[m - 1] for r in rows])
-        verdicts[f"run_v[m={m}]"] = classify_trend([r.run_ratio_v[m - 1] for r in rows])
-    for j, (k, l) in enumerate(bsizes):
-        verdicts[f"block[{k}x{l}]"] = classify_trend([r.block_ratio[j] for r in rows])
     return ConditionReport(
         system=system.name,
         m_max=m_max,
         block_sizes=bsizes,
         tessellation=tessellation,
         rows=rows,
-        verdicts=verdicts,
+        verdicts={k: classify_trend(v) for k, v in _ratio_columns(rows, m_max, bsizes).items()},
     )

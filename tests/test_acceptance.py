@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; every check enforces its stated tolerance and runtime budget.
+lines; every check enforces its stated tolerance and runtime budget.  Where
+a criterion is one of the paper's claims, it calls that claim's reproducer in
+``sftent.reproduce`` (criteria 3-5 and 7-10) rather than restating it.
 """
 
 import math
@@ -10,6 +12,7 @@ import time
 import pytest
 
 import sftent as S
+from sftent import reproduce as R
 
 GM_H = S.golden_mean_horizontal()
 LOG_G = math.log((1 + math.sqrt(5)) / 2)
@@ -71,22 +74,15 @@ def test_c03_row_census_identity():
     with Criterion(3, "row census matches the closed form exactly (q in 2..4, n <= 8)", 1):
         for q in (2, 3, 4):
             for n in range(1, 9):
-                census = S.row_census(q, n)
-                assert sum(k * mult for k, mult in census.items()) == q**n
-                expected = {n + 1: 1}
-                if q > 2:
-                    expected[n] = expected.get(n, 0) + (q - 2)
-                for k in range(1, n):
-                    expected[k] = expected.get(k, 0) + (q - 1) ** 2 * q ** (n - 1 - k)
-                assert census == expected, (q, n)
+                ok, lines = R.eq1_7(q=q, n=n)
+                assert ok, (q, n, lines)
 
 
 def test_c04_wedge_count_closed_form():
     with Criterion(4, "mirrored-wedge golden-mean counts match the closed form", 30):
         for q, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
-            formula = S.omega_q_golden_mean_count(q, n)
-            engine = S.count_profile_dp(S.omega_q(q, n), GM_H).value
-            assert formula == engine, (q, n)
+            ok, lines = R.eq1_10(q=q, n=n)
+            assert ok, (q, n, lines)
         assert S.count_bruteforce(S.omega_q(2, 1), GM_H).value == 64
         assert S.count_bruteforce(S.omega_q(2, 2), GM_H).value == 3969
 
@@ -97,7 +93,8 @@ def test_c05_wedge_entropy_series():
         assert 0.5170 <= value + tail <= 0.5185
         assert 0.5170 <= value <= 0.5185
         assert abs(LOG_G - 0.481211825) < 1e-9
-        assert value - LOG_G > 0.02
+        ok, lines = R.eq1_13()        # exceeds log g by more than 0.02
+        assert ok, lines
         series = [S.omega_q_entropy_series(q, 40).value for q in (2, 3, 4)]
         assert series[0] < series[1] < series[2]
         assert all(v < LOG2 for v in series)
@@ -115,10 +112,8 @@ def test_c06_multiplicative_counts_and_series():
 
 def test_c07_strict_gap():
     with Criterion(7, "every rectangle ratio strictly exceeds log g; full shift flat", 5):
-        report = S.strict_gap_check(GM_H, 12, 12)
-        assert report.all_strict
-        for _, _, _, ratio in report.table.entries():
-            assert ratio > LOG_G
+        ok, lines = R.prop2_1()       # every 12x12 margin over log g above 1e-12
+        assert ok, lines
         full = S.strict_gap_check(S.full_shift(2), 12, 12)
         for _, _, _, ratio in full.table.entries():
             assert abs(ratio - LOG2) <= 1e-12
@@ -126,12 +121,14 @@ def test_c07_strict_gap():
 
 def test_c08_vanishing_trends_and_square_entropy():
     with Criterion(8, "boundary/block ratios vanish (n <= 200); square entropy near log g", 10):
+        ok, lines = R.lemma3_1()      # squares
+        assert ok, lines
         blocks = [(2, 2), (3, 3), (5, 5)]
-        for system in (S.squares(), S.rect_system(lambda n: n * n, lambda n: n, "wide")):
-            rep = S.condition_report(system, range(1, 201), m_max=1, block_sizes=blocks)
-            assert rep.verdicts["boundary_ratio"] == "vanishing", system.name
-            for k, l in blocks:
-                assert rep.verdicts[f"block[{k}x{l}]"] == "vanishing", (system.name, k, l)
+        wide = S.rect_system(lambda n: n * n, lambda n: n, "wide")
+        rep = S.condition_report(wide, range(1, 201), m_max=1, block_sizes=blocks)
+        assert rep.verdicts["boundary_ratio"] == "vanishing"
+        for k, l in blocks:
+            assert rep.verdicts[f"block[{k}x{l}]"] == "vanishing", (k, l)
         ratio48 = S.log_count(S.rectangle((0, 0), 48, 48), GM_H) / (48 * 48)
         assert abs(ratio48 - LOG_G) < 0.01
         seq = S.system_entropy(GM_H, S.squares(), 40, 48)
@@ -140,20 +137,14 @@ def test_c08_vanishing_trends_and_square_entropy():
 
 def test_c09_wedge_system_exceeds_rectangular_entropy():
     with Criterion(9, "wedge family: non-vanishing runs and entropy above the rect bound", 30):
-        rep = S.condition_report(S.omega_q_system(2), range(1, 9), m_max=2)
-        assert rep.verdicts["run_h[m=2]"] == "non_vanishing"
-        seq = S.system_entropy(GM_H, S.omega_q_system(2), 1, 8)
-        table = S.rect_entropy_table(GM_H, 12, 12)
-        assert seq.records[-1].ratio - table.h_r_estimate > 0.015
+        ok, lines = R.thm4_1()
+        assert ok, lines
 
 
 def test_c10_stick_interpolation():
     with Criterion(10, "square+stick family interpolates to (log g + log 2)/2", 60):
-        system = S.stick_system((0, 1), 0.5)
-        target = 0.5 * (LOG_G + LOG2)
-        lat = system.lattice(48)
-        ratio = S.log_count(lat, GM_H) / len(lat)
-        assert abs(ratio - target) < 0.01
+        ok, lines = R.thm4_2()
+        assert ok, lines
 
 
 def test_c11_block_gluing():

@@ -181,6 +181,8 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
         ["count", "--spec", "golden-mean-h", "--lattice", "omega_q:2"],
         ["count", "--spec", "golden-mean-h", "--lattice", "stick:3,0,1"],
         ["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q"}'],
+        ["reproduce", "eq1_11", "--q", "1"],
+        ["reproduce", "eq1_13", "--q", "0"],
     ]
     for i, text in enumerate((
         '[[0, 0], [1, 0]]',
@@ -195,6 +197,21 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--spec", "golden-mean-h", "--lattice", "rect:2,2", "--format", "plot"],
+    ["entropy-rect", "--spec", "golden-mean-h", "--table", "3x3", "--format", "text"],
+    ["entropy-omega", "--spec", "golden-mean-h", "--system", "squares", "--format", "xml"],
+    ["projectional", "--spec", "golden-mean-h", "--v", "1,0", "--format", "text"],
+    ["reproduce", "eq1_7", "--format", "json"],
+])
+def test_format_checked_per_subcommand(capsys, argv):
+    # count takes text|csv|json, the entropy commands csv|json|plot, reproduce none
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_entropy_rect_csv(capsys):
@@ -279,6 +296,65 @@ def test_reproduce_slow_targets_pass(capsys):
         assert out.strip().splitlines()[-1] == f"PASS {target}"
 
 
+# stdout of `sftent reproduce TARGET` at the default --q 2 --n 6 --terms 40
+REPRODUCE_GOLDEN = {
+    "eq1_5": (
+        "fiber product equals brute force for n <= 12: True\n"
+        "series = 0.571356788743, horizon ratio = 0.571356796304, diff = 7.56117368717e-09\n"
+        "PASS eq1_5\n"
+    ),
+    "eq1_7": (
+        "census weighted total = 64, expected 64\n"
+        "multiplicities match closed form: True\n"
+        "PASS eq1_7\n"
+    ),
+    "eq1_10": (
+        "closed form = 3646568266365707895170063971261898046767288271545303040000\n"
+        "DP count    = 3646568266365707895170063971261898046767288271545303040000\n"
+        "PASS eq1_10\n"
+    ),
+    "eq1_11": (
+        "series value = 0.517738811388 (tail bound 1.32386874536e-11)\n"
+        "PASS eq1_11\n"
+    ),
+    "eq1_12": (
+        "table minimum = 0.494353765621 at (12, 11)\n"
+        "log golden mean = 0.48121182506, upper-bound gap = 0.0131419405611\n"
+        "PASS eq1_12\n"
+    ),
+    "eq1_13": (
+        "series value = 0.517738811388 (+/- 1.32386874536e-11)\n"
+        "exceeds log golden mean by 0.0365269863284 (needs > 0.02)\n"
+        "PASS eq1_13\n"
+    ),
+    "prop2_1": (
+        "golden mean: min margin over log g = 0.0131419405611 at (12, 11)\n"
+        "full shift: max deviation from log 2 = 1.11022302463e-16\n"
+        "PASS prop2_1\n"
+    ),
+    "lemma3_1": (
+        "squares: {'boundary_ratio': 'vanishing', 'block[2x2]': 'vanishing', "
+        "'block[3x3]': 'vanishing', 'block[5x5]': 'vanishing'}\n"
+        "PASS lemma3_1\n"
+    ),
+    "thm4_1": (
+        "horizontal length-2 ratio verdict: non_vanishing\n"
+        "ratio at n=8 = 0.51773881142, rect upper bound = 0.494353765621, gap = 0.0233850457996\n"
+        "PASS thm4_1\n"
+    ),
+    "thm4_2": (
+        "ratio at n=48 = 0.586614600085, target (log g + log 2)/2 = 0.58717950281\n"
+        "|difference| = 0.000564902724981 (needs < 0.01)\n"
+        "PASS thm4_2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(REPRODUCE_GOLDEN))
+def test_reproduce_golden_output_at_defaults(capsys, target):
+    assert run_cli(capsys, "reproduce", target) == (0, REPRODUCE_GOLDEN[target], "")
+
+
 def test_reproduce_unknown_target_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "eq9_9"])
@@ -287,7 +363,9 @@ def test_reproduce_unknown_target_usage_error():
 
 def test_reproduce_failure_exit_code(capsys):
     # a single series term leaves a tail bound far above the convergence
-    # requirement, so the experiment honestly fails
-    code, out, _ = run_cli(capsys, "reproduce", "eq1_11", "--terms", "1")
-    assert code == 1
-    assert out.strip().splitlines()[-1] == "FAIL eq1_11"
+    # requirement, and a value (log 3)/8 below log g, so both experiments
+    # honestly fail
+    for target in ("eq1_11", "eq1_13"):
+        code, out, _ = run_cli(capsys, "reproduce", target, "--terms", "1")
+        assert code == 1
+        assert out.strip().splitlines()[-1] == f"FAIL {target}"

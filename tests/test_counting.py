@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -228,6 +229,23 @@ def test_sweep_single_cell_bans_large_alphabets():
     square = rectangle((0, 0), 24, 24)
     assert count_profile_dp(square, only_zero).value == 1
     assert log_count(square, only_zero) == 0.0
+
+
+def test_sweep_skips_absent_stretches():
+    # a 21 x 100001 bounding box holding two cells: steps far from a present
+    # cell meet the single zero state and are skipped, so the sweep costs time
+    # in cells, not in its box (about 10 s when every cell was swept)
+    lat = FiniteLattice([(0, 0), (20, 10**5)])
+    t0 = time.perf_counter()
+    assert count(lat, HARD_SQUARE).value == 4
+    assert log_count(lat, HARD_SQUARE) == math.log(4)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2, f"two cells in a long bounding box took {elapsed:.1f}s"
+    # far-apart clusters factorise across the skipped stretches
+    parts = [rectangle((0, 0), 3, 3), rectangle((18, 5000), 3, 2), FiniteLattice([(9, 70000)])]
+    lat = parts[0].union(parts[1]).union(parts[2])
+    assert count(lat, HARD_SQUARE).value == math.prod(
+        count_bruteforce(p, HARD_SQUARE).value for p in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,12 @@ def test_entropy_series_monotone_in_q():
     assert values[0] < values[1] < values[2] < math.log(2)
 
 
+def test_entropy_series_rejects_bad_arguments():
+    for q, terms in ((1, 40), (0, 40), (-3, 40), (2, 0)):
+        with pytest.raises(ValueError):
+            omega_q_entropy_series(q, terms)
+
+
 def test_entropy_series_matches_finite_lattice_ratios():
     # the per-site ratios of the actual lattices approach the series value
     series, _ = omega_q_entropy_series(2, 40)
@@ -243,16 +249,6 @@ def test_block_ratio_bounded_by_boundary():
     for row in rep.rows:
         for j, (k, l) in enumerate(rep.block_sizes):
             assert row.block_ratio[j] <= (k * l - 1) * row.boundary_ratio + 1e-12
-
-
-def test_trend_verdicts_squares_and_tall_rects():
-    for system in (squares(), rect_system(lambda n: n * n, lambda n: n, "wide")):
-        rep = condition_report(
-            system, range(1, 201), m_max=1, block_sizes=[(2, 2), (3, 3), (5, 5)]
-        )
-        assert rep.verdicts["boundary_ratio"] == "vanishing"
-        for k, l in rep.block_sizes:
-            assert rep.verdicts[f"block[{k}x{l}]"] == "vanishing"
 
 
 def test_lemma_trend_equivalence_desk_scale():
