@@ -438,86 +438,69 @@ def _lattice_tiling(cells: list[tuple[int, int]]) -> tuple[Point, Point] | None:
     return None
 
 
+def _exact_cover(order: list, candidates, node_cap: int) -> bool | None:
+    """Can disjoint candidate sets cover every cell of ``order``?
+
+    Depth-first search with an explicit stack: take the first uncovered cell,
+    then try each candidate set ``candidates(cell)`` that avoids the covered
+    cells.  Every entered node counts once; returns None once more than
+    ``node_cap`` nodes are entered.
+    """
+    used: set = set()
+    frames = []             # per open node: [cell index, candidate iterator, placed set]
+    idx = nodes = 0
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            return None
+        while idx < len(order) and order[idx] in used:
+            idx += 1
+        if idx == len(order):
+            return True
+        frames.append([idx, iter(candidates(order[idx])), ()])
+        while frames:
+            frame = frames[-1]
+            used.difference_update(frame[2])
+            frame[2] = next(filter(used.isdisjoint, frame[1]), None)
+            if frame[2] is not None:
+                used.update(frame[2])
+                idx = frame[0] + 1
+                break
+            frames.pop()
+        else:
+            return False
+
+
 def _torus_cover(cells: list[tuple[int, int]], p: int, q: int, node_cap: int) -> bool:
-    """Exact cover of the p x q torus by wrapped translates (backtracking)."""
+    """Exact cover of the p x q torus by wrapped translates (False on node-cap)."""
     shape = [(x % p, y % q) for x, y in cells]
     placements: dict[tuple[int, int], list[frozenset]] = {}
-    all_placements = []
     for vx in range(p):
         for vy in range(q):
             cover = frozenset(((x + vx) % p, (y + vy) % q) for x, y in shape)
             if len(cover) != len(cells):
                 return False  # translate self-overlaps on this torus
-            all_placements.append(cover)
-    for pl in all_placements:
-        for cell in pl:
-            placements.setdefault(cell, []).append(pl)
+            for cell in cover:
+                placements.setdefault(cell, []).append(cover)
     order = [(x, y) for y in range(q) for x in range(p)]
-    used: set = set()
-    nodes = 0
-
-    def cover_from(idx: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise TimeoutError
-        while idx < len(order) and order[idx] in used:
-            idx += 1
-        if idx == len(order):
-            return True
-        cell = order[idx]
-        for pl in placements.get(cell, ()):
-            if used.isdisjoint(pl):
-                used.update(pl)
-                if cover_from(idx + 1):
-                    return True
-                used.difference_update(pl)
-        return False
-
-    try:
-        return cover_from(0)
-    except TimeoutError:
-        return False
+    return _exact_cover(order, lambda cell: placements.get(cell, ()), node_cap) is True
 
 
 def _region_cover_exists(cells: list[tuple[int, int]], radius: int, node_cap: int) -> bool | None:
     """Can disjoint translates cover the square region of the given radius?
 
-    Returns True/False when the backtracking completes, None on node-cap.
+    Returns True/False when the search completes, None on node-cap.
     Any tiling of the plane restricts to such a cover, so False certifies
     that no tiling exists.
     """
     region = [(x, y) for y in range(-radius, radius + 1) for x in range(-radius, radius + 1)]
     region_set = set(region)
-    used: set = set()
-    nodes = 0
 
-    def cover_from(idx: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise TimeoutError
-        while idx < len(region) and region[idx] in used:
-            idx += 1
-        if idx == len(region):
-            return True
-        zx, zy = region[idx]
-        for ax, ay in cells:  # translate placing cell (ax, ay) onto (zx, zy)
-            vx, vy = zx - ax, zy - ay
-            translate = [(x + vx, y + vy) for x, y in cells]
-            if any(c in used for c in translate if c in region_set):
-                continue
-            added = [c for c in translate if c in region_set]
-            used.update(added)
-            if cover_from(idx + 1):
-                return True
-            used.difference_update(added)
-        return False
+    def translates(cell):   # each translate placing one tile cell onto this cell, clipped
+        for vx, vy in ((cell[0] - ax, cell[1] - ay) for ax, ay in cells):
+            yield [c for x, y in cells if (c := (x + vx, y + vy)) in region_set]
 
-    try:
-        return cover_from(0)
-    except TimeoutError:
-        return None
+    return _exact_cover(region, translates, node_cap)
 
 
 def is_tessellation(tile: FiniteLattice, bound: int = 4) -> TessellationResult:

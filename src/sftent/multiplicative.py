@@ -9,6 +9,7 @@ ones (a_1 = 2, a_2 = 3).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,20 +65,30 @@ def fiber_decomposition(n: int, q: int) -> FiberDecomposition:
     return FiberDecomposition(q, n, tuple(fibers))
 
 
+def _fiber_lengths(n: int, q: int) -> dict[int, int]:
+    """Fiber-length multiplicities of {1..n}, longest first, in O(log_q n).
+
+    The fibers of length at least L are headed by the i <= m = n // q^(L-1)
+    not divisible by q, so there are m - m // q of them.
+    """
+    if n < 1 or q < 2:
+        raise ValueError("need n >= 1 and q >= 2")
+    exactly = []            # exactly[L - 1]: number of fibers of length L
+    while n:                # n now stands for n // q^(L-1), and m for n // q^L
+        m = n // q
+        exactly.append((n - m) - (m - m // q))
+        n = m
+    return {length: mult for length, mult in reversed(list(enumerate(exactly, 1))) if mult}
+
+
 def count_multiplicative(n: int, q: int) -> int:
     """Exact number of binary strings x_1..x_n with x_k * x_{qk} = 0."""
-    value = 1
-    for fiber in fiber_decomposition(n, q).fibers:
-        value *= fibonacci(fiber.length)
-    return value
+    return math.prod(fibonacci(length) ** mult for length, mult in _fiber_lengths(n, q).items())
 
 
 def log_count_multiplicative(n: int, q: int) -> float:
-    """log of the count, summed over fibers (no bigint materialisation)."""
-    lengths: dict[int, int] = {}
-    for fiber in fiber_decomposition(n, q).fibers:
-        lengths[fiber.length] = lengths.get(fiber.length, 0) + 1
-    return sum(mult * math.log(fibonacci(length)) for length, mult in lengths.items())
+    """log of the count, summed over fiber lengths (no bigint materialisation)."""
+    return sum(mult * math.log(fibonacci(length)) for length, mult in _fiber_lengths(n, q).items())
 
 
 def count_multiplicative_bruteforce(n: int, q: int, budget: int = 2 ** 24) -> int:
@@ -103,14 +114,17 @@ def _fiber_entropy_series(q: int, terms: int, c: float, s: int) -> SeriesValue:
     Both series in use, (c, s) = (1, 1) here and (1/2, 2) on the mirrored
     wedge, have c log a_{s k} <= k log 2, so the tail is the closed geometric
     bound (q-1)^2 log2 * x^(K+2) * ((K+1) - K x) / (1-x)^2 with x = 1/q.
+    The sum stops at the last K <= terms whose q^(K+1) is still a float:
+    every later term lies far below one ulp of the sum.
     """
     if terms < 1:
         raise ValueError("need at least one term")
     if q < 2:
         raise ValueError("q must be >= 2")
+    last = next((k for k in range(1, terms) if q ** (k + 2) > sys.float_info.max), terms)
     value = c * (q - 1) ** 2 * math.fsum(
-        math.log(fibonacci(s * k)) / q ** (k + 1) for k in range(1, terms + 1)
+        math.log(fibonacci(s * k)) / q ** (k + 1) for k in range(1, last + 1)
     )
     x = 1.0 / q
-    tail = (q - 1) ** 2 * math.log(2) * x ** (terms + 2) * ((terms + 1) - terms * x) / (1 - x) ** 2
+    tail = (q - 1) ** 2 * math.log(2) * x ** (last + 2) * ((last + 1) - last * x) / (1 - x) ** 2
     return SeriesValue(value, tail)

@@ -25,7 +25,7 @@ from .lattice import (
     rectangle,
     run_census,
 )
-from .multiplicative import SeriesValue, _fiber_entropy_series, fibonacci
+from .multiplicative import SeriesValue, _fiber_entropy_series, _fiber_lengths, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
 DECAY_RATIO = 0.7        # or the per-third envelope maxima must shrink this fast
@@ -156,15 +156,16 @@ def row_census(q: int, n: int) -> dict[int, int]:
 
 
 def omega_q_golden_mean_count(q: int, n: int) -> int:
-    """Closed-form golden-mean count on the mirrored wedge.
+    """Closed-form golden-mean count on the mirrored wedge (Eq. 1.10).
 
-    a_{2(n+1)}^2 * a_{2n}^{2(q-2)} * prod_{k=1}^{n-1} a_{2k}^{2 (q-1)^2 q^(n-1-k)},
-    exact; must agree with the counting engine on the actual lattice.
+    a_{2(n+1)}^2 * a_{2n}^{2(q-2)} * prod_{k=1}^{n-1} a_{2k}^{2 (q-1)^2 q^(n-1-k)}:
+    each fiber of length L in {1..q^n} gives two rows of length 2L.  Exact;
+    must agree with the counting engine on the actual lattice.
     """
-    value = fibonacci(2 * (n + 1)) ** 2 * fibonacci(2 * n) ** (2 * (q - 2))
-    for k in range(1, n):
-        value *= fibonacci(2 * k) ** (2 * (q - 1) ** 2 * q ** (n - 1 - k))
-    return value
+    if q < 2:
+        raise ValueError("need q >= 2 and n >= 1")
+    return math.prod(fibonacci(2 * length) ** (2 * mult)
+                     for length, mult in _fiber_lengths(q ** n, q).items())
 
 
 def omega_q_entropy_series(q: int, terms: int) -> SeriesValue:

@@ -355,6 +355,26 @@ def test_reproduce_golden_output_at_defaults(capsys, target):
     assert run_cli(capsys, "reproduce", target) == (0, REPRODUCE_GOLDEN[target], "")
 
 
+def test_reproduce_eq1_5_golden_output_at_q10(capsys):
+    # the horizon is 10^6; the fiber census makes it cheap
+    assert run_cli(capsys, "reproduce", "eq1_5", "--q", "10") == (0, (
+        "fiber product equals brute force for n <= 12: True\n"
+        "series = 0.66539324973, horizon ratio = 0.665393249813, diff = 8.33588753579e-11\n"
+        "PASS eq1_5\n"
+    ), "")
+
+
+@pytest.mark.parametrize("target", ["eq1_11", "eq1_13", "eq1_5"])
+def test_reproduce_series_past_float_range(capsys, target):
+    # q^(terms+1) no longer fits a float; the series stops where it does
+    code, out, err = run_cli(capsys, "reproduce", target, "--terms", "1100")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"PASS {target}"
+    if target == "eq1_11":
+        _, ref, _ = run_cli(capsys, "reproduce", target, "--terms", "1000")
+        assert out.split(" (")[0] == ref.split(" (")[0] == "series value = 0.517738811397"
+
+
 def test_reproduce_unknown_target_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "eq9_9"])

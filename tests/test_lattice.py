@@ -28,6 +28,7 @@ from sftent import (
     staircase,
     stick_augmented,
 )
+from sftent.lattice import _region_cover_exists, _torus_cover
 from conftest import random_connected_lattice
 
 point_sets = st.sets(
@@ -497,6 +498,25 @@ def test_tessellation_lshape():
     res = is_tessellation(lshape(2))
     assert res.status == "yes"
     verify_lattice_tiling(lshape(2), *res.periods, reach=2)
+
+
+@pytest.mark.parametrize("gap", [20, 24, 30])
+def test_tessellation_far_pair_searches_without_recursion(gap):
+    # the region cover places hundreds of translates deep, past Python's
+    # recursion limit; no small torus fits the pair, so the verdict is open
+    res = is_tessellation(FiniteLattice([(0, 0), (gap, 0)]))
+    assert res.status == "unknown"
+
+
+def test_tiling_cover_node_caps():
+    # every entered node counts once: the refutation of the U pentomino on
+    # the radius-4 region enters 245 nodes, a domino cover of the 2x3 torus 4
+    u = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)]
+    assert _region_cover_exists(u, 4, node_cap=244) is None
+    assert _region_cover_exists(u, 4, node_cap=245) is False
+    domino = [(0, 0), (1, 0)]
+    assert _torus_cover(domino, 2, 3, node_cap=3) is False
+    assert _torus_cover(domino, 2, 3, node_cap=4) is True
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from sftent import (
     multiplicative_entropy_series,
     rectangle,
 )
+from sftent.multiplicative import _fiber_lengths
 
 
 def test_fibonacci_convention():
@@ -42,12 +44,25 @@ def test_fiber_partition_property():
             fd = fiber_decomposition(n, q)
             members = sorted(f.i * q**j for f in fd.fibers for j in range(f.length))
             assert members == list(range(1, n + 1))
+    # the closed-form census counts the same fiber lengths, longest first
+    for q in (2, 3, 4, 5):
+        for n in [*range(1, 401), 10**5]:
+            census = _fiber_lengths(n, q)
+            assert census == Counter(f.length for f in fiber_decomposition(n, q).fibers)
+            assert list(census) == sorted(census, reverse=True)
 
 
 def test_count_examples():
     assert count_multiplicative(1, 2) == 2
     assert count_multiplicative(8, 2) == 96
     assert count_multiplicative(9, 3) == 240
+
+
+@pytest.mark.parametrize("n,q", [(0, 2), (5, 1), (5, 0), (5, -3)])
+def test_count_rejects_bad_arguments(n, q):
+    for f in (count_multiplicative, log_count_multiplicative):
+        with pytest.raises(ValueError, match="need n >= 1 and q >= 2"):
+            f(n, q)
 
 
 def test_count_equals_bruteforce():
@@ -98,3 +113,20 @@ def test_horizon_ratios_converge_to_series():
     ]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     assert diffs[-1] < 0.01
+    # far horizons; 100 terms leave a tail far below the tolerance
+    for q in (2, 3, 5, 10):
+        series, tail = multiplicative_entropy_series(q, 100)
+        assert tail < 1e-20
+        for j in (20, 40):
+            assert abs(series - log_count_multiplicative(q**j, q) / q**j) < 1e-12
+
+
+def test_series_stops_inside_float_range():
+    # q^(k+1) passes the float range at k = 1023 for q = 2; later terms are
+    # far below one ulp, so the value is that of 1000 terms
+    v1000, t1000 = multiplicative_entropy_series(2, 1000)
+    v, tail = multiplicative_entropy_series(2, 1100)
+    assert v == v1000
+    assert 0 < tail < t1000
+    for q in (2, 3, 10):
+        assert multiplicative_entropy_series(q, 10**6).tail_bound > 0

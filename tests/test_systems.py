@@ -104,6 +104,20 @@ def test_golden_mean_count_formula_vs_dp():
     assert omega_q_golden_mean_count(3, 2) == 21**2 * 8**2 * 3**8
 
 
+def test_golden_mean_count_matches_eq_1_10_product():
+    # Eq. 1.10 written out: one fiber of length n+1, q-2 of length n and
+    # (q-1)^2 q^(n-1-k) of each length k < n
+    for q in (2, 3, 4, 5):
+        for n in range(1, 6):
+            expected = fibonacci(2 * (n + 1)) ** 2 * fibonacci(2 * n) ** (2 * (q - 2))
+            for k in range(1, n):
+                expected *= fibonacci(2 * k) ** (2 * (q - 1) ** 2 * q ** (n - 1 - k))
+            assert omega_q_golden_mean_count(q, n) == expected
+    for q in (1, 0):
+        with pytest.raises(ValueError, match="need q >= 2 and n >= 1"):
+            omega_q_golden_mean_count(q, 3)
+
+
 def test_golden_mean_count_formula_vs_bruteforce():
     assert count_bruteforce(omega_q(2, 1), GM_H).value == 64
     assert count_bruteforce(omega_q(2, 2), GM_H).value == 3969
