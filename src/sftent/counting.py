@@ -11,17 +11,18 @@ lattice:
   shapes fit a 2x2 window.  When constraints never leave a single row (or
   column) the count factorises over maximal runs and is evaluated as a product
   of 1-D transfer counts, which keeps lattices with millions of cells exact.
-  Otherwise a broken-profile sweep runs cell by cell over the bounding box,
-  with the frontier along its shorter side (at most ``FRONTIER_CAP`` cells).
-  The live frontier states are one numpy array of base-N integer codes, the
-  newest cell least significant.  Whether a cell is absent (in the bounding
-  box but not the lattice) depends only on the lattice, so an absent cell
-  holds digit 0 and every constraint reaching it is dropped in advance; a
-  step whose cell and frontier are all absent is skipped.  Codes are int64
-  while ``N ** (frontier + 1) < 2**63`` and Python ints (``dtype=object``)
-  beyond.  Exact weights are int64 limbs of ``62 - N.bit_length()`` bits, one
-  more whenever the count bound ``N ** cells <= 2 ** (cells * ceil(log2 N))``
-  needs it, normalised by one carry pass per cell.
+  Otherwise a broken-profile sweep orders the bounding box column-major, or
+  row-major when it is taller than wide, so the frontier (at most
+  ``FRONTIER_CAP`` cells) lies along its shorter side.  Its bans come from
+  ``placements``, as the search's do, each attached to its last cell.  The
+  live frontier states are one numpy array of base-N integer codes, the
+  newest cell least significant.  A position of the box outside the lattice
+  holds digit 0 and ends no placement; a step whose cell and frontier are
+  all outside is skipped.  Codes are int64 while ``N ** (frontier + 1) <
+  2**63`` and Python ints (``dtype=object``) beyond.  Exact weights are int64
+  limbs of ``62 - N.bit_length()`` bits, one more whenever the count bound
+  ``N ** cells <= 2 ** (cells * ceil(log2 N))`` needs it, normalised by one
+  carry pass per cell.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, UnsupportedForbiddenShape
 from .lattice import FiniteLattice, _run_lengths, dilate
-from .sft import CountResult, SftSpec, forbidden_occurrences
+from .sft import CountResult, SftSpec, _placement_vectors, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| for exhaustive routes
 FRONTIER_CAP = 24            # cap on the broken-profile frontier length
@@ -234,48 +235,41 @@ def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
 # ---------------------------------------------------------------------------
 
 
-def _profile_patterns(spec: SftSpec):
-    """Each forbidden pattern as (last symbol, back cells): its last cell in the
-    column-major sweep order, and every other cell as (dx, dy, symbol) offsets
-    back from it."""
-    out = []
+def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
+    """The sweep's ban table, read from `placements`: the frontier length h
+    (the bounding box's shorter side), each position's context (-1 off the
+    lattice, else one bit per pattern shape ending there) and per context the
+    bans (banned symbol, (back distance, symbol) per other cell).  Position
+    ``x * h + y`` holds (x, y), relative to the box, when the box is at least
+    as wide as tall (column-major), else ``y * h + x``.
+    """
+    (ox, oy), w, h = lat.bbox
+    context = np.full(w * h, -1, dtype=np.int16)    # at most 15 shapes fit a 2x2 window
+    major, h = (0, h) if w >= h else (1, w)
+    local = lat.translate((-ox, -oy))                # small coordinates pack into keys
+    def position(x, y):
+        return (x, y)[major] * h + (x, y)[1 - major]
+    context[position(*local.coords.T)] = 0
+    shape_bit: dict = {}
+    bans = []
     for pat in spec.forbidden:
-        cells = sorted(((p.x, p.y), s) for p, s in pat.cells)
-        (lx, ly), lsym = cells.pop()
-        out.append((lsym, tuple((lx - x, ly - y, s) for (x, y), s in cells)))
-    return out
-
-
-def _cell_bans(patterns, mask, x: int, y: int, n: int):
-    """Per symbol at present cell (x, y): None when a single-cell pattern bans
-    it outright, else the (back distance, symbol) tuples that ban it.  A
-    pattern is dropped when one of its back cells is absent from `mask`."""
-    h = mask.shape[0]
-    bans: list = [[] for _ in range(n)]
-    for lsym, back in patterns:
-        if bans[lsym] is None:
-            continue
-        if not back:
-            bans[lsym] = None
-        elif all(x >= dx and 0 <= y - dy < h and mask[y - dy, x - dx] for dx, dy, _ in back):
-            bans[lsym].append(tuple((dx * h + dy, s) for dx, dy, s in back))
-    return bans
+        *others, (last, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
+        if pat.shape not in shape_bit:
+            shape_bit[pat.shape] = bit = 1 << len(shape_bit)
+            ends = _placement_vectors(pat.shape, local) + last
+            context[position(*ends.T)] |= bit
+        back = tuple((position(*last) - position(*p), s) for p, s in others)
+        bans.append((shape_bit[pat.shape], sym, back))
+    table = {code: [(sym, back) for bit, sym, back in bans if code & bit]    # codes in use
+             for code in np.flatnonzero(np.bincount(context[context >= 0])).tolist()}
+    return h, context, table
 
 
 def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     """Run the broken-profile DP; returns the exact count or its natural log."""
-    mask = lat._mask
-    h, w = mask.shape
-    if h > w:
-        mask, spec = mask.T, spec.transpose()
-        h, w = w, h
-    if h > FRONTIER_CAP:
-        raise BudgetExceeded(
-            f"frontier length {h} exceeds cap {FRONTIER_CAP} for a two-axis spec"
-        )
+    h, context, table = _sweep_bans(lat, spec)
+    present = context >= 0
     n = spec.alphabet_size
-    patterns = _profile_patterns(spec)
-    present = mask.T.ravel()              # sweep order: cell x * h + y
     # a state is the last h + 1 cells' symbols as one base-n code, the newest
     # cell least significant; absent cells hold digit 0
     dtype = np.int64 if n ** (h + 1) < 2 ** 63 else object
@@ -290,7 +284,7 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     bits, log_scale = 0, 0.0
     # where a cell and the h + 1 cells the state holds are all absent, the
     # state is the single zero code and the step changes nothing
-    live = np.convolve(present, np.ones(h + 2, dtype=np.int64))[: w * h]
+    live = np.convolve(present, np.ones(h + 2, dtype=np.int64))[: len(present)]
     for t in np.flatnonzero(live).tolist():
         if present[t]:
             if not log_domain:
@@ -299,16 +293,13 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
                     weights = np.hstack([weights, np.zeros((len(codes), 1), np.int64)])
             ok = np.ones((len(codes), n), dtype=bool)
             digits: dict = {}
-            for sym, bans in enumerate(_cell_bans(patterns, mask, t // h, t % h, n)):
-                if bans is None:
-                    ok[:, sym] = False
-                for back in bans or ():
-                    hit = True
-                    for d, s in back:
-                        if d not in digits:
-                            digits[d] = codes // n ** (d - 1) % n
-                        hit = hit & (digits[d] == s)
-                    ok[:, sym] &= ~hit
+            for sym, back in table[context[t]]:
+                hit = np.ones(len(codes), dtype=bool)    # a single-cell ban hits all
+                for d, s in back:
+                    if d not in digits:
+                        digits[d] = codes // n ** (d - 1) % n
+                    hit &= digits[d] == s
+                ok[:, sym] &= ~hit
             rows, syms = np.nonzero(ok)   # in state order, then symbol order
             del ok, digits                # free each intermediate once consumed
         else:
@@ -356,29 +347,37 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     return sum(sum(weights[:, i].tolist()) << (bits_per_limb * i) for i in range(weights.shape[1]))
 
 
-def _require_window(spec: SftSpec) -> None:
+def _local_route(lat: FiniteLattice, spec: SftSpec):
+    """The local-count engine for `lat` (None for the empty lattice).  Raises
+    UnsupportedForbiddenShape past the 2x2 window and BudgetExceeded when a
+    two-axis sweep's frontier, the shorter bounding-box side, passes the cap."""
     if not spec.window2x2:
         raise UnsupportedForbiddenShape(
             "profile DP requires every forbidden shape to fit a 2x2 window"
         )
+    if len(lat) == 0:
+        return None
+    if spec.pure_axis is not None:
+        return _axis_product
+    _, w, h = lat.bbox
+    if min(w, h) > FRONTIER_CAP:
+        raise BudgetExceeded(
+            f"frontier length {min(w, h)} exceeds cap {FRONTIER_CAP} for a two-axis spec"
+        )
+    return _profile_sweep
 
 
 def count_profile_dp(lat: FiniteLattice, spec: SftSpec) -> CountResult:
     """Exact count via run products (single-axis specs) or the profile sweep."""
-    _require_window(spec)
-    if len(lat) == 0:
-        return CountResult(1, "local", 0)
-    route = _axis_product if spec.pure_axis is not None else _profile_sweep
-    return CountResult(route(lat, spec, log_domain=False), "local", len(lat))
+    route = _local_route(lat, spec)
+    value = 1 if route is None else route(lat, spec, log_domain=False)
+    return CountResult(value, "local", len(lat))
 
 
 def log_count(lat: FiniteLattice, spec: SftSpec) -> float:
     """Natural log of the local count, evaluated without bigint blowup."""
-    _require_window(spec)
-    if len(lat) == 0:
-        return 0.0
-    route = _axis_product if spec.pure_axis is not None else _profile_sweep
-    return route(lat, spec, log_domain=True)
+    route = _local_route(lat, spec)
+    return 0.0 if route is None else route(lat, spec, log_domain=True)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +432,7 @@ def count(
         return count_extendable(lat, spec, margin, budget=budget)
     if mode != "local":
         raise ValueError(f"unknown counting mode {mode!r}")
-    if spec.window2x2:
-        if spec.pure_axis is not None:
-            return count_profile_dp(lat, spec)
-        _, w, h = lat.bbox
-        if min(w, h) <= FRONTIER_CAP:
-            return count_profile_dp(lat, spec)
-    return count_bruteforce(lat, spec, budget=budget)
+    try:      # the DP refuses shapes past a 2x2 window and frontiers past the cap
+        return count_profile_dp(lat, spec)
+    except (UnsupportedForbiddenShape, BudgetExceeded):
+        return count_bruteforce(lat, spec, budget=budget)

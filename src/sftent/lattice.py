@@ -6,8 +6,8 @@ with touching runs merged.  Points iterate in row-major order (by y, then x).
 Set algebra, interior and boundary, block residues, run-length censuses and
 the transpose all go through one coverage kernel over run endpoints
 (:func:`_cover`), so they cost time in the number of runs, not of cells: a
-rectangle with millions of cells has one run per row.  Point coordinates and
-the boolean occupancy grid are built only on demand.
+rectangle with millions of cells has one run per row.  Point coordinates are
+built only on demand, and nothing is stored per cell of the bounding box.
 """
 
 from __future__ import annotations
@@ -162,16 +162,6 @@ class FiniteLattice:
         ys, x0, x1 = self._runs.T
         ox, oy = int(x0.min()), int(ys[0])
         return Point(ox, oy), int(x1.max()) - ox, int(ys[-1]) - oy + 1
-
-    @cached_property
-    def _mask(self) -> np.ndarray:
-        """(height, width) boolean occupancy grid relative to bbox origin."""
-        (ox, oy), w, h = self.bbox
-        edges = np.zeros((h, w + 1), dtype=np.int8)
-        rows = self._runs[:, 0] - oy
-        edges[rows, self._runs[:, 1] - ox] = 1
-        edges[rows, self._runs[:, 2] - ox] = -1
-        return edges.cumsum(axis=1, dtype=np.int8)[:, :w].astype(bool)
 
     @cached_property
     def _truns(self) -> np.ndarray:
@@ -395,6 +385,9 @@ def decompose_bands(lat: FiniteLattice, axis: str) -> list[FiniteLattice]:
 # ---------------------------------------------------------------------------
 
 
+_TORUS_SIDE_FACTOR = 4   # torus sides searched: up to this many tile diameters
+
+
 @dataclass(frozen=True)
 class TessellationResult:
     status: str                                    # "yes" | "no" | "unknown"
@@ -503,7 +496,7 @@ def _region_cover_exists(cells: list[tuple[int, int]], radius: int, node_cap: in
     return _exact_cover(region, translates, node_cap)
 
 
-def is_tessellation(tile: FiniteLattice, bound: int = 4) -> TessellationResult:
+def is_tessellation(tile: FiniteLattice) -> TessellationResult:
     """Decide whether translates of the tile partition Z^2.
 
     Single-lattice tilings are decided exactly by enumerating all sublattices
@@ -522,7 +515,7 @@ def is_tessellation(tile: FiniteLattice, bound: int = 4) -> TessellationResult:
     diam = max(w, h)
     t = len(cells)
     # multi-translate periodic tilings on small tori
-    limit = max(1, bound) * diam
+    limit = _TORUS_SIDE_FACTOR * diam
     for p in range(1, limit + 1):
         for q in range(1, limit + 1):
             if (p * q) % t or p * q <= t or p * q > 8 * t:

@@ -81,6 +81,14 @@ def _fiber_lengths(n: int, q: int) -> dict[int, int]:
     return {length: mult for length, mult in reversed(list(enumerate(exactly, 1))) if mult}
 
 
+def _float_or_reject(value: int, what: str) -> float:
+    """float(value), or ValueError when `value` is beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"q is too large: {what} is beyond the float range") from None
+
+
 def count_multiplicative(n: int, q: int) -> int:
     """Exact number of binary strings x_1..x_n with x_k * x_{qk} = 0."""
     return math.prod(fibonacci(length) ** mult for length, mult in _fiber_lengths(n, q).items())
@@ -121,6 +129,7 @@ def _fiber_entropy_series(q: int, terms: int, c: float, s: int) -> SeriesValue:
         raise ValueError("need at least one term")
     if q < 2:
         raise ValueError("q must be >= 2")
+    _float_or_reject(q ** 2, "q**2")      # the first term's divisor
     last = next((k for k in range(1, terms) if q ** (k + 2) > sys.float_info.max), terms)
     value = c * (q - 1) ** 2 * math.fsum(
         math.log(fibonacci(s * k)) / q ** (k + 1) for k in range(1, last + 1)

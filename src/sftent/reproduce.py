@@ -14,6 +14,7 @@ import math
 from . import counting, entropy, systems
 from .formats import real_text
 from .multiplicative import (
+    _float_or_reject,
     count_multiplicative,
     count_multiplicative_bruteforce,
     log_count_multiplicative,
@@ -83,7 +84,8 @@ def eq1_5(q=DEFAULT_Q, n=DEFAULT_N, terms=DEFAULT_TERMS):
     lines = [f"fiber product equals brute force for n <= 12: {ok}"]
     series, _ = multiplicative_entropy_series(q, terms)
     n_h = q ** 10 if q == 2 else q ** 6
-    ratio = log_count_multiplicative(n_h, q) / n_h
+    scale = _float_or_reject(n_h, "the horizon q**6")    # q = 2's q**10 always fits
+    ratio = log_count_multiplicative(n_h, q) / scale
     diff = abs(series - ratio)
     lines.append(f"series = {real_text(series)}, horizon ratio = {real_text(ratio)}, "
                  f"diff = {real_text(diff)}")

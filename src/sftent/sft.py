@@ -217,19 +217,22 @@ def _keys(coords: np.ndarray) -> np.ndarray:
     return coords[:, 1] * np.int64(2**32) + coords[:, 0]
 
 
-def placements(shape: FiniteLattice, lat: FiniteLattice) -> list[Point]:
-    """Translation vectors v with shape + v fully inside lat, canonical order."""
+def _placement_vectors(shape: FiniteLattice, lat: FiniteLattice) -> np.ndarray:
+    """`placements` as a (K, 2) int64 array: the one test of what lies inside."""
     if len(shape) == 0 or len(lat) == 0:
-        return []
-    anchor = shape.coords[0]
-    candidates = lat.coords - anchor                # (P, 2) candidate vectors
+        return np.empty((0, 2), dtype=np.int64)
+    # lat.coords are in canonical order, so the candidates and vectors are too
+    candidates = lat.coords - shape.coords[0]       # (P, 2) candidate vectors
     offs = shape.coords[np.newaxis, :, :]           # (1, S, 2)
     cells = candidates[:, np.newaxis, :] + offs     # (P, S, 2)
-    inside = np.isin(_keys(cells.reshape(-1, 2)), _keys(lat.coords))
-    ok = inside.reshape(len(lat), len(shape)).all(axis=1)
-    vecs = candidates[ok]
-    order = np.lexsort((vecs[:, 0], vecs[:, 1]))
-    return [Point(int(x), int(y)) for x, y in vecs[order].tolist()]
+    keys, probe = _keys(lat.coords), _keys(cells.reshape(-1, 2))    # keys ascend
+    inside = keys[np.minimum(np.searchsorted(keys, probe), len(keys) - 1)] == probe
+    return candidates[inside.reshape(len(lat), len(shape)).all(axis=1)]
+
+
+def placements(shape: FiniteLattice, lat: FiniteLattice) -> list[Point]:
+    """Translation vectors v with shape + v fully inside lat, canonical order."""
+    return [Point(x, y) for x, y in _placement_vectors(shape, lat).tolist()]
 
 
 def forbidden_occurrences(lat: FiniteLattice, spec: SftSpec):

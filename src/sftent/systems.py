@@ -285,20 +285,15 @@ def _ratio_columns(rows, m_max: int, block_sizes) -> dict[str, list[float]]:
     return cols
 
 
-def classify_trend(
-    values: Sequence[float],
-    vanish_fraction: float = VANISH_FRACTION,
-    decay_ratio: float = DECAY_RATIO,
-    floor: float = NONVANISH_FLOOR,
-) -> str:
+def classify_trend(values: Sequence[float]) -> str:
     """Classify a ratio sequence as vanishing / non_vanishing / bounded.
 
     Vanishing: either the max over the last third has dropped below
-    `vanish_fraction` times the max over the first third (an all-zero tail
+    ``VANISH_FRACTION`` times the max over the first third (an all-zero tail
     qualifies), or the per-third envelope maxima decay geometrically by at
-    least `decay_ratio` per third -- which catches C/n-type envelopes whose
+    least ``DECAY_RATIO`` per third -- which catches C/n-type envelopes whose
     tail is small but not yet negligible at the computed horizon.
-    Non-vanishing: the min over the last third stays above `floor`.
+    Non-vanishing: the min over the last third stays above ``NONVANISH_FLOOR``.
     """
     if not values:
         raise ValueError("empty sequence")
@@ -306,11 +301,11 @@ def classify_trend(
     e_head = max(values[:third])
     e_mid = max(values[third:-third]) if len(values) > 2 * third else e_head
     e_tail = max(values[-third:])
-    if e_tail <= vanish_fraction * e_head:
+    if e_tail <= VANISH_FRACTION * e_head:
         return "vanishing"
-    if e_tail <= decay_ratio * e_mid and e_mid <= decay_ratio * e_head:
+    if e_tail <= DECAY_RATIO * e_mid and e_mid <= DECAY_RATIO * e_head:
         return "vanishing"
-    if min(values[-third:]) > floor:
+    if min(values[-third:]) > NONVANISH_FLOOR:
         return "non_vanishing"
     return "bounded"
 

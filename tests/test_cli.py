@@ -375,6 +375,17 @@ def test_reproduce_series_past_float_range(capsys, target):
         assert out.split(" (")[0] == ref.split(" (")[0] == "series value = 0.517738811397"
 
 
+def test_reproduce_huge_q_usage_error(capsys):
+    # q**2 (both series) or the horizon q**6 (eq1_5) past the float range is
+    # a usage error, not an OverflowError traceback
+    for target, q in (("eq1_11", 10**160), ("eq1_13", 10**160), ("eq1_5", 10**60)):
+        code, out, err = run_cli(capsys, "reproduce", target, "--q", str(q))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "reproduce", "eq1_5", "--q", str(10**30))
+    assert code == 0 and out.splitlines()[-1] == "PASS eq1_5"
+
+
 def test_reproduce_unknown_target_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "eq9_9"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from sftent import (
     placements,
     rectangle,
 )
+from sftent.sft import forbidden_occurrences
 
 
 def admissible_count_oracle(lat, spec):
@@ -96,6 +98,52 @@ def test_placements_canonical_order():
     domino = FiniteLattice([(0, 0), (1, 0)])
     sq = rectangle((0, 0), 3, 2)
     assert placements(domino, sq) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+WINDOW = [(0, 0), (1, 0), (0, 1), (1, 1)]
+# every shape in a 2x2 window (single cells and L-triominoes among them), and
+# 1x3 runs both ways
+ORACLE_SHAPES = [[c for i, c in enumerate(WINDOW) if m >> i & 1] for m in range(1, 16)]
+ORACLE_SHAPES += [[(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1), (0, 2)]]
+
+
+def placements_reference(offsets, points):
+    """Every v with offsets + v inside the point set, in (y, x) order: each
+    point anchors the first offset, and every offset is looked up."""
+    ax, ay = offsets[0]
+    found = [(x - ax, y - ay) for x, y in points
+             if all((x - ax + dx, y - ay + dy) in points for dx, dy in offsets)]
+    return sorted(found, key=lambda v: (v[1], v[0]))
+
+
+def random_points(rng):
+    """A random point set with holes and negative coordinates, sometimes two
+    clusters far apart."""
+    ox, oy = rng.randint(-40, 5), rng.randint(-40, 5)
+    w, h = rng.randint(1, 9), rng.randint(1, 9)
+    points = {(ox + x, oy + y) for x in range(w) for y in range(h) if rng.random() < 0.7}
+    if rng.random() < 0.3:
+        points |= {(x + 50, -y) for x, y in points if rng.random() < 0.8}
+    return points or {(ox, oy)}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_placements_and_occurrences_match_set_reference(seed):
+    rng = random.Random(seed)
+    points = random_points(rng)
+    lat = FiniteLattice(points)
+    for offsets in ORACLE_SHAPES:
+        assert placements(FiniteLattice(offsets), lat) == placements_reference(offsets, points)
+    # occurrences: each pattern's placements, as indices into canonical order
+    spec = SftSpec.make(3, [[(c, rng.randrange(3)) for c in offsets] for offsets in ORACLE_SHAPES])
+    index = {p: i for i, p in enumerate(sorted(points, key=lambda p: (p[1], p[0])))}
+    expected = []
+    for pat in spec.forbidden:
+        offsets = [(c.x, c.y) for c, _ in pat.cells]
+        for vx, vy in placements_reference(offsets, points):
+            expected.append((tuple(index[(x + vx, y + vy)] for x, y in offsets),
+                             tuple(s for _, s in pat.cells)))
+    assert forbidden_occurrences(lat, spec) == expected
 
 
 # ---------------------------------------------------------------------------
