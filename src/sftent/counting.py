@@ -16,13 +16,11 @@ lattice:
   ``FRONTIER_CAP`` cells) lies along its shorter side.  Its bans come from
   ``placements``, as the search's do, each attached to its last cell.  The
   live frontier states are one numpy array of base-N integer codes, the
-  newest cell least significant.  A position of the box outside the lattice
-  holds digit 0 and ends no placement; a step whose cell and frontier are
-  all outside is skipped.  Codes are int64 while ``N ** (frontier + 1) <
-  2**63`` and Python ints (``dtype=object``) beyond.  Exact weights are int64
-  limbs of ``62 - N.bit_length()`` bits, one more whenever the count bound
-  ``N ** cells <= 2 ** (cells * ceil(log2 N))`` needs it, normalised by one
-  carry pass per cell.
+  newest cell least significant, kept sorted by code beside one column of
+  weights, Python ints (``dtype=object``) for exact counts.  A position of
+  the box outside the lattice holds digit 0 and ends no placement; a step
+  whose cell and frontier are all outside is skipped.  Codes are int64 while
+  ``N ** (frontier + 1) < 2**63`` and Python ints beyond.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -39,7 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import BudgetExceeded, UnsupportedForbiddenShape
+from .errors import BudgetExceeded, SymbolOutOfRange, UnsupportedForbiddenShape
 from .lattice import FiniteLattice, _run_lengths, dilate
 from .sft import CountResult, SftSpec, _placement_vectors, forbidden_occurrences
 
@@ -124,13 +122,15 @@ def _constraint_table(lat: FiniteLattice, spec: SftSpec):
 
 
 def _domains(lat: FiniteLattice, spec: SftSpec, fixed):
-    """``_search`` arguments for `lat`; a cell in `fixed` has one symbol."""
+    """``_search`` arguments for `lat`; a cell in `fixed` has one symbol, and
+    a fixed symbol outside the alphabet raises SymbolOutOfRange."""
     index, free, checks = _constraint_table(lat, spec)
     domains = free.copy()
     for p, s in (fixed or {}).items():
-        i = index.get(p)          # Points and int pairs hash alike
-        if i is None:
-            i = index.get((int(p[0]), int(p[1])))
+        if not 0 <= s < spec.alphabet_size:
+            raise SymbolOutOfRange(
+                f"fixed symbol {s} outside alphabet 0..{spec.alphabet_size - 1}")
+        i = index.get(p)          # Points, int pairs and numpy scalars hash alike
         if i is not None:
             domains[i] = (int(s),)
     return domains, checks
@@ -143,8 +143,8 @@ def count_bruteforce(
     fixed: dict | None = None,
 ) -> CountResult:
     """Exhaustive count of locally admissible assignments (reference oracle)."""
-    free = len(lat) - (len(fixed) if fixed else 0)
-    _check_budget(spec.alphabet_size, max(free, 0), budget)
+    free = len(lat) - sum(p in lat for p in fixed or ())
+    _check_budget(spec.alphabet_size, free, budget)
     value = sum(len(leaves) for _, leaves in _search(*_domains(lat, spec, fixed)))
     return CountResult(value, "local", len(lat))
 
@@ -174,55 +174,25 @@ def admissible_extension_exists(
 # ---------------------------------------------------------------------------
 
 
-def _axis_tables(spec: SftSpec):
-    """(allowed symbols, allowed transition pairs) for a pure-horizontal spec."""
-    banned_single = set()
-    banned_pair = set()
-    for pat in spec.forbidden:
-        if len(pat.cells) == 1:
-            banned_single.add(pat.cells[0][1])
-        else:  # two cells at offsets (0,0), (1,0)
-            a = dict(pat.cells)
-            banned_pair.add((a[(0, 0)], a[(1, 0)]))
-    symbols = [s for s in range(spec.alphabet_size) if s not in banned_single]
-    pairs = {
-        (a, b)
-        for a in symbols
-        for b in symbols
-        if (a, b) not in banned_pair
-    }
-    return symbols, pairs
-
-
-class _RunCounter:
-    """Memoised exact counts of admissible strings of each length."""
-
-    def __init__(self, spec: SftSpec):
-        self.symbols, self.pairs = _axis_tables(spec)
-        self._counts: list[int] = [1]          # length 0: empty string
-        self._vector = {s: 1 for s in self.symbols}
-        if self.symbols:
-            self._counts.append(len(self.symbols))
-
-    def count(self, length: int) -> int:
-        if length > 0 and not self.symbols:
-            return 0
-        while len(self._counts) <= length:
-            nxt = {
-                b: sum(w for a, w in self._vector.items() if (a, b) in self.pairs)
-                for b in self.symbols
-            }
-            self._vector = nxt
-            self._counts.append(sum(nxt.values()))
-        return self._counts[length]
-
-
 def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
-    """Product of 1-D run counts; returns the exact count or its natural log."""
-    axis = spec.pure_axis
-    work_spec = spec if axis == "horizontal" else spec.transpose()
-    rc = _RunCounter(work_spec)
-    runs = [(rc.count(length), mult) for length, mult in _run_lengths(lat, axis).items()]
+    """Product over the maximal runs along the spec's axis of the number of
+    admissible strings of each run's length; returns it exactly or its log."""
+    banned, pairs = set(), set()
+    for pat in spec.forbidden:     # one cell, or two along the axis, (0, 0) first
+        if len(pat.cells) == 1:
+            banned.add(pat.cells[0][1])
+        else:
+            pairs.add((pat.cells[0][1], pat.cells[1][1]))
+    symbols = [s for s in range(spec.alphabet_size) if s not in banned]
+    before = {b: [a for a in symbols if (a, b) not in pairs] for b in symbols}
+    # admissible strings of the current length, by last symbol
+    length, ending = 1, dict.fromkeys(symbols, 1)
+    runs = []
+    for run, mult in _run_lengths(lat, spec.pure_axis).items():    # ascending
+        while length < run:
+            ending = {b: sum(ending[a] for a in before[b]) for b in symbols}
+            length += 1
+        runs.append((sum(ending.values()), mult))
     if not log_domain:
         return math.prod(c ** mult for c, mult in runs)
     if any(c == 0 for c, _ in runs):
@@ -271,26 +241,21 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     present = context >= 0
     n = spec.alphabet_size
     # a state is the last h + 1 cells' symbols as one base-n code, the newest
-    # cell least significant; absent cells hold digit 0
+    # cell least significant; absent cells hold digit 0.  States stay sorted by
+    # code, each with one weight: a Python int, or a float64 renormalised as
+    # the total grows
     dtype = np.int64 if n ** (h + 1) < 2 ** 63 else object
     top = n ** h
     codes = np.zeros(1, dtype=dtype)
-    # exact weights: int64 limbs in base 2**bits_per_limb, one more whenever the
-    # bound n**present <= 2**bits needs it, so no carry leaves the top limb; log
-    # weights: one float64 column, renormalised as it grows
-    bits_per_limb = 62 - n.bit_length()
-    limb_mask = (1 << bits_per_limb) - 1
-    weights = np.ones((1, 1), dtype=np.float64 if log_domain else np.int64)
-    bits, log_scale = 0, 0.0
+    weights = np.ones(1, dtype=np.float64 if log_domain else object)
+    log_scale = 0.0
     # where a cell and the h + 1 cells the state holds are all absent, the
     # state is the single zero code and the step changes nothing
-    live = np.convolve(present, np.ones(h + 2, dtype=np.int64))[: len(present)]
+    live = present.copy()
+    for k in range(1, h + 2):
+        live[k:] |= present[:-k]
     for t in np.flatnonzero(live).tolist():
         if present[t]:
-            if not log_domain:
-                bits += (n - 1).bit_length()
-                if bits >= weights.shape[1] * bits_per_limb:
-                    weights = np.hstack([weights, np.zeros((len(codes), 1), np.int64)])
             ok = np.ones((len(codes), n), dtype=bool)
             digits: dict = {}
             for sym, back in table[context[t]]:
@@ -307,44 +272,37 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
         if not len(rows):
             return float("-inf") if log_domain else 0
         # the oldest digit leaves the frontier; only a present cell there can
-        # make two states meet
+        # make two states meet.  Otherwise the successors, in state order then
+        # symbol order, are already sorted
         merging = t > h and present[t - h - 1]
         dest = (codes % top if merging else codes)[rows] * n + syms
         del codes, syms
         if not merging:
-            codes, weights = dest, weights.take(rows, axis=0)
+            codes, weights = dest, weights[rows]
         else:
-            # group successors by code, at most n sources each, added in state
-            # order; states keep the order of their first source
+            # group successors by code, at most n sources each, added one at a
+            # time in state order
             order = np.argsort(dest, kind="stable")
             src = rows[order]
-            del rows
             dest = dest[order]
+            del rows, order
             starts = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
             ends = np.append(starts[1:], len(dest))
-            keep = np.argsort(order[starts])
-            del order
-            dest = dest[starts]
-            merged = weights.take(src[starts], axis=0)
+            codes, merged = dest[starts], weights[src[starts]]
+            del dest
             for k in range(1, n):
-                more = (starts + k < ends)[:, None]
-                np.add(merged, weights.take(src[np.minimum(starts + k, len(src) - 1)], axis=0),
-                       out=merged, where=more)
+                more = starts + k < ends
+                merged[more] += weights[src[starts[more] + k]]
             del weights, src
-            codes, weights = dest[keep], merged.take(keep, axis=0)
+            weights = merged
         if log_domain:
-            total = math.fsum(weights[:, 0].tolist())
+            total = math.fsum(weights.tolist())
             if total > 1e12:
                 weights *= 1.0 / total
                 log_scale += math.log(total)
-        elif weights.shape[1] > 1:
-            # one carry pass leaves every limb below 2**bits_per_limb + n
-            carry = weights[:, :-1] >> bits_per_limb
-            weights &= limb_mask
-            weights[:, 1:] += carry
     if log_domain:
-        return log_scale + math.log(math.fsum(weights[:, 0].tolist()))
-    return sum(sum(weights[:, i].tolist()) << (bits_per_limb * i) for i in range(weights.shape[1]))
+        return log_scale + math.log(math.fsum(weights.tolist()))
+    return sum(weights.tolist())
 
 
 def _local_route(lat: FiniteLattice, spec: SftSpec):

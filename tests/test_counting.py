@@ -1,6 +1,8 @@
 import math
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from sftent import (
     BudgetExceeded,
     FiniteLattice,
     SftSpec,
+    SymbolOutOfRange,
     UnsupportedForbiddenShape,
     count,
     count_bruteforce,
@@ -85,6 +88,25 @@ def test_bruteforce_fixed_cells():
     assert res.value == 1
     res = count_bruteforce(strip, GM_H, fixed={(1, 0): 0})
     assert res.value == 4
+    # numpy and float keys find the same cell
+    assert count_bruteforce(strip, GM_H, fixed={(np.int64(1), np.int64(0)): 1}).value == 1
+    assert count_bruteforce(strip, GM_H, fixed={(1.0, 0.0): 1}).value == 1
+
+
+def test_bruteforce_budget_counts_only_free_lattice_cells():
+    # 20 free cells: fixing 18 cells outside the lattice frees none of them
+    outside = {(10 + i, 0): 0 for i in range(18)}
+    with pytest.raises(BudgetExceeded):
+        count_bruteforce(rectangle((0, 0), 5, 4), GM_H, budget=16, fixed=outside)
+    inside = {(x, y): 0 for x in range(5) for y in range(4) if (x, y) > (0, 1)}
+    assert count_bruteforce(rectangle((0, 0), 5, 4), GM_H, budget=16, fixed=inside).value == 4
+
+
+def test_bruteforce_rejects_fixed_symbol_outside_alphabet():
+    with pytest.raises(SymbolOutOfRange):
+        count_bruteforce(rectangle((0, 0), 2, 1), GM_H, fixed={(0, 0): 7})
+    with pytest.raises(SymbolOutOfRange):
+        admissible_extension_exists(rectangle((0, 0), 2, 1), GM_H, {(0, 0): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +226,22 @@ def test_sweep_matches_oracle_on_random_window_specs(spec, rnd):
 
 
 def test_sweep_hard_squares_oeis_a006506():
-    # the 12 x 12 count has 87 bits: its weights carry across limbs
     expected = {8: 660647962955, 10: 2030049051145980050,
-                12: 162481813349792588536582997}
+                12: 162481813349792588536582997,
+                16: 18396766424410124752958806046933947217821482942}
     for n, value in expected.items():
         assert count_profile_dp(rectangle((0, 0), n, n), HARD_SQUARE).value == value
+
+
+def test_sweep_log_counts_bit_for_bit():
+    # floats pinned to the last bit: a merge that adds a group's weights in
+    # another order (say w0 + (w1 + w2)) moves the 5-symbol value by one ulp
+    spec = SftSpec.make(5, [[((0, 0), 1), ((1, 1), 4)], [((0, 0), 2), ((1, 0), 1)]])
+    holes = {(0, 4), (1, 18), (1, 19), (2, 2), (2, 20), (2, 21), (2, 23)}
+    lat = FiniteLattice([(x, y) for x in range(3) for y in range(25) if (x, y) not in holes])
+    assert repr(log_count(lat, spec)) == "106.04214465604522"
+    # 1,600 cells: the total passes 1e12 and is renormalised many times
+    assert repr(log_count(rectangle((0, 0), 16, 100), HARD_SQUARE)) == "659.834559702015"
 
 
 def test_sweep_single_cell_bans_large_alphabets():
@@ -234,13 +267,20 @@ def test_sweep_single_cell_bans_large_alphabets():
 def test_sweep_skips_absent_stretches():
     # a 21 x 100001 bounding box holding two cells: steps far from a present
     # cell meet the single zero state and are skipped, so the sweep costs time
-    # in cells, not in its box (about 10 s when every cell was swept)
+    # in cells, not in its box (about 10 s when every cell was swept); its
+    # per-position arrays are one int16 context and two booleans, about 8 MiB
     lat = FiniteLattice([(0, 0), (20, 10**5)])
     t0 = time.perf_counter()
-    assert count(lat, HARD_SQUARE).value == 4
-    assert log_count(lat, HARD_SQUARE) == math.log(4)
+    tracemalloc.start()
+    try:
+        assert count(lat, HARD_SQUARE).value == 4
+        assert log_count(lat, HARD_SQUARE) == math.log(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     elapsed = time.perf_counter() - t0
     assert elapsed < 2, f"two cells in a long bounding box took {elapsed:.1f}s"
+    assert peak < 16 * 2**20, f"two cells in a long bounding box peaked at {peak / 2**20:.1f} MiB"
     # far-apart clusters factorise across the skipped stretches
     parts = [rectangle((0, 0), 3, 3), rectangle((18, 5000), 3, 2), FiniteLattice([(9, 70000)])]
     lat = parts[0].union(parts[1]).union(parts[2])
