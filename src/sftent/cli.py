@@ -34,11 +34,12 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_mode(text: str) -> tuple[str, int]:
+def _parse_mode(text: str) -> int | None:
+    """The counting margin a --mode value asks for: None for local counts."""
     if text == "local":
-        return "local", 0
+        return None
     if text.startswith("ext:"):
-        return "extendable", int(text.split(":", 1)[1])
+        return int(text.split(":", 1)[1])
     raise FormatError(f"mode must be 'local' or 'ext:M', got {text!r}")
 
 
@@ -112,8 +113,7 @@ def _table_text(table: entropy.RectTable, fmt: str) -> str:
 def _cmd_count(args) -> int:
     spec = resolve_spec(args.spec)
     lat = resolve_lattice(args.lattice)
-    mode, margin = _parse_mode(args.mode)
-    result = counting.count(lat, spec, mode=mode, margin=margin, budget=args.budget)
+    result = counting.count(lat, spec, margin=_parse_mode(args.mode), budget=args.budget)
     if args.format == "json":
         text = json.dumps(
             {
@@ -153,10 +153,7 @@ def _cmd_entropy_omega(args) -> int:
 def _cmd_projectional(args) -> int:
     spec = resolve_spec(args.spec)
     vx, vy = (int(t) for t in args.v.split(","))
-    mode, margin = _parse_mode(args.mode)
-    seq = entropy.projectional_entropy(
-        spec, (vx, vy), args.n_max, mode=mode, margin=margin
-    )
+    seq = entropy.projectional_entropy(spec, (vx, vy), args.n_max, margin=_parse_mode(args.mode))
     _emit(_sequence_text(seq, args.format), args.out)
     return EXIT_OK
 

@@ -26,7 +26,7 @@ lattice:
   huge lattices never materialise huge integers.
 
 Counts are exact arbitrary-precision integers; ``count`` dispatches between
-the routes and also exposes the extendable-count refinement.
+the routes, and given a margin returns the extendable-count refinement.
 """
 
 from __future__ import annotations
@@ -184,14 +184,17 @@ def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
         else:
             pairs.add((pat.cells[0][1], pat.cells[1][1]))
     symbols = [s for s in range(spec.alphabet_size) if s not in banned]
-    before = {b: [a for a in symbols if (a, b) not in pairs] for b in symbols}
-    # admissible strings of the current length, by last symbol
+    pairs = [(a, b) for a, b in pairs if a not in banned and b not in banned]
+    # admissible strings of the current length, by last symbol: a string grows
+    # by every symbol but those a pair bars after its last, O(N + pairs) a step
     length, ending = 1, dict.fromkeys(symbols, 1)
     runs = []
     for run, mult in _run_lengths(lat, spec.pure_axis).items():    # ascending
         while length < run:
-            ending = {b: sum(ending[a] for a in before[b]) for b in symbols}
-            length += 1
+            grown = dict.fromkeys(symbols, sum(ending.values()))
+            for a, b in pairs:
+                grown[b] -= ending[a]
+            ending, length = grown, length + 1
         runs.append((sum(ending.values()), mult))
     if not log_domain:
         return math.prod(c ** mult for c, mult in runs)
@@ -295,7 +298,8 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
                 merged[more] += weights[src[starts[more] + k]]
             del weights, src
             weights = merged
-        if log_domain:
+        # the pairwise sum is far within 0.1% of fsum: fsum runs only where it may pass 1e12
+        if log_domain and weights.sum() > 0.999e12:
             total = math.fsum(weights.tolist())
             if total > 1e12:
                 weights *= 1.0 / total
@@ -378,18 +382,15 @@ def count_extendable(
 def count(
     lat: FiniteLattice,
     spec: SftSpec,
-    mode: str = "local",
-    margin: int = 0,
+    margin: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
-    """Route to the DP when eligible, else to the brute-force oracle.
-
-    mode="extendable" delegates to :func:`count_extendable` with `margin`.
+    """The local count when `margin` is None, routed to the DP when eligible,
+    else to the brute-force oracle; given an integer margin (0 included), the
+    extendable count of :func:`count_extendable`.
     """
-    if mode == "extendable":
+    if margin is not None:
         return count_extendable(lat, spec, margin, budget=budget)
-    if mode != "local":
-        raise ValueError(f"unknown counting mode {mode!r}")
     try:      # the DP refuses shapes past a 2x2 window and frontiers past the cap
         return count_profile_dp(lat, spec)
     except (UnsupportedForbiddenShape, BudgetExceeded):

@@ -4,14 +4,16 @@ Rectangular entropy is approached through the full table of per-site log
 counts (its minimum is a certified upper bound, by the subadditive infimum
 characterisation); entropy along an expanding family is estimated by a
 tail-max proxy for the limsup; projectional entropy counts patterns on
-one-dimensional segments s*v.
+one-dimensional segments s*v, locally or, given a margin, extendably.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, gcd
+from operator import itemgetter
 
 from .counting import count, log_count
 from .errors import NonPrimitiveVector
@@ -38,9 +40,11 @@ class EntropySequence:
     note: str = ""
 
 
-def _tail_max(ratios) -> float:
-    k = ceil(len(ratios) / 3)
-    return max(ratios[-k:])
+def _sequence(records: list[EntropyRecord], note: str = "") -> EntropySequence:
+    """The records with the tail-max estimate of the limsup: the largest
+    ratio over the last third of the records."""
+    tail = records[-ceil(len(records) / 3):]
+    return EntropySequence(tuple(records), max(r.ratio for r in tail), "limsup_tail_max", note)
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,6 @@ class RectTable:
     max_width: int
     max_height: int
     log_counts: tuple[tuple[float, ...], ...]   # [m-1][n-1]
-    h_r_estimate: float
-    argmin: tuple[int, int]
 
     def ratio(self, m: int, n: int) -> float:
         return self.log_counts[m - 1][n - 1] / (m * n)
@@ -64,6 +66,15 @@ class RectTable:
         for m in range(1, self.max_width + 1):
             for n in range(1, self.max_height + 1):
                 yield m, n, self.log_counts[m - 1][n - 1], self.ratio(m, n)
+
+    @cached_property
+    def argmin(self) -> tuple[int, int]:
+        """The first (m, n), in ``entries()`` order, with the least ratio."""
+        return min(self.entries(), key=itemgetter(3))[:2]
+
+    @property
+    def h_r_estimate(self) -> float:
+        return self.ratio(*self.argmin)
 
 
 def rect_entropy_table(spec: SftSpec, max_width: int, max_height: int) -> RectTable:
@@ -74,14 +85,7 @@ def rect_entropy_table(spec: SftSpec, max_width: int, max_height: int) -> RectTa
         tuple(log_count(rectangle((0, 0), m, n), spec) for n in range(1, max_height + 1))
         for m in range(1, max_width + 1)
     )
-    best = None
-    arg = (1, 1)
-    for m in range(1, max_width + 1):
-        for n in range(1, max_height + 1):
-            r = logs[m - 1][n - 1] / (m * n)
-            if best is None or r < best:
-                best, arg = r, (m, n)
-    return RectTable(max_width, max_height, logs, best, arg)
+    return RectTable(max_width, max_height, logs)
 
 
 def system_entropy(
@@ -96,8 +100,7 @@ def system_entropy(
         lat = system.lattice(n)
         lc = log_count(lat, spec)
         records.append(EntropyRecord(n, len(lat), lc, lc / len(lat)))
-    ratios = [r.ratio for r in records]
-    return EntropySequence(tuple(records), _tail_max(ratios), "limsup_tail_max")
+    return _sequence(records)
 
 
 def _require_primitive(v) -> Point:
@@ -114,28 +117,29 @@ def segment(v, n: int) -> FiniteLattice:
 
 
 def projectional_entropy(
-    spec: SftSpec, v, n_max: int, mode: str = "local", margin: int = 0
+    spec: SftSpec, v, n_max: int, margin: int | None = None
 ) -> EntropySequence:
     """Entropy of the restriction to the line through a primitive direction.
 
-    Counts patterns on the n-point segments along v (local mode by default;
-    mode="extendable" refines by the given margin).  The note flags the case
-    where no forbidden shape ever fits inside any segment, so the counts are
-    pure full-shift powers.
+    Counts patterns on the n-point segments along v: local counts when
+    `margin` is None, else extendable counts with that margin.  When no
+    forbidden shape fits inside the longest segment, none fits a shorter one,
+    so the local counts are the full-shift powers N**n; the note flags it.
     """
     vp = _require_primitive(v)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    records = []
-    for n in range(1, n_max + 1):
-        result = count(segment(vp, n), spec, mode=mode, margin=margin)
-        lc = math.log(result.value) if result.value else float("-inf")
-        records.append(EntropyRecord(n, n, lc, lc / n))
-    ratios = [r.ratio for r in records]
     longest = segment(vp, n_max)
     constrained = any(placements(pat.shape, longest) for pat in spec.forbidden)
+    powers = not constrained and margin is None      # the local counts are N**n
+    records = []
+    for n in range(1, n_max + 1):
+        value = (spec.alphabet_size ** n if powers
+                 else count(segment(vp, n), spec, margin=margin).value)
+        lc = math.log(value) if value else float("-inf")
+        records.append(EntropyRecord(n, n, lc, lc / n))
     note = "" if constrained else "no forbidden shape fits the segment; full-shift counts"
-    return EntropySequence(tuple(records), _tail_max(ratios), "limsup_tail_max", note)
+    return _sequence(records, note)
 
 
 def directional_entropy_max(
@@ -171,7 +175,8 @@ class GapReport:
     entropy: the upper end is the table minimum (certified by the infimum
     property); the lower end pads each admissible block with a symbol free of
     constraints and tiles the plane with it, when such a symbol exists
-    (-inf otherwise).
+    (-inf otherwise).  `min_margin` is the least margin, first reached at
+    `argmin`; `all_strict` says it exceeds 1e-12.
     """
 
     table: RectTable
@@ -180,8 +185,14 @@ class GapReport:
     bracket: tuple[float, float]
     min_margin: float
     argmin: tuple[int, int]
-    full_shift: bool
-    all_strict: bool
+
+    @property
+    def full_shift(self) -> bool:
+        return self.reference_kind == "closed_form_full_shift"
+
+    @property
+    def all_strict(self) -> bool:
+        return self.min_margin > 1e-12
 
 
 def _is_golden_mean(spec: SftSpec) -> bool:
@@ -201,29 +212,17 @@ def strict_gap_check(spec: SftSpec, max_width: int, max_height: int) -> GapRepor
     if not spec.forbidden:
         reference = math.log(spec.alphabet_size)
         kind = "closed_form_full_shift"
-        full = True
     elif _is_golden_mean(spec):
         reference = LOG_GOLDEN_MEAN
         kind = "closed_form_golden_mean"
-        full = False
     else:
         reference = table.h_r_estimate
         kind = "table_min"
-        full = False
     lower = float("-inf")
     if spec.safe_symbols:
         pad = spec.forbidden_diameter
         lower = max(
             lc / ((m + pad) * (n + pad)) for m, n, lc, _ in table.entries()
         )
-    min_margin = None
-    arg = (1, 1)
-    for m, n, _, ratio in table.entries():
-        margin = ratio - reference
-        if min_margin is None or margin < min_margin:
-            min_margin, arg = margin, (m, n)
-    all_strict = min_margin > 1e-12
-    return GapReport(
-        table, reference, kind, (lower, table.h_r_estimate),
-        min_margin, arg, full, all_strict,
-    )
+    m, n, _, ratio = min(table.entries(), key=lambda e: e[3] - reference)
+    return GapReport(table, reference, kind, (lower, table.h_r_estimate), ratio - reference, (m, n))

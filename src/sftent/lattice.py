@@ -68,6 +68,13 @@ def _cells(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, np.repeat(runs[:, 0], lengths)
 
 
+def _check_coords(lo: int, hi: int) -> None:
+    """ValueError unless the coordinates lo..hi (inclusive) lie in
+    [-2**63, 2**63 - 1), so that a run's half-open end fits int64 too."""
+    if lo < -2 ** 63 or hi >= 2 ** 63 - 1:
+        raise ValueError(f"lattice coordinates must lie in [-2**63, 2**63 - 1), got {lo}..{hi}")
+
+
 def _band(g0: int, count: int, a: int, b: int) -> np.ndarray:
     """Runs [a, b) in `count` consecutive groups from g0."""
     runs = np.empty((count, 3), dtype=np.int64)
@@ -82,7 +89,12 @@ class FiniteLattice:
     def __init__(self, points: Iterable[tuple[int, int]] = ()):
         if not isinstance(points, np.ndarray):
             points = [(int(p[0]), int(p[1])) for p in points]
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        try:
+            pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:       # a coordinate beyond int64, which _check_coords rejects
+            _check_coords(min(map(min, points)), max(map(max, points)))
+        if pts.size:
+            _check_coords(int(pts.min()), int(pts.max()))
         # sort by (y, x), drop repeats; consecutive x in one row join a run
         order = np.lexsort((pts[:, 0], pts[:, 1]))
         x, y = pts[order, 0], pts[order, 1]
@@ -113,10 +125,6 @@ class FiniteLattice:
         coords = np.column_stack(_cells(self._runs))
         coords.setflags(write=False)
         return coords
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(self)
 
     def __len__(self) -> int:
         return self._len
@@ -214,6 +222,7 @@ def rectangle(origin, m: int, n: int) -> FiniteLattice:
     if m < 1 or n < 1:
         raise ValueError(f"rectangle sides must be >= 1, got {m}x{n}")
     ox, oy = int(origin[0]), int(origin[1])
+    _check_coords(min(ox, oy), max(ox + m, oy + n) - 1)
     # a rectangle's transpose is a rectangle: no run ends to pair
     return FiniteLattice._from_runs(_band(oy, n, ox, ox + m), _band(ox, m, oy, oy + n))
 

@@ -13,8 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .counting import _occurrence_checks, _search
-from .errors import BudgetExceeded
+from .counting import DEFAULT_BUDGET, _check_budget, _occurrence_checks, _search
 
 _fib_cache = [1, 2, 3]  # a_0 = 1 (empty string), a_1 = 2, a_2 = 3
 
@@ -99,12 +98,11 @@ def log_count_multiplicative(n: int, q: int) -> float:
     return sum(mult * math.log(fibonacci(length)) for length, mult in _fiber_lengths(n, q).items())
 
 
-def count_multiplicative_bruteforce(n: int, q: int, budget: int = 2 ** 24) -> int:
+def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Enumerate all binary strings and test the constraint directly."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    if 2 ** n > budget:
-        raise BudgetExceeded(f"2**{n} strings exceed budget {budget}")
+    _check_budget(2, n, budget)
     # cell k - 1 holds x_k; the pair (x_{k/q}, x_k) may not be (1, 1)
     pairs = [((k // q - 1, k - 1), (1, 1)) for k in range(q, n + 1, q)]
     search = _search([(0, 1)] * n, _occurrence_checks(pairs, n))

@@ -11,8 +11,8 @@ ratios that decide whether a family behaves two-dimensionally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class ExpandingSystem:
     name: str
     generator: Callable[[int], FiniteLattice]
     n0: int = 1
-    metadata: Mapping[str, object] = field(default_factory=dict)
 
     def lattice(self, n: int) -> FiniteLattice:
         if n < self.n0:
@@ -139,7 +138,7 @@ def omega_q(q: int, n: int) -> FiniteLattice:
 
 
 def omega_q_system(q: int) -> ExpandingSystem:
-    return ExpandingSystem(f"omega_q:{q}", lambda n: omega_q(q, n), metadata={"q": q})
+    return ExpandingSystem(f"omega_q:{q}", lambda n: omega_q(q, n))
 
 
 def row_census(q: int, n: int) -> dict[int, int]:
@@ -205,11 +204,8 @@ def stick_system(v, a_target: float) -> ExpandingSystem:
         return max(0, round(n * n * (1 - a_target) / a_target) - 1)
 
     vx, vy = int(v[0]), int(v[1])
-    return ExpandingSystem(
-        f"stick:{vx},{vy}:a={a_target:g}",
-        lambda n: stick_augmented(n, (vx, vy), b_of(n)),
-        metadata={"v": (vx, vy), "a_target": a_target, "b": b_of, "nested": False},
-    )
+    return ExpandingSystem(f"stick:{vx},{vy}:a={a_target:g}",
+                           lambda n: stick_augmented(n, (vx, vy), b_of(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +264,6 @@ class ConditionReport:
     tessellation: str
     rows: tuple[ConditionRow, ...]
     verdicts: dict[str, str]
-
-    def ratios(self, key: str) -> list[float]:
-        return _ratio_columns(self.rows, self.m_max, self.block_sizes)[key]
 
 
 def _ratio_columns(rows, m_max: int, block_sizes) -> dict[str, list[float]]:

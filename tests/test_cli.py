@@ -183,6 +183,7 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
         ["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q"}'],
         ["reproduce", "eq1_11", "--q", "1"],
         ["reproduce", "eq1_13", "--q", "0"],
+        ["count", "--spec", "golden-mean-h", "--lattice", "rect:3,2,9223372036854775807,0"],
     ]
     for i, text in enumerate((
         '[[0, 0], [1, 0]]',
@@ -190,6 +191,9 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
         '{"type": "points", "points": 5}',
         '{"type": "points", "points": [[0, 0], 5]}',
         '{"type": "generator", "name": ["rect"]}',
+        # coordinates, or a run's end one past the last cell, beyond int64
+        '{"type": "points", "points": [[1180591620717411303424, 0]]}',
+        '{"type": "points", "points": [[9223372036854775807, 0]]}',
     )):
         path = tmp_path / f"lattice{i}.json"
         path.write_text(text)
@@ -268,6 +272,21 @@ def test_projectional_vertical(capsys):
     assert code == 0
     for line in out.strip().splitlines():
         assert float(line.split()[1]) == pytest.approx(math.log(2), rel=1e-12)
+
+
+def test_projectional_unconstrained_past_frontier_cap(capsys, tmp_path):
+    # no hard-square shape fits a diagonal segment, so its local counts are
+    # 2**n even past the sweep's frontier cap and the brute-force budget
+    spec = tmp_path / "hard-squares.json"
+    spec.write_text('{"N": 2, "forbidden": [[[0,0,1],[1,0,1]], [[0,0,1],[0,1,1]]]}')
+    code, out, err = run_cli(
+        capsys, "projectional", "--spec", str(spec), "--v", "1,1", "--n-max", "30",
+        "--format", "json",
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert [r["log_count"] for r in data["records"]] == [math.log(2 ** n) for n in range(1, 31)]
+    assert data["note"] == "no forbidden shape fits the segment; full-shift counts"
 
 
 @pytest.mark.parametrize(

@@ -288,6 +288,15 @@ def test_sweep_skips_absent_stretches():
         count_bruteforce(p, HARD_SQUARE).value for p in parts)
 
 
+def test_axis_product_large_alphabet():
+    # each length step costs O(N + forbidden pairs), not O(N**2): 2.4 s when
+    # every pair of the 4,000 symbols was visited
+    t0 = time.perf_counter()
+    assert count(rectangle((0, 0), 3, 3), full_shift(4000)).value == 4000**9
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1, f"full:4000 on 3x3 took {elapsed:.1f}s"
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from sftent import (
+    BudgetExceeded,
     count,
     count_multiplicative,
     count_multiplicative_bruteforce,
@@ -25,6 +26,14 @@ def test_fibonacci_matches_strip_counts():
     spec = golden_mean_horizontal()
     for m in range(1, 31):
         assert fibonacci(m) == count(rectangle((0, 0), m, 1), spec).value
+
+
+def test_bruteforce_budget_counts_strings():
+    # the shared rule: 2**n strings may not exceed the budget
+    assert count_multiplicative_bruteforce(10, 2, budget=2**10) == count_multiplicative(10, 2)
+    for n, budget in ((10, 2**10 - 1), (25, 2**24)):
+        with pytest.raises(BudgetExceeded):
+            count_multiplicative_bruteforce(n, 2, budget=budget)
 
 
 def test_fiber_decomposition_examples():

@@ -314,9 +314,7 @@ def test_self_tessellation_rejects_non_tiling_family():
     from sftent import FiniteLattice
 
     system = rect_system(lambda n: n, lambda n: n, "u-fam")
-    u_system = type(system)(
-        "u-pentomino", lambda n: FiniteLattice(base), 1, {}
-    )
+    u_system = type(system)("u-pentomino", lambda n: FiniteLattice(base), 1)
     with pytest.raises(ValueError):
         condition_report(u_system, range(1, 4), tessellation="self")
 
