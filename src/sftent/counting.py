@@ -11,16 +11,17 @@ lattice:
   shapes fit a 2x2 window.  When constraints never leave a single row (or
   column) the count factorises over maximal runs and is evaluated as a product
   of 1-D transfer counts, which keeps lattices with millions of cells exact.
-  Otherwise a broken-profile sweep orders the bounding box column-major, or
-  row-major when it is taller than wide, so the frontier (at most
-  ``FRONTIER_CAP`` cells) lies along its shorter side.  Its bans come from
-  ``placements``, as the search's do, each attached to its last cell.  The
-  live frontier states are one numpy array of base-N integer codes, the
-  newest cell least significant, kept sorted by code beside one column of
-  weights, Python ints (``dtype=object``) for exact counts.  A position of
-  the box outside the lattice holds digit 0 and ends no placement; a step
-  whose cell and frontier are all outside is skipped.  Codes are int64 while
-  ``N ** (frontier + 1) < 2**63`` and Python ints beyond.
+  Otherwise a broken-profile sweep orders the cells column-major, or
+  row-major when the bounding box is taller than wide, so the frontier (at
+  most ``FRONTIER_CAP`` cells) lies along its shorter side.  It steps through
+  the lattice's own columns, a stretch of more than two empty ones shortened
+  to two, so its cost does not grow with the gaps between cells.  Its bans
+  come from ``placements``, as the search's do, each attached to its last
+  cell.  The live frontier states are one numpy array of base-N integer
+  codes, the newest cell least significant, kept sorted by code beside one
+  column of weights, Python ints (``dtype=object``) for exact counts.  A
+  position outside the lattice holds digit 0 and ends no placement.  Codes
+  are int64 while ``N ** (frontier + 1) < 2**63`` and Python ints beyond.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -213,35 +214,42 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     (the bounding box's shorter side), each position's context (-1 off the
     lattice, else one bit per pattern shape ending there) and per context the
     bans (banned symbol, (back distance, symbol) per other cell).  Position
-    ``x * h + y`` holds (x, y), relative to the box, when the box is at least
-    as wide as tall (column-major), else ``y * h + x``.
+    ``column * h + row`` holds a cell, columns running along the box's longer
+    side (x when the box is at least as wide as tall, else y) and rows counted
+    from its edge.  Only the lattice's own columns are laid out: a stretch of
+    more than two empty columns shortens to two, where the sweep's state is
+    already the single zero code.
     """
     (ox, oy), w, h = lat.bbox
-    context = np.full(w * h, -1, dtype=np.int16)    # at most 15 shapes fit a 2x2 window
     major, h = (0, h) if w >= h else (1, w)
-    local = lat.translate((-ox, -oy))                # small coordinates pack into keys
-    def position(x, y):
-        return (x, y)[major] * h + (x, y)[1 - major]
-    context[position(*local.coords.T)] = 0
+    edge = (ox, oy)[1 - major]
+    cols = (lat._truns if major == 0 else lat._runs)[:, 0]    # sorted, with repeats
+    # column gaps in uint64 are exact however far apart; a gap past 3 (two
+    # empty columns) becomes 3
+    gaps = np.minimum(np.diff(cols.view(np.uint64)), 3).astype(np.int64)
+    column = np.append(0, gaps.cumsum())
+    def position(cells):
+        return column[np.searchsorted(cols, cells[:, major])] * h + (cells[:, 1 - major] - edge)
+    context = np.full((column[-1] + 1) * h, -1, dtype=np.int16)    # 15 shapes fit a 2x2 window
+    context[position(lat.coords)] = 0
     shape_bit: dict = {}
     bans = []
     for pat in spec.forbidden:
         *others, (last, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
         if pat.shape not in shape_bit:
             shape_bit[pat.shape] = bit = 1 << len(shape_bit)
-            ends = _placement_vectors(pat.shape, local) + last
-            context[position(*ends.T)] |= bit
-        back = tuple((position(*last) - position(*p), s) for p, s in others)
+            context[position(_placement_vectors(pat.shape, lat) + last)] |= bit
+        back = tuple(((last[major] - p[major]) * h + last[1 - major] - p[1 - major], s)
+                     for p, s in others)
         bans.append((shape_bit[pat.shape], sym, back))
     table = {code: [(sym, back) for bit, sym, back in bans if code & bit]    # codes in use
              for code in np.flatnonzero(np.bincount(context[context >= 0])).tolist()}
-    return h, context, table
+    return h, context.tolist(), table
 
 
 def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     """Run the broken-profile DP; returns the exact count or its natural log."""
     h, context, table = _sweep_bans(lat, spec)
-    present = context >= 0
     n = spec.alphabet_size
     # a state is the last h + 1 cells' symbols as one base-n code, the newest
     # cell least significant; absent cells hold digit 0.  States stay sorted by
@@ -252,16 +260,11 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     codes = np.zeros(1, dtype=dtype)
     weights = np.ones(1, dtype=np.float64 if log_domain else object)
     log_scale = 0.0
-    # where a cell and the h + 1 cells the state holds are all absent, the
-    # state is the single zero code and the step changes nothing
-    live = present.copy()
-    for k in range(1, h + 2):
-        live[k:] |= present[:-k]
-    for t in np.flatnonzero(live).tolist():
-        if present[t]:
+    for t, here in enumerate(context):
+        if here >= 0:
             ok = np.ones((len(codes), n), dtype=bool)
             digits: dict = {}
-            for sym, back in table[context[t]]:
+            for sym, back in table[here]:
                 hit = np.ones(len(codes), dtype=bool)    # a single-cell ban hits all
                 for d, s in back:
                     if d not in digits:
@@ -277,7 +280,7 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
         # the oldest digit leaves the frontier; only a present cell there can
         # make two states meet.  Otherwise the successors, in state order then
         # symbol order, are already sorted
-        merging = t > h and present[t - h - 1]
+        merging = t > h and context[t - h - 1] >= 0
         dest = (codes % top if merging else codes)[rows] * n + syms
         del codes, syms
         if not merging:

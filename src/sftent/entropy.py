@@ -18,7 +18,7 @@ from operator import itemgetter
 from .counting import count, log_count
 from .errors import NonPrimitiveVector
 from .lattice import FiniteLattice, Point, rectangle
-from .sft import SftSpec, golden_mean_horizontal, golden_mean_vertical, placements
+from .sft import SftSpec, golden_mean_horizontal, golden_mean_vertical
 from .systems import ExpandingSystem
 
 LOG_GOLDEN_MEAN = math.log((1 + math.sqrt(5)) / 2)
@@ -116,26 +116,40 @@ def segment(v, n: int) -> FiniteLattice:
     return FiniteLattice([(s * vx, s * vy) for s in range(n)])
 
 
+def _along(spec: SftSpec, v: Point) -> SftSpec:
+    """The spec seen along direction v: the forbidden patterns whose cells are
+    c0 + k*v, each as a 1-D pattern in k along the x axis."""
+    line = []
+    for pat in spec.forbidden:
+        (x0, y0), _ = pat.cells[0]
+        ks = [(p.x - x0) // v.x if v.x else (p.y - y0) // v.y for p, _ in pat.cells]
+        if all((k * v.x, k * v.y) == (p.x - x0, p.y - y0) for k, (p, _) in zip(ks, pat.cells)):
+            line.append([((k, 0), s) for k, (_, s) in zip(ks, pat.cells)])
+    return SftSpec.make(spec.alphabet_size, line)
+
+
 def projectional_entropy(
     spec: SftSpec, v, n_max: int, margin: int | None = None
 ) -> EntropySequence:
     """Entropy of the restriction to the line through a primitive direction.
 
     Counts patterns on the n-point segments along v: local counts when
-    `margin` is None, else extendable counts with that margin.  When no
-    forbidden shape fits inside the longest segment, none fits a shorter one,
-    so the local counts are the full-shift powers N**n; the note flags it.
+    `margin` is None, else extendable counts with that margin.  A local count
+    is the count on an n x 1 row under the spec restricted to v, so a 2x2-window
+    spec takes the axis product at any n.  The note flags that no restricted
+    pattern fits the longest segment: the local counts are then N**n.
     """
     vp = _require_primitive(v)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    longest = segment(vp, n_max)
-    constrained = any(placements(pat.shape, longest) for pat in spec.forbidden)
-    powers = not constrained and margin is None      # the local counts are N**n
+    line = _along(spec, vp)
+    constrained = any(pat.extent[0] < n_max for pat in line.forbidden)
     records = []
     for n in range(1, n_max + 1):
-        value = (spec.alphabet_size ** n if powers
-                 else count(segment(vp, n), spec, margin=margin).value)
+        if margin is None:
+            value = count(rectangle((0, 0), n, 1), line).value
+        else:
+            value = count(segment(vp, n), spec, margin=margin).value
         lc = math.log(value) if value else float("-inf")
         records.append(EntropyRecord(n, n, lc, lc / n))
     note = "" if constrained else "no forbidden shape fits the segment; full-shift counts"

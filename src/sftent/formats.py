@@ -184,6 +184,8 @@ def parse_size_expr(text: str) -> Callable[[int], int]:
             base, exp = tok.split("^", 1)
             if base == "n":
                 k = int(exp)
+                if k < 0:
+                    raise FormatError(f"size expression exponents must be >= 0, got {tok!r}")
                 return lambda n: n ** k
             if exp == "n":
                 b = int(base)

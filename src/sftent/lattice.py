@@ -75,6 +75,16 @@ def _check_coords(lo: int, hi: int) -> None:
         raise ValueError(f"lattice coordinates must lie in [-2**63, 2**63 - 1), got {lo}..{hi}")
 
 
+def _moved_back(runs: np.ndarray, x: int, y: int) -> np.ndarray:
+    """`runs` moved by (-x, -y), less the cells that would leave the coordinate
+    range [-2**63, 2**63 - 1): no coordinate wraps."""
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    runs = runs[(runs[:, 0] >= lo + max(y, 0)) & (runs[:, 0] < hi + min(y, 0))]
+    # np.clip would page in about 0.4 MB more code on first use
+    ends = np.minimum(np.maximum(runs[:, 1:], lo + max(x, 0)), hi + min(x, 0))
+    return np.column_stack([runs[:, 0] - y, ends - x])[ends[:, 0] < ends[:, 1]]
+
+
 def _band(g0: int, count: int, a: int, b: int) -> np.ndarray:
     """Runs [a, b) in `count` consecutive groups from g0."""
     runs = np.empty((count, 3), dtype=np.int64)
@@ -205,6 +215,8 @@ class FiniteLattice:
 
     def translate(self, v) -> "FiniteLattice":
         dx, dy = int(v[0]), int(v[1])
+        (ox, oy), w, h = self.bbox
+        _check_coords(min(ox + dx, oy + dy), max(ox + dx + w, oy + dy + h) - 1)
         return FiniteLattice._from_runs(self._runs + np.array([dy, dx, dx], dtype=np.int64))
 
     def transpose(self) -> "FiniteLattice":
@@ -233,6 +245,8 @@ def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return lat
+    (ox, oy), w, h = lat.bbox
+    _check_coords(min(ox, oy) - radius, max(ox + w, oy + h) - 1 + radius)
     wide = lat._runs + np.array([0, -radius, radius], dtype=np.int64)
     return FiniteLattice._from_runs(
         _cover(lambda c: c >= 1, *[(wide, dy, 1) for dy in range(-radius, radius + 1)])

@@ -3,7 +3,9 @@
 A spec is an alphabet size N plus a finite list of forbidden patterns, each a
 symbol assignment on a finite shape.  A pattern on a finite lattice is locally
 admissible when no forbidden pattern occurs at any placement of its shape that
-lies fully inside the pattern's support.
+lies fully inside the pattern's support.  Placements are read from the
+lattice's row runs by the coverage kernel, so they hold for any coordinates
+in the lattice's range [-2**63, 2**63 - 1).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SymbolOutOfRange
-from .lattice import FiniteLattice, Point
+from .lattice import FiniteLattice, Point, _cells, _cover, _moved_back
 
 
 @dataclass(frozen=True)
@@ -210,28 +212,20 @@ BUILTIN_SPECS = {
 # ---------------------------------------------------------------------------
 
 
-def _keys(coords: np.ndarray) -> np.ndarray:
-    """Pack (x, y) rows into int64 keys, collision-free on [-2**31, 2**31)."""
-    if coords.size and (coords.min() < -2**31 or coords.max() >= 2**31):
-        raise ValueError("coordinates outside [-2**31, 2**31) cannot be packed")
-    return coords[:, 1] * np.int64(2**32) + coords[:, 0]
-
-
 def _placement_vectors(shape: FiniteLattice, lat: FiniteLattice) -> np.ndarray:
-    """`placements` as a (K, 2) int64 array: the one test of what lies inside."""
+    """`placements` as a (K, 2) int64 array: the one test of what lies inside.
+
+    The vectors are the cells covered by every translate of `lat` by minus a
+    shape cell, met by the coverage kernel over row runs."""
     if len(shape) == 0 or len(lat) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    # lat.coords are in canonical order, so the candidates and vectors are too
-    candidates = lat.coords - shape.coords[0]       # (P, 2) candidate vectors
-    offs = shape.coords[np.newaxis, :, :]           # (1, S, 2)
-    cells = candidates[:, np.newaxis, :] + offs     # (P, S, 2)
-    keys, probe = _keys(lat.coords), _keys(cells.reshape(-1, 2))    # keys ascend
-    inside = keys[np.minimum(np.searchsorted(keys, probe), len(keys) - 1)] == probe
-    return candidates[inside.reshape(len(lat), len(shape)).all(axis=1)]
+    moved = [(_moved_back(lat._runs, x, y), 0, 1) for x, y in shape.coords.tolist()]
+    return np.column_stack(_cells(_cover(lambda c: c == len(shape), *moved)))
 
 
 def placements(shape: FiniteLattice, lat: FiniteLattice) -> list[Point]:
-    """Translation vectors v with shape + v fully inside lat, canonical order."""
+    """Translation vectors v with shape + v fully inside lat, canonical order;
+    like points, vectors lie in [-2**63, 2**63 - 1)."""
     return [Point(x, y) for x, y in _placement_vectors(shape, lat).tolist()]
 
 

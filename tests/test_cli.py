@@ -78,8 +78,9 @@ def test_parse_size_expr():
     assert parse_size_expr("2^n")(6) == 64
     assert parse_size_expr("3*n")(5) == 15
     assert parse_size_expr("7")(99) == 7
-    with pytest.raises(FormatError):
-        parse_size_expr("n!")
+    for text in ("n!", "4*n^-1"):     # the grammar is integer-only: n^-1 is no size
+        with pytest.raises(FormatError):
+            parse_size_expr(text)
 
 
 def test_resolve_system_shorthand_and_json():
@@ -287,6 +288,38 @@ def test_projectional_unconstrained_past_frontier_cap(capsys, tmp_path):
     data = json.loads(out)
     assert [r["log_count"] for r in data["records"]] == [math.log(2 ** n) for n in range(1, 31)]
     assert data["note"] == "no forbidden shape fits the segment; full-shift counts"
+
+
+def test_projectional_diagonal_pattern_past_frontier_cap(capsys, tmp_path):
+    # the spec restricted to (1, 1) forbids 11 along the segment: golden-mean
+    # counts, by the axis product, where the 2-D routes ran out of budget
+    spec = tmp_path / "diag.json"
+    spec.write_text('{"N": 2, "forbidden": [[[0,0,1],[1,1,1]]]}')
+    code, out, err = run_cli(
+        capsys, "projectional", "--spec", str(spec), "--v", "1,1", "--n-max", "30",
+        "--format", "json",
+    )
+    assert code == 0 and err == ""
+    fib = [1, 2]   # fib[n]: binary strings of length n with no 11
+    for _ in range(30):
+        fib.append(fib[-1] + fib[-2])
+    records = json.loads(out)["records"]
+    assert [r["log_count"] for r in records] == [math.log(fib[n]) for n in range(1, 31)]
+
+
+def test_count_anywhere_in_the_coordinate_range(capsys, tmp_path):
+    # the L-triomino spec goes to brute force, which no longer packs coordinates
+    spec = tmp_path / "l3.json"
+    spec.write_text('{"N": 2, "forbidden": [[[0,0,1],[1,0,1],[0,1,1]], [[0,0,0],[1,0,0],[2,0,0]]]}')
+    for lattice in ("rect:3,3", "rect:3,3,4294967296,0"):
+        assert run_cli(capsys, "count", "--spec", str(spec), "--lattice", lattice) == (
+            0, "185 local 9\n", "")
+    # the dilation by 2 would leave int64: an error, not a count on a wrapped ring
+    code, out, err = run_cli(
+        capsys, "count", "--spec", "golden-mean-h", "--lattice", "rect:3,1,-9223372036854775808,0",
+        "--mode", "ext:2",
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize(

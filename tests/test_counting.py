@@ -265,27 +265,67 @@ def test_sweep_single_cell_bans_large_alphabets():
 
 
 def test_sweep_skips_absent_stretches():
-    # a 21 x 100001 bounding box holding two cells: steps far from a present
-    # cell meet the single zero state and are skipped, so the sweep costs time
-    # in cells, not in its box (about 10 s when every cell was swept); its
-    # per-position arrays are one int16 context and two booleans, about 8 MiB
-    lat = FiniteLattice([(0, 0), (20, 10**5)])
-    t0 = time.perf_counter()
-    tracemalloc.start()
-    try:
-        assert count(lat, HARD_SQUARE).value == 4
-        assert log_count(lat, HARD_SQUARE) == math.log(4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 2, f"two cells in a long bounding box took {elapsed:.1f}s"
-    assert peak < 16 * 2**20, f"two cells in a long bounding box peaked at {peak / 2**20:.1f} MiB"
-    # far-apart clusters factorise across the skipped stretches
+    # two cells in a 21 x 100001 and a 2**26 x 1 bounding box: the sweep lays
+    # out only the lattice's own columns, a long empty stretch shortened to
+    # two, so it costs time and memory in cells, not in its box (about 10 s
+    # when every box cell was swept; 256 MiB at 2**26 with per-box arrays)
+    for lat in (FiniteLattice([(0, 0), (20, 10**5)]), FiniteLattice([(0, 0), (2**26, 0)])):
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            assert count(lat, HARD_SQUARE).value == 4
+            assert log_count(lat, HARD_SQUARE) == math.log(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 2, f"two cells in a long bounding box took {elapsed:.1f}s"
+        assert peak < 16 * 2**20, (
+            f"two cells in a long bounding box peaked at {peak / 2**20:.1f} MiB")
+    # far-apart clusters factorise across the skipped stretches, even more
+    # than 2**63 columns apart
     parts = [rectangle((0, 0), 3, 3), rectangle((18, 5000), 3, 2), FiniteLattice([(9, 70000)])]
     lat = parts[0].union(parts[1]).union(parts[2])
     assert count(lat, HARD_SQUARE).value == math.prod(
         count_bruteforce(p, HARD_SQUARE).value for p in parts)
+    ends = [rectangle((-2**63, 0), 2, 3), rectangle((2**62 + 5, 1), 3, 3)]
+    assert count(ends[0].union(ends[1]), HARD_SQUARE).value == math.prod(
+        count_bruteforce(p, HARD_SQUARE).value for p in ends)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_specs(), st.randoms(use_true_random=False), st.booleans())
+def test_sweep_factorises_over_far_clusters(spec, rnd, vertical):
+    # 2-4 connected clusters along one axis, one to 10**6 empty columns apart:
+    # no 2x2 window meets two, so the count is the product of theirs
+    parts, x = [], 0
+    for _ in range(rnd.randint(2, 4)):
+        part = random_connected_lattice(rnd, 5)
+        (ox, oy), w, _ = part.bbox
+        part = part.translate((x - ox, rnd.randint(0, 8) - oy))
+        parts.append(part.transpose() if vertical else part)
+        x += w + rnd.choice((rnd.randint(1, 4), rnd.randint(1, 10**6)))
+    lat = FiniteLattice(np.concatenate([p.coords for p in parts]))
+    expected = math.prod(count_bruteforce(p, spec).value for p in parts)
+    assert count_profile_dp(lat, spec).value == expected
+    assert count_profile_dp(lat.transpose(), spec.transpose()).value == expected
+    if expected == 0:
+        assert log_count(lat, spec) == -math.inf
+    else:
+        assert log_count(lat, spec) == pytest.approx(math.log(expected), rel=1e-12)
+
+
+def test_every_route_ignores_where_the_lattice_lies():
+    # brute force, sweep, axis product and extendable counts far from the origin
+    l3 = SftSpec.make(2, [[((0, 0), 1), ((1, 0), 1), ((0, 1), 1)],
+                          [((0, 0), 0), ((1, 0), 0), ((2, 0), 0)]])
+    lat = rectangle((0, 0), 4, 3).difference(FiniteLattice([(2, 1)]))
+    far = lat.translate((2**40, -2**40))
+    for spec in (HARD_SQUARE, GM_H, l3):
+        assert count(far, spec).value == count(lat, spec).value
+        assert count_bruteforce(far, spec).value == count_bruteforce(lat, spec).value
+        assert count_extendable(far, spec, 1).value == count_extendable(lat, spec, 1).value
+    assert count(far, HARD_SQUARE).value == count_bruteforce(lat, HARD_SQUARE).value
 
 
 def test_axis_product_large_alphabet():

@@ -21,7 +21,6 @@ from sftent import (
     interior,
     is_tessellation,
     lshape,
-    placements,
     rectangle,
     run_census,
     run_length_class,
@@ -147,14 +146,16 @@ def test_set_algebra_exact_on_unpackable_coordinates():
     assert edge.issubset(edge.union(FiniteLattice([(0, 1)])))
 
 
-def test_placements_reject_unpackable_coordinates():
-    with pytest.raises(ValueError):
-        placements(FiniteLattice([(0, 0)]), FiniteLattice([(2**31, 0)]))
-    with pytest.raises(ValueError):
-        placements(FiniteLattice([(0, 0)]), FiniteLattice([(0, -2**31 - 1)]))
-    assert placements(FiniteLattice([(0, 0)]), FiniteLattice([(2**31 - 1, -2**31)])) == [
-        (2**31 - 1, -2**31)
-    ]
+def test_translate_and_dilate_stay_in_the_coordinate_range():
+    # a move past int64 must raise, not wrap: (2**63 - 3) + 5 would read as -2**63 + 2
+    top, bottom = FiniteLattice([(2**63 - 3, 0)]), FiniteLattice([(0, -2**63)])
+    for move in (lambda: top.translate((5, 0)), lambda: dilate(top, 4),
+                 lambda: bottom.translate((0, -1)), lambda: dilate(bottom, 1),
+                 lambda: FiniteLattice().translate((2**63, 0))):
+        with pytest.raises(ValueError):
+            move()
+    assert top.translate((1, -2**63)) == FiniteLattice([(2**63 - 2, -2**63)])
+    assert dilate(top, 1) == rectangle((2**63 - 4, -1), 3, 3)
 
 
 def test_empty_lattice_is_legal():

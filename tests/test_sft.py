@@ -127,6 +127,28 @@ def random_points(rng):
     return points or {(ox, oy)}
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_placements_exact_on_any_int64_coordinates(seed):
+    # placements meet row runs, so they hold wherever a lattice lies: at the
+    # origin, at 2**32, and touching -2**63 or 2**63 - 2, where moving a run
+    # back by a shape cell must not wrap.  Vectors are coordinates too: one
+    # outside [-2**63, 2**63 - 1) (a shape clear of its own origin) is not listed
+    rng = random.Random(seed)
+    points = random_points(rng)
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    shapes = ORACLE_SHAPES + [[(0, 0), (-1, 0)], [(0, -1), (0, 0), (-1, 1)]]
+    for dx, dy in ((0, 0), (2**32, -2**32), (-2**63 - min(xs), 0), (0, -2**63 - min(ys)),
+                   (2**63 - 2 - max(xs), 2**63 - 2 - max(ys))):
+        moved = {(x + dx, y + dy) for x, y in points}
+        lat = FiniteLattice(moved)
+        for offsets in shapes:
+            expected = placements_reference(offsets, moved)
+            assert placements(FiniteLattice(offsets), lat) == [
+                v for v in expected if -2**63 <= min(v) and max(v) < 2**63 - 1]
+    domino = FiniteLattice([(0, 0), (1, 0)])
+    assert placements(domino, FiniteLattice([(-2**63, 0), (-2**63 + 1, 0)])) == [(-2**63, 0)]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_placements_and_occurrences_match_set_reference(seed):
     rng = random.Random(seed)
