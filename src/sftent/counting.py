@@ -12,16 +12,17 @@ lattice:
   column) the count factorises over maximal runs and is evaluated as a product
   of 1-D transfer counts, which keeps lattices with millions of cells exact.
   Otherwise a broken-profile sweep orders the cells column-major, or
-  row-major when the bounding box is taller than wide, so the frontier (at
-  most ``FRONTIER_CAP`` cells) lies along its shorter side.  It steps through
-  the lattice's own columns, a stretch of more than two empty ones shortened
-  to two, so its cost does not grow with the gaps between cells.  Its bans
-  come from ``placements``, as the search's do, each attached to its last
-  cell.  The live frontier states are one numpy array of base-N integer
-  codes, the newest cell least significant, kept sorted by code beside one
-  column of weights, Python ints (``dtype=object``) for exact counts.  A
-  position outside the lattice holds digit 0 and ends no placement.  Codes
-  are int64 while ``N ** (frontier + 1) < 2**63`` and Python ints beyond.
+  row-major when the bounding box is taller than wide, so the frontier lies
+  along its shorter side; a step whose live states times N pass
+  ``DEFAULT_BUDGET`` raises BudgetExceeded.  It steps through the lattice's
+  own columns, a stretch of more than two empty ones shortened to two, so
+  its cost does not grow with the gaps between cells.  Its bans come from
+  ``placements``, as the search's do, each attached to its last cell.  The
+  live frontier states are one numpy array of base-N integer codes, the
+  newest cell least significant, kept sorted by code beside one column of
+  weights, Python ints (``dtype=object``) for exact counts.  A position
+  outside the lattice holds digit 0 and ends no placement.  Codes are int64
+  while ``N ** (frontier + 1) < 2**63`` and Python ints beyond.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -42,8 +43,7 @@ from .errors import BudgetExceeded, SymbolOutOfRange, UnsupportedForbiddenShape
 from .lattice import FiniteLattice, _run_lengths, dilate
 from .sft import CountResult, SftSpec, _placement_vectors, forbidden_occurrences
 
-DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| for exhaustive routes
-FRONTIER_CAP = 24            # cap on the broken-profile frontier length
+DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on a sweep step's states * N
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def count_bruteforce(
     free = len(lat) - sum(p in lat for p in fixed or ())
     _check_budget(spec.alphabet_size, free, budget)
     value = sum(len(leaves) for _, leaves in _search(*_domains(lat, spec, fixed)))
-    return CountResult(value, "local", len(lat))
+    return CountResult(value, len(lat))
 
 
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
@@ -201,7 +201,7 @@ def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
         return math.prod(c ** mult for c, mult in runs)
     if any(c == 0 for c, _ in runs):
         return float("-inf")
-    return sum(mult * math.log(c) for c, mult in runs)
+    return sum((mult * math.log(c) for c, mult in runs), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,8 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     log_scale = 0.0
     for t, here in enumerate(context):
         if here >= 0:
+            if len(codes) * n > DEFAULT_BUDGET:    # bounds every array this step allocates
+                raise BudgetExceeded(f"{len(codes)} states * {n} exceed budget {DEFAULT_BUDGET}")
             ok = np.ones((len(codes), n), dtype=bool)
             digits: dict = {}
             for sym, back in table[here]:
@@ -312,37 +314,24 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     return sum(weights.tolist())
 
 
-def _local_route(lat: FiniteLattice, spec: SftSpec):
-    """The local-count engine for `lat` (None for the empty lattice).  Raises
-    UnsupportedForbiddenShape past the 2x2 window and BudgetExceeded when a
-    two-axis sweep's frontier, the shorter bounding-box side, passes the cap."""
+def _local_route(spec: SftSpec):
+    """The axis product for single-axis specs, else the profile sweep; raises
+    UnsupportedForbiddenShape past the 2x2 window."""
     if not spec.window2x2:
         raise UnsupportedForbiddenShape(
             "profile DP requires every forbidden shape to fit a 2x2 window"
         )
-    if len(lat) == 0:
-        return None
-    if spec.pure_axis is not None:
-        return _axis_product
-    _, w, h = lat.bbox
-    if min(w, h) > FRONTIER_CAP:
-        raise BudgetExceeded(
-            f"frontier length {min(w, h)} exceeds cap {FRONTIER_CAP} for a two-axis spec"
-        )
-    return _profile_sweep
+    return _axis_product if spec.pure_axis is not None else _profile_sweep
 
 
 def count_profile_dp(lat: FiniteLattice, spec: SftSpec) -> CountResult:
     """Exact count via run products (single-axis specs) or the profile sweep."""
-    route = _local_route(lat, spec)
-    value = 1 if route is None else route(lat, spec, log_domain=False)
-    return CountResult(value, "local", len(lat))
+    return CountResult(_local_route(spec)(lat, spec, log_domain=False), len(lat))
 
 
 def log_count(lat: FiniteLattice, spec: SftSpec) -> float:
     """Natural log of the local count, evaluated without bigint blowup."""
-    route = _local_route(lat, spec)
-    return 0.0 if route is None else route(lat, spec, log_domain=True)
+    return _local_route(spec)(lat, spec, log_domain=True)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +356,14 @@ def count_extendable(
         raise ValueError("margin must be >= 0")
     if margin == 0:
         base = count(lat, spec, budget=budget)
-        return CountResult(base.value, "extendable", len(lat), margin=0)
+        return CountResult(base.value, len(lat), margin=0)
     dilated = dilate(lat, margin)
     core_points = list(lat)
     kept = sum(
         admissible_extension_exists(dilated, spec, dict(zip(core_points, symbols)), budget=budget)
         for symbols in enumerate_admissible(lat, spec, budget=budget)
     )
-    return CountResult(kept, "extendable", len(lat), margin=margin)
+    return CountResult(kept, len(lat), margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +383,7 @@ def count(
     """
     if margin is not None:
         return count_extendable(lat, spec, margin, budget=budget)
-    try:      # the DP refuses shapes past a 2x2 window and frontiers past the cap
+    try:      # the DP refuses shapes past a 2x2 window and sweeps past the budget
         return count_profile_dp(lat, spec)
     except (UnsupportedForbiddenShape, BudgetExceeded):
         return count_bruteforce(lat, spec, budget=budget)

@@ -12,6 +12,8 @@ constants, n, n^2, 2^n, and products thereof).
 from __future__ import annotations
 
 import json
+import math
+import re
 from typing import Callable
 
 from .lattice import FiniteLattice, rectangle
@@ -46,14 +48,24 @@ def real_text(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value) -> int:
+    """A JSON integer; bools, floats, strings and the rest raise FormatError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FormatError(f"expected an integer, got {value!r}")
+
+
 def _pair(value) -> tuple[int, int]:
-    x, y = value
-    return int(x), int(y)
+    try:
+        x, y = value
+        return _integer(x), _integer(y)
+    except (TypeError, ValueError):
+        raise FormatError(f"expected a pair of integers, got {value!r}") from None
 
 
 # parameter name -> converter for every generator; pairs take two shorthand numbers
-_CONVERT: dict[str, Callable] = {"m": int, "n": int, "q": int, "b": int, "origin": _pair,
-                                 "v": _pair, "a_target": float, "w": str, "h": str}
+_CONVERT: dict[str, Callable] = {**dict.fromkeys("mnqb", _integer), "origin": _pair, "v": _pair,
+                                 "a_target": float, "w": str, "h": str}
 
 
 def _build(registry: dict, kind: str, name, params: dict):
@@ -75,6 +87,8 @@ def _shorthand(text: str, registry: dict) -> tuple[str, dict]:
     """'name:a,b,...' -> (name, parameter dict); pair parameters take two numbers."""
     name, _, rest = text.partition(":")
     tokens, params = rest.split(",") if rest else [], {}
+    # tokens int() reads as decimal integers become ints, others stay text
+    tokens = [int(t) if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", t) else t for t in tokens]
     for field in registry[name][1] if name in registry else ():
         if tokens:
             width = 2 if _CONVERT[field] is _pair else 1
@@ -108,11 +122,7 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
         pts = data.get("points")
         if not isinstance(pts, (list, tuple)):
             raise FormatError(f"lattice 'points' must be a list of integer pairs, got {pts!r}")
-        for p in pts:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2
-                    and all(isinstance(c, int) for c in p)):
-                raise FormatError(f"lattice points must be integer pairs, got {p!r}")
-        return FiniteLattice(pts)
+        return FiniteLattice([_pair(p) for p in pts])
     if kind == "generator":
         return _build(_LATTICES, "lattice generator", data.get("name"), data.get("params", {}))
     raise FormatError(f"lattice type must be 'points' or 'generator', got {kind!r}")
@@ -134,9 +144,9 @@ def load_lattice(path: str) -> FiniteLattice:
 
 def spec_from_dict(data: dict) -> SftSpec:
     try:
-        n = int(data["N"])
+        n = _integer(data["N"])
         forbidden = [
-            [((int(dx), int(dy)), int(sym)) for dx, dy, sym in pattern]
+            [((_integer(dx), _integer(dy)), _integer(sym)) for dx, dy, sym in pattern]
             for pattern in data.get("forbidden", [])
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -199,13 +209,7 @@ def parse_size_expr(text: str) -> Callable[[int], int]:
 
     parsed = [parse_factor(tok) for tok in factors]
 
-    def evaluate(n: int) -> int:
-        out = 1
-        for f in parsed:
-            out *= f(n)
-        return out
-
-    return evaluate
+    return lambda n: math.prod(f(n) for f in parsed)
 
 
 # system name -> (builder, parameters in shorthand order, defaults)

@@ -217,6 +217,8 @@ class FiniteLattice:
         dx, dy = int(v[0]), int(v[1])
         (ox, oy), w, h = self.bbox
         _check_coords(min(ox + dx, oy + dy), max(ox + dx + w, oy + dy + h) - 1)
+        # the result is in range, so the move mod 2**64 wraps onto it in int64
+        dx, dy = ((d + 2 ** 63) % 2 ** 64 - 2 ** 63 for d in (dx, dy))
         return FiniteLattice._from_runs(self._runs + np.array([dy, dx, dx], dtype=np.int64))
 
     def transpose(self) -> "FiniteLattice":

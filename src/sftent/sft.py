@@ -159,16 +159,19 @@ class Pattern:
 
 @dataclass(frozen=True)
 class CountResult:
-    """Exact pattern count with its counting-mode tag."""
+    """Exact pattern count; `mode` is "extendable" exactly when `margin` is set."""
 
     value: int
-    mode: str                    # "local" | "extendable"
     lattice_size: int
-    margin: int | None = None    # set for mode == "extendable"
+    margin: int | None = None
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("count cannot be negative")
+
+    @property
+    def mode(self) -> str:
+        return "local" if self.margin is None else "extendable"
 
 
 # ---------------------------------------------------------------------------

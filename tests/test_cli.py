@@ -172,6 +172,54 @@ def test_count_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_count_two_axis_sweep_bound_by_its_states(capsys, tmp_path):
+    # a 25 x 25 bounding box with few sweep states: counted, not refused
+    hard_squares = tmp_path / "hard-squares.json"
+    hard_squares.write_text('{"N": 2, "forbidden": [[[0,0,1],[1,0,1]], [[0,0,1],[0,1,1]]]}')
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps({"type": "points", "points": [[i, i] for i in range(25)]}))
+    assert run_cli(capsys, "count", "--spec", str(hard_squares), "--lattice", str(diagonal)) == (
+        0, "33554432 local 25\n", "")
+    # a million symbols: the sweep's second step and the brute force both exceed
+    # the budget, an exit 3 rather than a MemoryError
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"N": 1000000, "forbidden": [[[0,0,1],[1,1,1]]]}')
+    code, out, err = run_cli(capsys, "count", "--spec", str(huge), "--lattice", "rect:3,3")
+    assert code == 3 and out == "" and err.startswith("budget exceeded:")
+
+
+def test_json_integers_are_integers(capsys, tmp_path):
+    # floats, bools and strings where JSON input wants an integer are usage
+    # errors, not values cut to an int
+    specs = ['{"N": 2.7, "forbidden": [[[0,0,1.9],[1,0,"1"]]]}',
+             '{"N": 2, "forbidden": [[[0,0,1],[1,0,"1"]]]}',
+             '{"N": 2, "forbidden": [[[0,0,1],[1.0,0,1]]]}',
+             '{"N": true, "forbidden": []}']
+    lattices = ['{"type": "generator", "name": "rect", "params": {"m": 2.9, "n": true}}',
+                '{"type": "generator", "name": "rect", "params": {"m": 2, "n": "1"}}',
+                '{"type": "generator", "name": "rect", "params": {"m": 2, "n": 1, "origin": [0.5, 0]}}',
+                '{"type": "points", "points": [[true, 0]]}']
+    argvs = [["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q","q":2.5}'],
+             ["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q","q":"2"}']]
+    for i, text in enumerate(specs):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(text)
+        argvs.append(["count", "--spec", str(path), "--lattice", "rect:3,1"])
+    for i, text in enumerate(lattices):
+        path = tmp_path / f"lattice{i}.json"
+        path.write_text(text)
+        argvs.append(["count", "--spec", "golden-mean-h", "--lattice", str(path)])
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+    # JSON integers and shorthand decimals still parse
+    path = tmp_path / "rect.json"
+    path.write_text('{"type": "generator", "name": "rect", "params": {"m": 3, "n": 1, "origin": [-2, 7]}}')
+    for lattice in (str(path), "rect:3,1,-2,7"):
+        assert run_cli(capsys, "count", "--spec", "golden-mean-h", "--lattice", lattice) == (
+            0, "5 local 3\n", "")
+
+
 def test_count_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "--spec", "golden-mean-h", "--lattice", "hexagon:1")
     assert code == 2
@@ -276,8 +324,9 @@ def test_projectional_vertical(capsys):
 
 
 def test_projectional_unconstrained_past_frontier_cap(capsys, tmp_path):
-    # no hard-square shape fits a diagonal segment, so its local counts are
-    # 2**n even past the sweep's frontier cap and the brute-force budget
+    # no hard-square shape fits a diagonal segment: the spec restricted to
+    # (1, 1) forbids nothing, so the counts on an n x 1 row are 2**n at every
+    # n, however large the segment's bounding box
     spec = tmp_path / "hard-squares.json"
     spec.write_text('{"N": 2, "forbidden": [[[0,0,1],[1,0,1]], [[0,0,1],[0,1,1]]]}')
     code, out, err = run_cli(
@@ -292,7 +341,8 @@ def test_projectional_unconstrained_past_frontier_cap(capsys, tmp_path):
 
 def test_projectional_diagonal_pattern_past_frontier_cap(capsys, tmp_path):
     # the spec restricted to (1, 1) forbids 11 along the segment: golden-mean
-    # counts, by the axis product, where the 2-D routes ran out of budget
+    # counts by the axis product on an n x 1 row, not by a 2-D route on the
+    # segment's n x n bounding box
     spec = tmp_path / "diag.json"
     spec.write_text('{"N": 2, "forbidden": [[[0,0,1],[1,1,1]]]}')
     code, out, err = run_cli(

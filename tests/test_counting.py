@@ -293,6 +293,32 @@ def test_sweep_skips_absent_stretches():
         count_bruteforce(p, HARD_SQUARE).value for p in ends)
 
 
+def test_sweep_bound_is_its_state_count_not_its_frontier():
+    # a 25 x 25 bounding box, but no two diagonal cells share a window side:
+    # few states, every pattern admissible, past the brute-force budget too
+    diagonal = FiniteLattice([(i, i) for i in range(25)])
+    assert count(diagonal, HARD_SQUARE).value == 2**25
+    # the frame of a 26 x 26 square is a 100-cycle: its hard-square count is
+    # the number of independent sets of that cycle, the Lucas number L_100
+    frame = rectangle((0, 0), 26, 26).difference(rectangle((1, 1), 24, 24))
+    lucas = [2, 1]
+    for _ in range(99):
+        lucas.append(lucas[-1] + lucas[-2])
+    assert len(frame) == 100
+    assert count(frame, HARD_SQUARE).value == lucas[100]
+    assert log_count(frame, HARD_SQUARE) == pytest.approx(math.log(lucas[100]), rel=1e-12)
+
+
+def test_sweep_refuses_steps_past_the_budget():
+    # a million symbols on 3 x 3: the second cell would face 10**12 candidate
+    # successors, refused before any array is allocated
+    spec = SftSpec.make(10**6, [[((0, 0), 1), ((1, 1), 1)]])
+    square = rectangle((0, 0), 3, 3)
+    for route in (count_profile_dp, log_count, count):
+        with pytest.raises(BudgetExceeded):
+            route(square, spec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(window_specs(), st.randoms(use_true_random=False), st.booleans())
 def test_sweep_factorises_over_far_clusters(spec, rnd, vertical):
@@ -361,7 +387,10 @@ def test_dispatch_budget_exceeded():
 
 
 def test_count_empty_lattice():
-    assert count(FiniteLattice(), GM_H).value == 1
+    # both engines count the one empty pattern, with a float log
+    for spec in (GM_H, HARD_SQUARE):
+        assert count(FiniteLattice(), spec).value == 1
+        assert repr(log_count(FiniteLattice(), spec)) == "0.0"
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,9 @@ def test_translate_and_dilate_stay_in_the_coordinate_range():
         with pytest.raises(ValueError):
             move()
     assert top.translate((1, -2**63)) == FiniteLattice([(2**63 - 2, -2**63)])
+    # moves that do not fit int64 but land in range
+    assert FiniteLattice([(-2**63, 0)]).translate((2**63, 0)) == FiniteLattice([(0, 0)])
+    assert top.translate((-2**64 + 3, 0)) == FiniteLattice([(-2**63, 0)])
     assert dilate(top, 1) == rectangle((2**63 - 4, -1), 3, 3)
 
 
