@@ -13,16 +13,18 @@ lattice:
   of 1-D transfer counts, which keeps lattices with millions of cells exact.
   Otherwise a broken-profile sweep orders the cells column-major, or
   row-major when the bounding box is taller than wide, so the frontier lies
-  along its shorter side; a step whose live states times N pass
-  ``DEFAULT_BUDGET`` raises BudgetExceeded.  It steps through the lattice's
-  own columns, a stretch of more than two empty ones shortened to two, so
-  its cost does not grow with the gaps between cells.  Its bans come from
-  ``placements``, as the search's do, each attached to its last cell.  The
-  live frontier states are one numpy array of base-N integer codes, the
-  newest cell least significant, kept sorted by code beside one column of
-  weights, Python ints (``dtype=object``) for exact counts.  A position
-  outside the lattice holds digit 0 and ends no placement.  Codes are int64
-  while ``N ** (frontier + 1) < 2**63`` and Python ints beyond.
+  along its shorter side.  It steps through the lattice's own columns, a
+  stretch of more than two empty ones shortened to two, so its cost does not
+  grow with the gaps between columns.  Its bans come from ``placements``, as
+  the search's do, each attached to its last cell.  The live frontier states
+  are one numpy array of base-N integer codes, the newest cell least
+  significant, kept sorted by code beside one column of weights, Python ints
+  (``dtype=object``) for exact counts.  A position outside the lattice holds
+  digit 0 and ends no placement.  Codes are int64 while
+  ``N ** (frontier + 1) < 2**63`` and Python ints beyond.  The sweep's budget
+  is counted in code words: it raises BudgetExceeded when its positions, or
+  a step's live states times N, times the 64-bit words of one code pass
+  ``DEFAULT_BUDGET``.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -43,7 +45,7 @@ from .errors import BudgetExceeded, SymbolOutOfRange, UnsupportedForbiddenShape
 from .lattice import FiniteLattice, _run_lengths, dilate
 from .sft import CountResult, SftSpec, _placement_vectors, forbidden_occurrences
 
-DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on a sweep step's states * N
+DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +211,18 @@ def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
-    """The sweep's ban table, read from `placements`: the frontier length h
-    (the bounding box's shorter side), each position's context (-1 off the
-    lattice, else one bit per pattern shape ending there) and per context the
-    bans (banned symbol, (back distance, symbol) per other cell).  Position
+def _sweep_bans(lat: FiniteLattice, spec: SftSpec, words: int):
+    """The sweep's ban table, read from `placements`: each position's context
+    (-1 off the lattice, else one bit per pattern shape ending there) and per
+    context the bans (banned symbol, (back distance, symbol) per other cell).
+    With h the frontier length (the bounding box's shorter side), position
     ``column * h + row`` holds a cell, columns running along the box's longer
     side (x when the box is at least as wide as tall, else y) and rows counted
     from its edge.  Only the lattice's own columns are laid out: a stretch of
     more than two empty columns shortens to two, where the sweep's state is
-    already the single zero code.
+    already the single zero code.  Rows are not shortened, so the layout is
+    refused with BudgetExceeded, before it is allocated, when its positions
+    times `words` (each step rewrites every code) pass ``DEFAULT_BUDGET``.
     """
     (ox, oy), w, h = lat.bbox
     major, h = (0, h) if w >= h else (1, w)
@@ -228,9 +232,13 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     # empty columns) becomes 3
     gaps = np.minimum(np.diff(cols.view(np.uint64)), 3).astype(np.int64)
     column = np.append(0, gaps.cumsum())
+    positions = (int(column[-1]) + 1) * h
+    if positions * words > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"{positions} sweep positions * {words} code words exceed budget {DEFAULT_BUDGET}")
     def position(cells):
         return column[np.searchsorted(cols, cells[:, major])] * h + (cells[:, 1 - major] - edge)
-    context = np.full((column[-1] + 1) * h, -1, dtype=np.int16)    # 15 shapes fit a 2x2 window
+    context = np.full(positions, -1, dtype=np.int16)    # 15 shapes fit a 2x2 window
     context[position(lat.coords)] = 0
     shape_bit: dict = {}
     bans = []
@@ -244,26 +252,31 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
         bans.append((shape_bit[pat.shape], sym, back))
     table = {code: [(sym, back) for bit, sym, back in bans if code & bit]    # codes in use
              for code in np.flatnonzero(np.bincount(context[context >= 0])).tolist()}
-    return h, context.tolist(), table
+    return context.tolist(), table
 
 
 def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     """Run the broken-profile DP; returns the exact count or its natural log."""
-    h, context, table = _sweep_bans(lat, spec)
-    n = spec.alphabet_size
+    n, h = spec.alphabet_size, min(lat.bbox[1:])
     # a state is the last h + 1 cells' symbols as one base-n code, the newest
     # cell least significant; absent cells hold digit 0.  States stay sorted by
     # code, each with one weight: a Python int, or a float64 renormalised as
-    # the total grows
-    dtype = np.int64 if n ** (h + 1) < 2 ** 63 else object
+    # the total grows.  Codes are int64 while n ** (h + 1) < 2**63 (never past
+    # h = 61, as n >= 2, which keeps the power small), else Python ints of up
+    # to `words` 64-bit words
+    dtype = np.int64 if h < 62 and n ** (h + 1) < 2 ** 63 else object
+    words = 1 if dtype is np.int64 else -(-(h + 1) * (n - 1).bit_length() // 64)
+    context, table = _sweep_bans(lat, spec, words)
     top = n ** h
     codes = np.zeros(1, dtype=dtype)
     weights = np.ones(1, dtype=np.float64 if log_domain else object)
     log_scale = 0.0
     for t, here in enumerate(context):
         if here >= 0:
-            if len(codes) * n > DEFAULT_BUDGET:    # bounds every array this step allocates
-                raise BudgetExceeded(f"{len(codes)} states * {n} exceed budget {DEFAULT_BUDGET}")
+            # candidate successors times their words bound every array this step allocates
+            if len(codes) * n * words > DEFAULT_BUDGET:
+                raise BudgetExceeded(
+                    f"{len(codes)} states * {n} * {words} code words exceed budget {DEFAULT_BUDGET}")
             ok = np.ones((len(codes), n), dtype=bool)
             digits: dict = {}
             for sym, back in table[here]:

@@ -12,7 +12,6 @@ constants, n, n^2, 2^n, and products thereof).
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import Callable
 
@@ -209,7 +208,13 @@ def parse_size_expr(text: str) -> Callable[[int], int]:
 
     parsed = [parse_factor(tok) for tok in factors]
 
-    return lambda n: math.prod(f(n) for f in parsed)
+    def evaluate(n: int) -> int:
+        out = 1
+        for f in parsed:
+            out *= f(n)
+        return out
+
+    return evaluate
 
 
 # system name -> (builder, parameters in shorthand order, defaults)

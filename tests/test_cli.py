@@ -180,6 +180,13 @@ def test_count_two_axis_sweep_bound_by_its_states(capsys, tmp_path):
     diagonal.write_text(json.dumps({"type": "points", "points": [[i, i] for i in range(25)]}))
     assert run_cli(capsys, "count", "--spec", str(hard_squares), "--lattice", str(diagonal)) == (
         0, "33554432 local 25\n", "")
+    # two diagonal cells far apart: the sweep's layout exceeds the budget at
+    # once, the brute force counts the two cells
+    for gap in (10**6, 2**40):
+        pair = tmp_path / f"pair{gap}.json"
+        pair.write_text(json.dumps({"type": "points", "points": [[0, 0], [gap, gap]]}))
+        assert run_cli(capsys, "count", "--spec", str(hard_squares), "--lattice", str(pair)) == (
+            0, "4 local 2\n", "")
     # a million symbols: the sweep's second step and the brute force both exceed
     # the budget, an exit 3 rather than a MemoryError
     huge = tmp_path / "huge.json"

@@ -317,6 +317,22 @@ def test_sweep_refuses_steps_past_the_budget():
     for route in (count_profile_dp, log_count, count):
         with pytest.raises(BudgetExceeded):
             route(square, spec)
+    # 4096 symbols with a frontier of 101: 4096 * 4096 candidates, each code
+    # of 102 digits in 20 words, are refused by their words, not their number
+    wide = SftSpec.make(4096, [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]])
+    corners = FiniteLattice([(0, 0), (0, 100), (100, 0)])
+    for route in (count_profile_dp, log_count, count):
+        with pytest.raises(BudgetExceeded):
+            route(corners, wide)
+    # rows are not shortened: two diagonal cells `gap` apart lay out
+    # 4 * (gap + 1) positions of codes of gap + 2 digits, refused before the
+    # layout is allocated; count takes brute force on the two cells
+    for gap in (10**6, 2**40):
+        pair = FiniteLattice([(0, 0), (gap, gap)])
+        for route in (count_profile_dp, log_count):
+            with pytest.raises(BudgetExceeded):
+                route(pair, HARD_SQUARE)
+        assert count(pair, HARD_SQUARE).value == 4
 
 
 @settings(max_examples=60, deadline=None)
