@@ -7,30 +7,31 @@ lattice:
   the reference oracle, budgeted at ``N ** |L|`` leaves.  The same search
   (``_search``) enumerates admissible patterns, decides extension questions
   and backs the multiplicative brute force.
-* ``count_profile_dp`` -- a frontier dynamic program for specs whose forbidden
-  shapes fit a 2x2 window.  When constraints never leave a single row (or
-  column) the count factorises over maximal runs and is evaluated as a product
-  of 1-D transfer counts, which keeps lattices with millions of cells exact.
-  Otherwise a broken-profile sweep orders the cells column-major, or
-  row-major when the bounding box is taller than wide, so the frontier lies
-  along its shorter side.  It steps through the lattice's own columns, a
-  stretch of more than two empty ones shortened to two, so its cost does not
-  grow with the gaps between columns.  Its bans come from ``placements``, as
-  the search's do, each attached to its last cell.  The live frontier states
-  are one numpy array of base-N integer codes, the newest cell least
-  significant, kept sorted by code beside one column of weights, Python ints
-  (``dtype=object``) for exact counts.  A position outside the lattice holds
-  digit 0 and ends no placement.  Codes are int64 while
-  ``N ** (frontier + 1) < 2**63`` and Python ints beyond.  The sweep's budget
-  is counted in code words: it raises BudgetExceeded when its positions, or
-  a step's live states times N, times the 64-bit words of one code pass
-  ``DEFAULT_BUDGET``.
+* ``count_profile_dp`` -- a frontier dynamic program for any finite forbidden
+  set.  When each forbidden pattern is one cell or two adjacent cells along
+  one axis the count is a product of 1-D transfer counts over maximal runs,
+  which keeps lattices with millions of cells exact.  Otherwise a
+  broken-profile sweep orders the cells column-major, or row-major when the
+  bounding box is taller than wide, so the frontier lies along its shorter
+  side.  Its bans come from ``placements``, as the search's do, each attached
+  to its last cell, and its state reaches back as far as they do: ``depth``
+  positions, the frontier plus one or the longest back distance of a placed
+  ban.  It steps through the lattice's own columns, a stretch of empty ones
+  shortened to the run that flushes a state.  The live states are one numpy
+  array of base-N integer codes (int64 while ``N ** depth < 2**63``, else
+  Python ints), the newest cell least significant, kept sorted by code beside
+  one column of weights, Python ints for exact counts.  A position outside
+  the lattice holds digit 0 and ends no placement.  The sweep raises
+  BudgetExceeded when its positions, or a step's live states times N, times
+  the 64-bit words of one code pass ``DEFAULT_BUDGET``, and
+  UnsupportedForbiddenShape past 63 placed shapes (one context bit each).
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
 
 Counts are exact arbitrary-precision integers; ``count`` dispatches between
-the routes, and given a margin returns the extendable-count refinement.
+the routes, falling back to brute force when the sweep refuses, and given a
+margin returns the extendable-count refinement.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BudgetExceeded, SymbolOutOfRange, UnsupportedForbiddenShape
-from .lattice import FiniteLattice, _run_lengths, dilate
-from .sft import CountResult, SftSpec, _placement_vectors, forbidden_occurrences
+from .lattice import FiniteLattice, _cells, _run_lengths, dilate
+from .sft import CountResult, SftSpec, _placement_runs, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
 
@@ -207,67 +208,72 @@ def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
 
 
 # ---------------------------------------------------------------------------
-# broken-profile sweep for general 2x2-window specs
+# broken-profile sweep for general specs
 # ---------------------------------------------------------------------------
 
 
-def _sweep_bans(lat: FiniteLattice, spec: SftSpec, words: int):
-    """The sweep's ban table, read from `placements`: each position's context
-    (-1 off the lattice, else one bit per pattern shape ending there) and per
-    context the bans (banned symbol, (back distance, symbol) per other cell).
-    With h the frontier length (the bounding box's shorter side), position
-    ``column * h + row`` holds a cell, columns running along the box's longer
-    side (x when the box is at least as wide as tall, else y) and rows counted
-    from its edge.  Only the lattice's own columns are laid out: a stretch of
-    more than two empty columns shortens to two, where the sweep's state is
-    already the single zero code.  Rows are not shortened, so the layout is
-    refused with BudgetExceeded, before it is allocated, when its positions
-    times `words` (each step rewrites every code) pass ``DEFAULT_BUDGET``.
+def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
+    """The sweep's layout, read from `placements`: the state depth, the dtype
+    and 64-bit words of one code, each position's context (-1 off the lattice,
+    else one bit per placed pattern shape ending there) and per context the
+    bans (banned symbol, (back distance, symbol) per other cell).  Position
+    ``column * h + row`` holds a cell, h being the bounding box's shorter side
+    and columns running along its longer one.  The layout is refused before
+    it is allocated when its positions times a code's words pass the budget.
     """
+    n = spec.alphabet_size
     (ox, oy), w, h = lat.bbox
     major, h = (0, h) if w >= h else (1, w)
     edge = (ox, oy)[1 - major]
+    placed, bans = {}, []     # shape -> (placement runs, last cell); (shape, symbol, back)
+    for pat in spec.forbidden:
+        *others, (last, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
+        if pat.shape not in placed:
+            placed[pat.shape] = _placement_runs(pat.shape, lat), last
+        back = tuple(((last[major] - p[major]) * h + last[1 - major] - p[1 - major], s)
+                     for p, s in others)
+        bans.append((pat.shape, sym, back))
+    bit = {shape: 1 << i for i, shape in enumerate(s for s, (runs, _) in placed.items() if len(runs))}
+    if len(bit) > 63:
+        raise UnsupportedForbiddenShape(
+            f"{len(bit)} placed forbidden shapes exceed the sweep's 63 context bits")
+    bans = [(bit[shape], sym, back) for shape, sym, back in bans if shape in bit]
+    depth = max([h + 1] + [d for _, _, back in bans for d, _ in back])
+    # int64 codes while n ** depth < 2**63 (depth < 63 keeps the power small)
+    dtype = np.int64 if depth < 63 and n ** depth < 2 ** 63 else object
+    words = 1 if dtype is np.int64 else -(-depth * (n - 1).bit_length() // 64)
     cols = (lat._truns if major == 0 else lat._runs)[:, 0]    # sorted, with repeats
-    # column gaps in uint64 are exact however far apart; a gap past 3 (two
-    # empty columns) becomes 3
-    gaps = np.minimum(np.diff(cols.view(np.uint64)), 3).astype(np.int64)
-    column = np.append(0, gaps.cumsum())
+    # column gaps and their sum are exact in uint64; ceil(depth / h) empty columns
+    # flush a state, so a longer gap is capped there (h = 0: no lattice, no gaps)
+    gaps = np.minimum(np.diff(cols.view(np.uint64)), -(-depth // max(h, 1)) + 1)
+    column = np.append(np.uint64(0), gaps.cumsum())
     positions = (int(column[-1]) + 1) * h
     if positions * words > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"{positions} sweep positions * {words} code words exceed budget {DEFAULT_BUDGET}")
+    column = column.astype(np.int64)
+
     def position(cells):
         return column[np.searchsorted(cols, cells[:, major])] * h + (cells[:, 1 - major] - edge)
-    context = np.full(positions, -1, dtype=np.int16)    # 15 shapes fit a 2x2 window
+    context = np.full(positions, -1, dtype=np.int64)
     context[position(lat.coords)] = 0
-    shape_bit: dict = {}
-    bans = []
-    for pat in spec.forbidden:
-        *others, (last, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
-        if pat.shape not in shape_bit:
-            shape_bit[pat.shape] = bit = 1 << len(shape_bit)
-            context[position(_placement_vectors(pat.shape, lat) + last)] |= bit
-        back = tuple(((last[major] - p[major]) * h + last[1 - major] - p[1 - major], s)
-                     for p, s in others)
-        bans.append((shape_bit[pat.shape], sym, back))
-    table = {code: [(sym, back) for bit, sym, back in bans if code & bit]    # codes in use
-             for code in np.flatnonzero(np.bincount(context[context >= 0])).tolist()}
-    return context.tolist(), table
+    for shape, b in bit.items():     # cells, unlike runs, one shape at a time
+        runs, last = placed[shape]
+        context[position(np.column_stack(_cells(runs)) + last)] |= b
+    context = context.tolist()
+    table = {code: [(sym, back) for b, sym, back in bans if code & b]    # codes in use
+             for code in set(context) - {-1}}
+    return depth, dtype, words, context, table
 
 
 def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     """Run the broken-profile DP; returns the exact count or its natural log."""
-    n, h = spec.alphabet_size, min(lat.bbox[1:])
-    # a state is the last h + 1 cells' symbols as one base-n code, the newest
-    # cell least significant; absent cells hold digit 0.  States stay sorted by
-    # code, each with one weight: a Python int, or a float64 renormalised as
-    # the total grows.  Codes are int64 while n ** (h + 1) < 2**63 (never past
-    # h = 61, as n >= 2, which keeps the power small), else Python ints of up
-    # to `words` 64-bit words
-    dtype = np.int64 if h < 62 and n ** (h + 1) < 2 ** 63 else object
-    words = 1 if dtype is np.int64 else -(-(h + 1) * (n - 1).bit_length() // 64)
-    context, table = _sweep_bans(lat, spec, words)
-    top = n ** h
+    n = spec.alphabet_size
+    # a state is the last `depth` positions' symbols as one base-n code, the
+    # newest cell least significant, absent cells 0.  States stay sorted by
+    # code, each with one weight: a Python int, or a renormalised float64
+    depth, dtype, words, context, table = _sweep_bans(lat, spec)
+    top = n ** (depth - 1)
     codes = np.zeros(1, dtype=dtype)
     weights = np.ones(1, dtype=np.float64 if log_domain else object)
     log_scale = 0.0
@@ -292,10 +298,10 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
             rows, syms = np.arange(len(codes)), 0
         if not len(rows):
             return float("-inf") if log_domain else 0
-        # the oldest digit leaves the frontier; only a present cell there can
+        # the oldest digit leaves the state; only a present cell there can
         # make two states meet.  Otherwise the successors, in state order then
         # symbol order, are already sorted
-        merging = t > h and context[t - h - 1] >= 0
+        merging = t >= depth and context[t - depth] >= 0
         dest = (codes % top if merging else codes)[rows] * n + syms
         del codes, syms
         if not merging:
@@ -328,12 +334,7 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
 
 
 def _local_route(spec: SftSpec):
-    """The axis product for single-axis specs, else the profile sweep; raises
-    UnsupportedForbiddenShape past the 2x2 window."""
-    if not spec.window2x2:
-        raise UnsupportedForbiddenShape(
-            "profile DP requires every forbidden shape to fit a 2x2 window"
-        )
+    """The axis product for single-axis specs, else the profile sweep."""
     return _axis_product if spec.pure_axis is not None else _profile_sweep
 
 
@@ -360,17 +361,15 @@ def count_extendable(
 ) -> CountResult:
     """Count patterns on `lat` having an admissible extension to the dilation.
 
-    margin = 0 coincides with the local count.  The enumeration runs over the
-    core lattice (budgeted at N ** |lat|); each candidate is kept when a
-    search finds one admissible completion of the dilation ring, and each such
-    search may assign at most `budget` cells.
+    That is the local count when margin = 0 or a safe symbol pads the ring.
+    Otherwise each admissible pattern on `lat` (budgeted at N ** |lat|) is
+    kept when a search, assigning at most `budget` cells, completes the ring.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    if margin == 0:
-        base = count(lat, spec, budget=budget)
-        return CountResult(base.value, len(lat), margin=0)
-    dilated = dilate(lat, margin)
+    dilated = dilate(lat, margin)     # raises ValueError past the coordinate range
+    if margin == 0 or spec.safe_symbols:
+        return CountResult(count(lat, spec, budget=budget).value, len(lat), margin=margin)
     core_points = list(lat)
     kept = sum(
         admissible_extension_exists(dilated, spec, dict(zip(core_points, symbols)), budget=budget)
@@ -390,13 +389,16 @@ def count(
     margin: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
-    """The local count when `margin` is None, routed to the DP when eligible,
-    else to the brute-force oracle; given an integer margin (0 included), the
+    """The local count when `margin` is None, from the DP or, where it
+    refuses, the brute-force oracle; given an integer margin (0 included), the
     extendable count of :func:`count_extendable`.
     """
     if margin is not None:
         return count_extendable(lat, spec, margin, budget=budget)
-    try:      # the DP refuses shapes past a 2x2 window and sweeps past the budget
+    try:      # the sweep refuses past 63 placed shapes and past its budget
         return count_profile_dp(lat, spec)
-    except (UnsupportedForbiddenShape, BudgetExceeded):
-        return count_bruteforce(lat, spec, budget=budget)
+    except (UnsupportedForbiddenShape, BudgetExceeded) as refusal:
+        try:
+            return count_bruteforce(lat, spec, budget=budget)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"profile sweep: {refusal}; brute force: {exc}") from exc

@@ -135,8 +135,8 @@ def projectional_entropy(
 
     Counts patterns on the n-point segments along v: local counts when
     `margin` is None, else extendable counts with that margin.  A local count
-    is the count on an n x 1 row under the spec restricted to v, so a 2x2-window
-    spec takes the axis product at any n.  The note flags that no restricted
+    is the count on an n x 1 row under the spec restricted to v, so it takes
+    the profile DP at any n.  The note flags that no restricted
     pattern fits the longest segment: the local counts are then N**n.
     """
     vp = _require_primitive(v)

@@ -18,7 +18,7 @@ class SymbolOutOfRange(SftentError):
 
 
 class UnsupportedForbiddenShape(SftentError):
-    """The counting engine only supports forbidden shapes within a 2x2 window."""
+    """The profile sweep holds one context bit per placed shape, 63 at most."""
 
 
 class NonPrimitiveVector(SftentError):

@@ -62,9 +62,11 @@ def _pair(value) -> tuple[int, int]:
         raise FormatError(f"expected a pair of integers, got {value!r}") from None
 
 
-# parameter name -> converter for every generator; pairs take two shorthand numbers
+# parameter name -> converter for every generator; pairs take two shorthand
+# numbers, and a real is a float or an integer
 _CONVERT: dict[str, Callable] = {**dict.fromkeys("mnqb", _integer), "origin": _pair, "v": _pair,
-                                 "a_target": float, "w": str, "h": str}
+                                 "a_target": lambda v: v if isinstance(v, float) else float(_integer(v)),
+                                 "w": str, "h": str}
 
 
 def _build(registry: dict, kind: str, name, params: dict):
@@ -86,8 +88,9 @@ def _shorthand(text: str, registry: dict) -> tuple[str, dict]:
     """'name:a,b,...' -> (name, parameter dict); pair parameters take two numbers."""
     name, _, rest = text.partition(":")
     tokens, params = rest.split(",") if rest else [], {}
-    # tokens int() reads as decimal integers become ints, others stay text
-    tokens = [int(t) if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", t) else t for t in tokens]
+    # tokens int() reads as decimal integers become ints, decimal reals floats
+    tokens = [int(t) if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", t) else float(t)
+              if re.fullmatch(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*", t) else t for t in tokens]
     for field in registry[name][1] if name in registry else ():
         if tokens:
             width = 2 if _CONVERT[field] is _pair else 1

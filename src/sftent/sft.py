@@ -85,19 +85,12 @@ class SftSpec:
     # -- structural predicates for the counting engines ---------------------
 
     @cached_property
-    def window2x2(self) -> bool:
-        """True when every forbidden shape fits inside a 2x2 window."""
-        return all(p.extent[0] <= 1 and p.extent[1] <= 1 for p in self.forbidden)
-
-    @cached_property
     def pure_axis(self) -> str | None:
-        """'horizontal' / 'vertical' when constraints never cross rows / columns."""
-        if not self.window2x2:
-            return None
-        if all(p.extent[1] == 0 for p in self.forbidden):
-            return "horizontal"
-        if all(p.extent[0] == 0 for p in self.forbidden):
-            return "vertical"
+        """'horizontal' / 'vertical' when each forbidden pattern is one cell or
+        two adjacent cells along that axis: the axis product's precondition."""
+        for axis, name in ((0, "horizontal"), (1, "vertical")):
+            if all(p.extent[axis] <= 1 and p.extent[1 - axis] == 0 for p in self.forbidden):
+                return name
         return None
 
     @cached_property
@@ -215,21 +208,22 @@ BUILTIN_SPECS = {
 # ---------------------------------------------------------------------------
 
 
-def _placement_vectors(shape: FiniteLattice, lat: FiniteLattice) -> np.ndarray:
-    """`placements` as a (K, 2) int64 array: the one test of what lies inside.
+def _placement_runs(shape: FiniteLattice, lat: FiniteLattice) -> np.ndarray:
+    """`placements` as row runs: the one test of what lies inside.
 
     The vectors are the cells covered by every translate of `lat` by minus a
     shape cell, met by the coverage kernel over row runs."""
     if len(shape) == 0 or len(lat) == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 3), dtype=np.int64)
     moved = [(_moved_back(lat._runs, x, y), 0, 1) for x, y in shape.coords.tolist()]
-    return np.column_stack(_cells(_cover(lambda c: c == len(shape), *moved)))
+    return _cover(lambda c: c == len(shape), *moved)
 
 
 def placements(shape: FiniteLattice, lat: FiniteLattice) -> list[Point]:
     """Translation vectors v with shape + v fully inside lat, canonical order;
     like points, vectors lie in [-2**63, 2**63 - 1)."""
-    return [Point(x, y) for x, y in _placement_vectors(shape, lat).tolist()]
+    x, y = _cells(_placement_runs(shape, lat))
+    return [Point(*v) for v in zip(x.tolist(), y.tolist())]
 
 
 def forbidden_occurrences(lat: FiniteLattice, spec: SftSpec):

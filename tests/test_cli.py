@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -158,14 +159,17 @@ def test_count_budget_exit_code(capsys):
         json.dump(spec, fh)
         path = fh.name
     try:
-        code, _, err = run_cli(capsys, "count", "--spec", path, "--lattice", "rect:6,5")
+        # a 100,001-cell diagonal stick: the sweep and the brute force both
+        # refuse, and the message names both
+        code, _, err = run_cli(capsys, "count", "--spec", path, "--lattice", "stick:5,1,1,100000")
         assert code == 3
         assert "budget" in err.lower()
+        assert err.startswith("budget exceeded: profile sweep: ") and "; brute force: 2**100026 " in err
     finally:
         os.unlink(path)
     # 2**1 core patterns fit the budget, one extension search on 3x3 does not
     code, out, err = run_cli(
-        capsys, "count", "--spec", "golden-mean-h", "--lattice", "rect:1,1",
+        capsys, "count", "--spec", "period-forcing-h", "--lattice", "rect:1,1",
         "--mode", "ext:1", "--budget", "4",
     )
     assert code == 3 and out == ""
@@ -195,6 +199,14 @@ def test_count_two_axis_sweep_bound_by_its_states(capsys, tmp_path):
     assert code == 3 and out == "" and err.startswith("budget exceeded:")
 
 
+def test_extendable_count_with_a_safe_symbol_skips_the_search(capsys):
+    # 3**14 core patterns: one extension search each took minutes
+    start = time.perf_counter()
+    assert run_cli(capsys, "count", "--spec", "full:3", "--lattice", "stick:3,0,1,4",
+                   "--mode", "ext:1") == (0, "4782969 extendable 14\n", "")
+    assert time.perf_counter() - start < 10
+
+
 def test_json_integers_are_integers(capsys, tmp_path):
     # floats, bools and strings where JSON input wants an integer are usage
     # errors, not values cut to an int
@@ -206,8 +218,10 @@ def test_json_integers_are_integers(capsys, tmp_path):
                 '{"type": "generator", "name": "rect", "params": {"m": 2, "n": "1"}}',
                 '{"type": "generator", "name": "rect", "params": {"m": 2, "n": 1, "origin": [0.5, 0]}}',
                 '{"type": "points", "points": [[true, 0]]}']
-    argvs = [["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q","q":2.5}'],
-             ["entropy-omega", "--spec", "golden-mean-h", "--system", '{"system":"omega_q","q":"2"}']]
+    argvs = [["entropy-omega", "--spec", "golden-mean-h", "--system", system]
+             for system in ('{"system":"omega_q","q":2.5}', '{"system":"omega_q","q":"2"}',
+                            '{"system":"stick","v":[0,1],"a_target":"0.5"}',
+                            '{"system":"stick","v":[0,1],"a_target":true}')]
     for i, text in enumerate(specs):
         path = tmp_path / f"spec{i}.json"
         path.write_text(text)
@@ -225,6 +239,11 @@ def test_json_integers_are_integers(capsys, tmp_path):
     for lattice in (str(path), "rect:3,1,-2,7"):
         assert run_cli(capsys, "count", "--spec", "golden-mean-h", "--lattice", lattice) == (
             0, "5 local 3\n", "")
+    # a_target is a real: a JSON number, or a shorthand decimal
+    rows = {run_cli(capsys, "entropy-omega", "--spec", "golden-mean-h", "--system", system,
+                    "--n-range", "2:2") for system in ("stick:0,1,0.5", "stick:0,1,.5e0",
+                                                       '{"system":"stick","v":[0,1],"a_target":0.5}')}
+    assert len(rows) == 1 and rows.pop()[0] == 0
 
 
 def test_count_parse_error_exit_code(capsys, tmp_path):

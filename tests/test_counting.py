@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,14 +18,18 @@ from sftent import (
     count_bruteforce,
     count_extendable,
     count_profile_dp,
+    dilate,
+    enumerate_admissible,
     full_shift,
     golden_mean_horizontal,
     golden_mean_vertical,
     log_count,
     lshape,
     omega_q,
+    period_forcing_horizontal,
     rectangle,
     staircase,
+    stick_augmented,
 )
 from sftent.counting import _check_budget, admissible_extension_exists
 from conftest import random_connected_lattice
@@ -182,10 +187,26 @@ def test_wedge_counts():
     assert count_bruteforce(omega_q(2, 2), GM_H).value == 3969
 
 
+BOX3 = [(x, y) for x in range(3) for y in range(3)]
+
+
 def test_dp_rejects_wide_shapes():
+    # the skip pair reaches back two columns, and the sweep's state with it
+    square = rectangle((0, 0), 3, 3)
     spec = SftSpec.make(2, [[((0, 0), 1), ((2, 0), 1)]], name="skip-pair")
-    with pytest.raises(UnsupportedForbiddenShape):
-        count_profile_dp(rectangle((0, 0), 3, 3), spec)
+    assert count_profile_dp(square, spec).value == count_bruteforce(square, spec).value
+    # one context bit per placed shape: 63 sweep, 64 go to brute force
+    quads = SftSpec.make(2, [[(c, 1) for c in cells] for cells in combinations(BOX3, 4)])
+    assert len({pat.shape for pat in quads.forbidden}) == len(quads.forbidden) >= 64
+    for k in (63, 64):
+        spec = SftSpec.make(2, quads.forbidden[:k])
+        exact = count_bruteforce(square, spec).value
+        if k == 63:
+            assert count_profile_dp(square, spec).value == exact
+        else:
+            with pytest.raises(UnsupportedForbiddenShape):
+                count_profile_dp(square, spec)
+        assert count(square, spec).value == exact
 
 
 def test_dp_three_cell_window_spec(rng):
@@ -223,6 +244,50 @@ def test_sweep_matches_oracle_on_random_window_specs(spec, rnd):
         assert log_count(lat, spec) == -math.inf
     else:
         assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
+
+
+@st.composite
+def box3_specs(draw):
+    """Specs whose 1-4-cell shapes lie in a 3x3 box, N in {2, 3}, 1-4 patterns."""
+    n = draw(st.sampled_from((2, 3)))
+    pattern = st.lists(st.tuples(st.sampled_from(BOX3), st.integers(0, n - 1)),
+                       min_size=1, max_size=4, unique_by=lambda cell: cell[0])
+    return SftSpec.make(n, draw(st.lists(pattern, min_size=1, max_size=4)))
+
+
+def holey_clusters(rnd, cells: int) -> FiniteLattice:
+    """Two random boxes with holes, 0-7 columns apart and offset in rows,
+    at most `cells` cells in all."""
+    boxes = [(rnd.randint(1, 4), rnd.randint(1, 3)) for _ in range(2)]
+    gap, dy = rnd.randint(0, 7), rnd.randint(-3, 3)
+    origins = [(0, 0), (boxes[0][0] + gap, dy)]
+    points = [(ox + x, oy + y) for (ox, oy), (w, h) in zip(origins, boxes)
+              for x in range(w) for y in range(h) if rnd.random() < 0.8]
+    return FiniteLattice(rnd.sample(points, min(cells, len(points))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(box3_specs(), st.randoms(use_true_random=False))
+def test_sweep_matches_oracle_on_random_box3_specs(spec, rnd):
+    # shapes up to 3x3 reach back past the frontier: the state holds them
+    lat = holey_clusters(rnd, 12 if spec.alphabet_size == 2 else 8)
+    exact = count_bruteforce(lat, spec).value
+    assert count_profile_dp(lat, spec).value == exact
+    assert count_profile_dp(lat.transpose(), spec.transpose()).value == exact
+    if exact == 0:
+        assert log_count(lat, spec) == -math.inf
+    else:
+        assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
+
+
+def test_sweep_l_triomino_counts():
+    # an L-triomino of 1s and a 1x3 run of 0s, counted by brute force before
+    # the sweep took shapes past a 2x2 window
+    spec = SftSpec.make(2, [[((0, 0), 1), ((1, 0), 1), ((0, 1), 1)],
+                            [((0, 0), 0), ((1, 0), 0), ((2, 0), 0)]])
+    for (m, n), value in {(4, 4): 5979, (5, 4): 40504, (6, 4): 245631}.items():
+        assert count_profile_dp(rectangle((0, 0), m, n), spec).value == value
+        assert count_profile_dp(rectangle((0, 0), n, m), spec.transpose()).value == value
 
 
 def test_sweep_hard_squares_oeis_a006506():
@@ -357,6 +422,27 @@ def test_sweep_factorises_over_far_clusters(spec, rnd, vertical):
         assert log_count(lat, spec) == pytest.approx(math.log(expected), rel=1e-12)
 
 
+def test_sweep_keeps_the_gaps_a_placement_spans():
+    # a pair 5 columns apart spans 4 empty ones: they stay laid out, while 8
+    # empty columns (more than the 5 that flush a state) shorten
+    spec = SftSpec.make(2, [[((0, 0), 1), ((5, 0), 1)]])
+    for far, value in ((5, 3 ** 3), (9, 2 ** 6)):
+        lat = FiniteLattice([(x, y) for x in (0, far) for y in range(3)])
+        assert count_bruteforce(lat, spec).value == value
+        assert count_profile_dp(lat, spec).value == value
+        assert count_profile_dp(lat.transpose(), spec.transpose()).value == value
+
+
+def test_sweep_refuses_reach_past_the_budget():
+    # a placed pair reaching across most of the coordinate range: refused
+    # before the column gaps, which would pass int64, are laid out
+    spec = SftSpec.make(2, [[((0, 0), 1), ((2**63 - 2, 0), 1)]])
+    lat = FiniteLattice([(-2**63, 0), (-1, 0), (2**63 - 3, 0)])
+    with pytest.raises(BudgetExceeded):
+        count_profile_dp(lat, spec)
+    assert count(lat, spec).value == 6
+
+
 def test_every_route_ignores_where_the_lattice_lies():
     # brute force, sweep, axis product and extendable counts far from the origin
     l3 = SftSpec.make(2, [[((0, 0), 1), ((1, 0), 1), ((0, 1), 1)],
@@ -398,8 +484,10 @@ def test_dispatch_oracle_for_wide_shape():
 
 def test_dispatch_budget_exceeded():
     spec = SftSpec.make(2, [[((0, 0), 1), ((2, 0), 1)]], name="skip-pair")
-    with pytest.raises(BudgetExceeded):
-        count(rectangle((0, 0), 6, 5), spec)  # 30 cells, not DP-eligible
+    # a 100,001-cell diagonal stick: the sweep's layout and the brute force
+    # both pass the budget, and the one error names both refusals
+    with pytest.raises(BudgetExceeded, match="^profile sweep: .* code words .*; brute force: 2[*][*]100026 "):
+        count(stick_augmented(5, (1, 1), 100000), spec)
 
 
 def test_count_empty_lattice():
@@ -520,8 +608,28 @@ def test_extension_search_enforces_budget():
     with pytest.raises(BudgetExceeded):
         admissible_extension_exists(square, GM_H, {(0, 0): 1}, budget=1)
     assert admissible_extension_exists(square, GM_H, {(0, 0): 1}, budget=100)
-    with pytest.raises(BudgetExceeded):
-        count_extendable(rectangle((0, 0), 1, 1), GM_H, 1, budget=4)
+    with pytest.raises(BudgetExceeded):     # no safe symbol, so the search runs
+        count_extendable(rectangle((0, 0), 1, 1), period_forcing_horizontal(), 1, budget=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box3_specs(), st.randoms(use_true_random=False), st.integers(1, 2))
+def test_extendable_safe_symbol_keeps_every_pattern(spec, rnd, margin):
+    # a symbol no forbidden pattern uses pads any ring, so the extendable
+    # count is the local count: checked pattern by pattern
+    spec = SftSpec.make(spec.alphabet_size + 1, spec.forbidden)
+    assert spec.safe_symbols
+    lat = random_connected_lattice(rnd, 4)
+    ring = dilate(lat, margin)
+    extendable = sum(admissible_extension_exists(ring, spec, dict(zip(lat, pattern)))
+                     for pattern in enumerate_admissible(lat, spec))
+    assert count_extendable(lat, spec, margin).value == extendable == count(lat, spec).value
+
+
+def test_extension_search_runs_deep():
+    # no safe symbol, so each of the four core patterns searches a 32 x 32 dilation
+    assert count_extendable(rectangle((0, 0), 2, 2), period_forcing_horizontal(), 15).value == 4
+    assert admissible_extension_exists(rectangle((0, 0), 40, 40), GM_H, {(0, 0): 1})
 
 
 def test_extendable_monotone_in_margin():
