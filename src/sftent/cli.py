@@ -232,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts print in full: Python's int-to-str digit limit (3.11, and
+    # 3.10 from 3.10.7 on) is lifted while the command runs, then restored
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -240,6 +245,9 @@ def main(argv=None) -> int:
     except (FormatError, SftentError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -11,20 +11,25 @@ lattice:
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
   which keeps lattices with millions of cells exact.  Otherwise a
-  broken-profile sweep orders the cells column-major, or row-major when the
-  bounding box is taller than wide, so the frontier lies along its shorter
-  side.  Its bans come from ``placements``, as the search's do, each attached
-  to its last cell, and its state reaches back as far as they do: ``depth``
-  positions, the frontier plus one or the longest back distance of a placed
-  ban.  It steps through the lattice's own columns, a stretch of empty ones
-  shortened to the run that flushes a state.  The live states are one numpy
-  array of base-N integer codes (int64 while ``N ** depth < 2**63``, else
-  Python ints), the newest cell least significant, kept sorted by code beside
-  one column of weights, Python ints for exact counts.  A position outside
-  the lattice holds digit 0 and ends no placement.  The sweep raises
+  broken-profile sweep takes the bans from ``placements``, as the search
+  does, each attached to its last cell, and its state reaches back as far as
+  they do: ``depth`` positions, the frontier plus one or the longest back
+  distance of a placed ban.  It orders the cells column-major or row-major,
+  whichever needs the smaller depth; on a tie, so that the frontier lies
+  along the bounding box's shorter side.  It steps through the lattice's own
+  columns, a stretch of empty ones shortened to the run that flushes a
+  state.  The live states are one numpy array of base-N integer codes (int64
+  while ``N ** depth < 2**63``, else Python ints), the newest cell least
+  significant, kept sorted by code beside one column of weights, Python ints
+  for exact counts.  A position outside the lattice holds digit 0 and ends
+  no placement.  Each step (``_sweep_step``) yields the successor codes and
+  a plan that carries weights to them; one column of steps is cached by
+  row, keyed exactly by context, merging flag and incoming codes, so a step
+  that repeats the one a column back is not recomputed.  The sweep raises
   BudgetExceeded when its positions, or a step's live states times N, times
   the 64-bit words of one code pass ``DEFAULT_BUDGET``, and
-  UnsupportedForbiddenShape past 63 placed shapes (one context bit each).
+  UnsupportedForbiddenShape past 63 placed shapes (one context bit each);
+  the cache stores steps only while its words stay within that budget.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -215,30 +220,40 @@ def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
 def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     """The sweep's layout, read from `placements`: the state depth, the dtype
     and 64-bit words of one code, each position's context (-1 off the lattice,
-    else one bit per placed pattern shape ending there) and per context the
-    bans (banned symbol, (back distance, symbol) per other cell).  Position
-    ``column * h + row`` holds a cell, h being the bounding box's shorter side
-    and columns running along its longer one.  The layout is refused before
+    else one bit per placed pattern shape ending there), per context the bans
+    (banned symbol, (back distance, symbol) per other cell) and the frontier
+    length h.  Position ``column * h + row`` holds a cell; the orientation is
+    the one whose bans need the smaller depth, on a tie the one whose columns
+    run along the bounding box's longer side.  The layout is refused before
     it is allocated when its positions times a code's words pass the budget.
     """
     n = spec.alphabet_size
-    (ox, oy), w, h = lat.bbox
-    major, h = (0, h) if w >= h else (1, w)
-    edge = (ox, oy)[1 - major]
-    placed, bans = {}, []     # shape -> (placement runs, last cell); (shape, symbol, back)
+    (ox, oy), w, box_h = lat.bbox
+    runs = {}                 # shape -> placement runs
     for pat in spec.forbidden:
-        *others, (last, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
-        if pat.shape not in placed:
-            placed[pat.shape] = _placement_runs(pat.shape, lat), last
-        back = tuple(((last[major] - p[major]) * h + last[1 - major] - p[1 - major], s)
-                     for p, s in others)
-        bans.append((pat.shape, sym, back))
-    bit = {shape: 1 << i for i, shape in enumerate(s for s, (runs, _) in placed.items() if len(runs))}
+        if pat.shape not in runs:
+            runs[pat.shape] = _placement_runs(pat.shape, lat)
+    bit = {shape: 1 << i for i, shape in enumerate(s for s, r in runs.items() if len(r))}
     if len(bit) > 63:
         raise UnsupportedForbiddenShape(
             f"{len(bit)} placed forbidden shapes exceed the sweep's 63 context bits")
-    bans = [(bit[shape], sym, back) for shape, sym, back in bans if shape in bit]
-    depth = max([h + 1] + [d for _, _, back in bans for d, _ in back])
+
+    def orient(major):
+        """Depth, major axis, frontier length, last cell per shape and bans."""
+        h = (box_h, w)[major]
+        last, bans = {}, []
+        for pat in spec.forbidden:
+            if pat.shape in bit:
+                *others, (end, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
+                last[pat.shape] = end
+                back = tuple(((end[major] - p[major]) * h + end[1 - major] - p[1 - major], s)
+                             for p, s in others)
+                bans.append((bit[pat.shape], sym, back))
+        return max([h + 1] + [d for _, _, back in bans for d, _ in back]), major, h, last, bans
+
+    box = 0 if w >= box_h else 1
+    depth, major, h, last, bans = min(orient(box), orient(1 - box), key=itemgetter(0))
+    edge = (ox, oy)[1 - major]
     # int64 codes while n ** depth < 2**63 (depth < 63 keeps the power small)
     dtype = np.int64 if depth < 63 and n ** depth < 2 ** 63 else object
     words = 1 if dtype is np.int64 else -(-depth * (n - 1).bit_length() // 64)
@@ -258,12 +273,64 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     context = np.full(positions, -1, dtype=np.int64)
     context[position(lat.coords)] = 0
     for shape, b in bit.items():     # cells, unlike runs, one shape at a time
-        runs, last = placed[shape]
-        context[position(np.column_stack(_cells(runs)) + last)] |= b
+        context[position(np.column_stack(_cells(runs[shape])) + last[shape])] |= b
     context = context.tolist()
     table = {code: [(sym, back) for b, sym, back in bans if code & b]    # codes in use
              for code in set(context) - {-1}}
-    return depth, dtype, words, context, table
+    return depth, dtype, words, context, table, h
+
+
+def _sweep_step(codes, here: int, merging: bool, n: int, top: int, table):
+    """One sweep step from the sorted state codes `codes` at a position of
+    context `here` (-1 off the lattice); `merging` when the state's oldest
+    digit, ``top`` its place value, is a present cell.  Returns the sorted
+    successor codes and the plan that carries weights to them: each
+    successor's first source, and per k = 1..n-1 the successors with a k-th
+    source and that source, int32."""
+    if here >= 0:
+        ok = np.ones((len(codes), n), dtype=bool)
+        digits: dict = {}
+        for sym, back in table[here]:
+            hit = np.ones(len(codes), dtype=bool)    # a single-cell ban hits all
+            for d, s in back:
+                if d not in digits:
+                    digits[d] = codes // n ** (d - 1) % n
+                hit &= digits[d] == s
+            ok[:, sym] &= ~hit
+        rows, syms = np.nonzero(ok)   # in state order, then symbol order
+        del ok, digits                # free each intermediate once consumed
+        rows = rows.astype(np.int32)
+    else:
+        rows, syms = np.arange(len(codes), dtype=np.int32), 0
+    # the oldest digit leaves the state; only a present cell there can make
+    # two states meet.  Otherwise the successors, in state order then symbol
+    # order, are already sorted
+    dest = (codes % top if merging else codes)[rows] * n + syms
+    del syms
+    if not merging or not len(dest):
+        return dest, (rows, ())
+    # group successors by code, at most n sources each, in state order
+    order = np.argsort(dest, kind="stable")
+    src = rows[order]
+    dest = dest[order]
+    del rows, order
+    starts = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
+    ends = np.append(starts[1:], len(dest))
+    terms = []
+    for k in range(1, n):       # a group with k + 1 sources also has k
+        at = np.flatnonzero(starts + k < ends)
+        if not len(at):
+            break
+        terms.append((at.astype(np.int32), src[starts[at] + k]))
+    return dest[starts], (src[starts], terms)
+
+
+def _plan_words(codes, dest, plan, words: int) -> int:
+    """64-bit words a cached step holds: its key and successor codes, and its
+    plan's int32 indices."""
+    first, terms = plan
+    indices = len(first) + sum(2 * len(at) for at, _ in terms)
+    return (len(codes) + len(dest)) * words + -(-indices // 2)
 
 
 def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
@@ -272,56 +339,40 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     # a state is the last `depth` positions' symbols as one base-n code, the
     # newest cell least significant, absent cells 0.  States stay sorted by
     # code, each with one weight: a Python int, or a renormalised float64
-    depth, dtype, words, context, table = _sweep_bans(lat, spec)
+    depth, dtype, words, context, table, h = _sweep_bans(lat, spec)
     top = n ** (depth - 1)
     codes = np.zeros(1, dtype=dtype)
     weights = np.ones(1, dtype=np.float64 if log_domain else object)
     log_scale = 0.0
+    # one column of steps, by row: a step repeats the one a column back when
+    # its context, merging flag and incoming codes (compared exactly) do.
+    # The cached words stay within the budget; past it a step is not stored
+    cache, held = [None] * h, 0
     for t, here in enumerate(context):
-        if here >= 0:
-            # candidate successors times their words bound every array this step allocates
-            if len(codes) * n * words > DEFAULT_BUDGET:
-                raise BudgetExceeded(
-                    f"{len(codes)} states * {n} * {words} code words exceed budget {DEFAULT_BUDGET}")
-            ok = np.ones((len(codes), n), dtype=bool)
-            digits: dict = {}
-            for sym, back in table[here]:
-                hit = np.ones(len(codes), dtype=bool)    # a single-cell ban hits all
-                for d, s in back:
-                    if d not in digits:
-                        digits[d] = codes // n ** (d - 1) % n
-                    hit &= digits[d] == s
-                ok[:, sym] &= ~hit
-            rows, syms = np.nonzero(ok)   # in state order, then symbol order
-            del ok, digits                # free each intermediate once consumed
-        else:
-            rows, syms = np.arange(len(codes)), 0
-        if not len(rows):
-            return float("-inf") if log_domain else 0
-        # the oldest digit leaves the state; only a present cell there can
-        # make two states meet.  Otherwise the successors, in state order then
-        # symbol order, are already sorted
+        # candidate successors times their words bound every array this step allocates
+        if here >= 0 and len(codes) * n * words > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"{len(codes)} states * {n} * {words} code words exceed budget {DEFAULT_BUDGET}")
         merging = t >= depth and context[t - depth] >= 0
-        dest = (codes % top if merging else codes)[rows] * n + syms
-        del codes, syms
-        if not merging:
-            codes, weights = dest, weights[rows]
+        entry = cache[t % h]
+        if (entry is not None and entry[0] == here and entry[1] == merging
+                and (entry[2] is codes
+                     or len(entry[2]) == len(codes) and np.array_equal(entry[2], codes))):
+            dest, plan = entry[3], entry[4]
         else:
-            # group successors by code, at most n sources each, added one at a
-            # time in state order
-            order = np.argsort(dest, kind="stable")
-            src = rows[order]
-            dest = dest[order]
-            del rows, order
-            starts = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
-            ends = np.append(starts[1:], len(dest))
-            codes, merged = dest[starts], weights[src[starts]]
-            del dest
-            for k in range(1, n):
-                more = starts + k < ends
-                merged[more] += weights[src[starts[more] + k]]
-            del weights, src
-            weights = merged
+            if entry is not None:     # freed before the step allocates
+                cache[t % h], held, entry = None, held - entry[5], None
+            dest, plan = _sweep_step(codes, here, merging, n, top, table)
+            size = _plan_words(codes, dest, plan, words)
+            if held + size <= DEFAULT_BUDGET:
+                cache[t % h], held = (here, merging, codes, dest, plan, size), held + size
+        if not len(dest):
+            return float("-inf") if log_domain else 0
+        first, terms = plan
+        merged = weights[first]
+        for at, src in terms:        # added one source at a time, in state order
+            merged[at] += weights[src]
+        codes, weights = dest, merged
         # the pairwise sum is far within 0.1% of fsum: fsum runs only where it may pass 1e12
         if log_domain and weights.sum() > 0.999e12:
             total = math.fsum(weights.tolist())

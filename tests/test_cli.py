@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from sftent.formats import (
     spec_from_dict,
     spec_to_dict,
 )
-from sftent import golden_mean_horizontal, lshape, omega_q, rectangle
+from sftent import count, golden_mean_horizontal, lshape, omega_q, rectangle
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,31 @@ def test_count_json_roundtrip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["value"] == "8" and data["cells"] == 4
+
+
+def _decimal(value: int) -> str:
+    """`value` >= 0 in decimal, 1,000 digits at a time (no int-to-str limit)."""
+    chunks = []
+    while value >= 10**1000:
+        value, low = divmod(value, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(value) + "".join(reversed(chunks))
+
+
+def test_count_prints_counts_past_the_int_digit_limit(capsys):
+    # golden mean on 150 x 150 (the axis product) has 4,710 digits, past the
+    # 4,300 Python 3.11 converts to str by default: printed in full, in every
+    # format, and the limit is back in place afterwards
+    digits = _decimal(count(rectangle((0, 0), 150, 150), golden_mean_horizontal()).value)
+    assert len(digits) > 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["count", "--spec", "golden-mean-h", "--lattice", "rect:150,150"]
+    assert run_cli(capsys, *argv) == (0, f"{digits} local 22500\n", "")
+    assert run_cli(capsys, *argv, "--format", "csv") == (
+        0, f"value,mode,cells\n{digits},local,22500\n", "")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["value"] == digits
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_count_extendable_mode(capsys):

@@ -31,7 +31,8 @@ from sftent import (
     staircase,
     stick_augmented,
 )
-from sftent.counting import _check_budget, admissible_extension_exists
+from sftent import counting
+from sftent.counting import _check_budget, _sweep_bans, admissible_extension_exists
 from conftest import random_connected_lattice
 
 
@@ -441,6 +442,89 @@ def test_sweep_refuses_reach_past_the_budget():
     with pytest.raises(BudgetExceeded):
         count_profile_dp(lat, spec)
     assert count(lat, spec).value == 6
+
+
+L_TRIOMINO_RUN = SftSpec.make(2, [[((0, 0), 1), ((1, 0), 1), ((0, 1), 1)],
+                                  [((0, 0), 0), ((1, 0), 0), ((2, 0), 0)]])
+
+
+def test_sweep_orients_by_depth():
+    # the horizontal 1x3 run reaches back 2h column-major but 2 row-major, so
+    # row-major needs a state of w + 1 digits where column-major needs 2h + 1:
+    # on lshape(4), a 16 x 16 box, 17 digits rather than 32
+    lat = lshape(4)
+    assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 17
+    assert _sweep_bans(lat.transpose(), L_TRIOMINO_RUN.transpose())[0] == 17
+    assert (count_profile_dp(lat, L_TRIOMINO_RUN).value
+            == count_profile_dp(lat.transpose(), L_TRIOMINO_RUN.transpose()).value)
+    # 5 x 4 boxes with holes: the box would pick depth 9, the bans need 6
+    for holes in ((), ((2, 1),), ((0, 3), (3, 2), (4, 0))):
+        lat = rectangle((0, 0), 5, 4).difference(FiniteLattice(list(holes)))
+        assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 6
+        exact = count_bruteforce(lat, L_TRIOMINO_RUN).value
+        assert count_profile_dp(lat, L_TRIOMINO_RUN).value == exact
+        assert count_profile_dp(lat.transpose(), L_TRIOMINO_RUN.transpose()).value == exact
+        assert log_count(lat, L_TRIOMINO_RUN) == pytest.approx(math.log(exact), rel=1e-12)
+    # a tie keeps the box's orientation: 2x2-window specs keep theirs
+    square = rectangle((0, 0), 5, 4)
+    assert _sweep_bans(square, HARD_SQUARE)[0] == 5
+    assert _sweep_bans(square.transpose(), HARD_SQUARE.transpose())[0] == 5
+
+
+THREE_SYMBOLS = SftSpec.make(3, [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
+                                 [((0, 0), 2), ((0, 1), 2), ((1, 0), 1)], [((0, 0), 0), ((1, 0), 1)],
+                                 [((0, 0), 2), ((1, 0), 2)], [((0, 0), 1), ((0, 1), 1)]])
+
+
+def test_sweep_step_cache_keys_on_the_incoming_states():
+    # one hole in a middle column: the rows below it see the context and
+    # merging flag they saw one column back, but other incoming states (the
+    # hole's digit is always 0), and so does the next column's first row.
+    # Under `equal` a step meets as many states as one column back, not the same
+    equal = SftSpec.make(2, [[((0, 0), 0), ((0, 1), 1)], [((0, 0), 0), ((1, 0), 0), ((1, 1), 0)]])
+    for spec, (w, h), hole in ((HARD_SQUARE, (5, 4), (2, 1)), (THREE_SYMBOLS, (5, 3), (2, 1)),
+                               (equal, (4, 3), (1, 1))):
+        lat = rectangle((0, 0), w, h).difference(FiniteLattice([hole]))
+        exact = count_bruteforce(lat, spec).value
+        assert count_profile_dp(lat, spec).value == exact
+        assert count_profile_dp(lat.transpose(), spec.transpose()).value == exact
+        assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
+
+
+def test_sweep_merging_step_with_no_successors():
+    # no 0s, and two diagonal 1s: the first column holds, and (1, 1) has no
+    # symbol left at a step whose oldest state cell (0, 0) is present
+    spec = SftSpec.make(2, [[((0, 0), 0)], [((0, 0), 1), ((1, 1), 1)]])
+    square = rectangle((0, 0), 3, 3)
+    assert count_bruteforce(square, spec).value == 0
+    assert count_profile_dp(square, spec).value == 0
+    assert log_count(square, spec) == -math.inf
+
+
+def test_sweep_cache_bound_refuses_nothing_the_step_budget_admits(monkeypatch):
+    # at the smallest budget the steps admit, the cache holds far fewer steps
+    # than the sweep takes: they are computed again, never refused
+    square = rectangle((0, 0), 12, 12)
+    value = 162481813349792588536582997
+    demand, calls = [], []
+
+    def step(codes, here, merging, n, top, table):
+        calls.append(here)
+        if here >= 0:
+            demand.append(len(codes) * n)
+        return sweep_step(codes, here, merging, n, top, table)
+    sweep_step = counting._sweep_step
+    monkeypatch.setattr(counting, "_sweep_step", step)
+    assert count_profile_dp(square, HARD_SQUARE).value == value
+    cached_calls, tight = len(calls), max(demand)
+    monkeypatch.setattr(counting, "DEFAULT_BUDGET", tight)
+    calls.clear()
+    assert count_profile_dp(square, HARD_SQUARE).value == value
+    assert log_count(square, HARD_SQUARE) == pytest.approx(math.log(value), rel=1e-12)
+    assert len(calls) > 2 * cached_calls
+    monkeypatch.setattr(counting, "DEFAULT_BUDGET", tight - 1)
+    with pytest.raises(BudgetExceeded, match="states"):
+        count_profile_dp(square, HARD_SQUARE)
 
 
 def test_every_route_ignores_where_the_lattice_lies():
