@@ -3,10 +3,23 @@
 Three routes compute the number of locally admissible assignments on a finite
 lattice:
 
-* ``count_bruteforce`` -- exhaustive depth-first search over all assignments,
-  the reference oracle, budgeted at ``N ** |L|`` leaves.  The same search
-  (``_search``) enumerates admissible patterns, decides extension questions
-  and backs the multiplicative brute force.
+* ``count_bruteforce`` -- the exhaustive reference oracle, budgeted at
+  ``N ** |free cells|``.  A block search (``_block_search``) holds up to
+  ``_BLOCK`` = 1,024 partial assignments as the rows of a numpy array, one
+  column per cell in canonical order, and extends a whole block by one cell
+  per step: each forbidden occurrence is checked at its last cell, with one
+  table lookup per tuple of other cells (a comparison with each banned key
+  past ``_DENSE`` = 4,096 table rows).  The children, in (row, symbol)
+  order, are split into blocks pushed in reverse onto an explicit stack, so
+  the search runs depth-first in lexicographic order.  Each cell keeps at
+  most one split child of ``N * _BLOCK`` rows waiting, one byte per cell
+  (N <= 256), so memory stays under ``N * _BLOCK * |L| ** 2`` bytes
+  whatever the count.  The last cell is counted, never built, and block
+  counts are summed as Python ints.  The same blocks enumerate the
+  admissible patterns (``enumerate_admissible``) and back the
+  multiplicative brute force.  Only "does an extension exist" runs
+  elsewhere: ``_search`` steps one symbol at a time, depth first, and stops
+  at the first witness, within its per-symbol budget.
 * ``count_profile_dp`` -- a frontier dynamic program for any finite forbidden
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
@@ -42,7 +55,7 @@ margin returns the extendable-count refinement.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 import numpy as np
@@ -58,6 +71,9 @@ DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code 
 # exhaustive search
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1024     # rows of partial assignments the block search extends per step
+_DENSE = 4096     # base-N codes a check's lookup table may cover
+
 
 def _check_budget(alphabet_size: int, cells: int, budget: int) -> None:
     # N >= 2, so N**cells >= 2**cells > budget once cells >= budget.bit_length()
@@ -65,20 +81,124 @@ def _check_budget(alphabet_size: int, cells: int, budget: int) -> None:
         raise BudgetExceeded(f"{alphabet_size}**{cells} assignments exceed budget {budget}")
 
 
-def _search(domains, checks, budget=math.inf):
-    """Depth-first search over admissible assignments, on an explicit stack.
+def _ban_groups(occurrences, n_cells: int):
+    """Forbidden (cells, symbols) occurrences, each attached to its last cell:
+    per cell, ``{other cells: {their symbols: banned symbols}}``."""
+    groups: list[dict] = [{} for _ in range(n_cells)]
+    for idx, syms in occurrences:
+        pairs = sorted(zip(idx, syms))
+        last, last_sym = pairs.pop()
+        cells, key = tuple(i for i, _ in pairs), tuple(s for _, s in pairs)
+        groups[last].setdefault(cells, {}).setdefault(key, set()).add(last_sym)
+    return groups
 
-    Cell i takes symbols from ``domains[i]`` except ``banned[read(assign)]``
-    for each ``(read, banned)`` in ``checks[i]``.  Yields ``(assign, leaves)``
-    per admissible assignment of all cells but the last, ``leaves`` being the
-    last cell's admissible symbols (no cells: one leaf).  Raises
-    :class:`BudgetExceeded` past ``budget`` admissible symbols offered to cells.
-    """
-    n = len(domains)
-    assign = [0] * n
-    if n == 0:
-        yield assign, (None,)
+
+def _occurrence_checks(occurrences, n_cells: int):
+    """``_search`` checks: per cell, ``(read, banned)`` per tuple of other
+    cells, ``banned`` keyed by what ``read(assign)`` returns."""
+    return [tuple((itemgetter(*cells) if cells else lambda _: (),
+                   {k[0] if len(k) == 1 else k: v for k, v in banned.items()})
+                  for cells, banned in g.items())
+            for g in _ban_groups(occurrences, n_cells)]
+
+
+def _block_checks(occurrences, n_cells: int, n: int):
+    """``_block_search`` arguments for `n` symbols: the free symbols, an
+    ``(n_cells, n)`` mask with one-cell bans cleared, and per cell one check
+    per tuple of other cells, mapping a block to its ``(rows, n)`` mask of
+    the symbols allowed there.  While the other cells have at most
+    ``_DENSE`` symbol combinations a check reads a table row by their base-N
+    code, else it compares them with each banned key."""
+    free = np.ones((n_cells, n), dtype=bool)
+    checks: list[list] = [[] for _ in range(n_cells)]
+    for cell, g in enumerate(_ban_groups(occurrences, n_cells)):
+        for cells, banned in g.items():
+            if not cells:
+                free[cell, list(banned[()])] = False
+            elif n ** len(cells) <= _DENSE:
+                allow = np.ones((n,) * len(cells) + (n,), dtype=bool)
+                for key, syms in banned.items():
+                    allow[key][list(syms)] = False
+                checks[cell].append(partial(_lookup, cells, n, allow.reshape(-1, n)))
+            else:
+                keys = np.array(list(banned), dtype=np.int64)[:, None, :]
+                bans = np.zeros((len(keys), n), dtype=bool)
+                for row, syms in enumerate(banned.values()):
+                    bans[row, list(syms)] = True
+                checks[cell].append(partial(_compare, list(cells), keys, bans))
+    return free, checks
+
+
+def _lookup(cells, n: int, allow, block):
+    """The rows of `allow` at the base-N code of `cells` in each row of
+    `block`, the first cell most significant."""
+    code = block[:, cells[0]]
+    if len(cells) > 1:
+        code = code.astype(np.intp)
+        for c in cells[1:]:
+            code *= n
+            code += block[:, c]
+    return allow.take(code, axis=0)
+
+
+def _compare(cells, keys, bans, block):
+    """Per row of `block`, the symbols that no key its `cells` hold bans;
+    key j bans the symbols of row j of `bans`."""
+    return ~((block[:, cells] == keys).all(2).T @ bans)
+
+
+def _extend(block, i: int, allowed):
+    """The rows of `block` with cell i set: each row once per symbol
+    `allowed` there, in (row, symbol) order."""
+    rows, syms = np.divmod(allowed.ravel().nonzero()[0], allowed.shape[1])
+    child = block.take(rows, axis=0)
+    child[:, i] = syms
+    return child
+
+
+def _block_search(free, checks):
+    """Yield ``(block, leaves)`` over the admissible assignments of all cells
+    but the last, in lexicographic order: `block` holds up to ``_BLOCK`` of
+    them as rows, one column per cell (the last one unset), and `leaves` the
+    last cell's allowed symbols per row (no cells: one leaf).  Cell i takes
+    the symbols of ``free[i]`` that every check in ``checks[i]`` allows.
+    Pending blocks wait on an explicit stack, each cell's from one child of
+    at most ``N * _BLOCK`` rows, so memory does not grow with the count."""
+    n_cells, n = free.shape
+    root = np.zeros((1, n_cells), dtype=np.min_scalar_type(n - 1))
+    if n_cells == 0:
+        yield root, np.ones((1, 1), dtype=bool)
         return
+    stack = [(0, root)]
+    while stack:
+        i, block = stack.pop()
+        allowed = free[i]
+        for check in checks[i]:
+            allowed = allowed & check(block)
+        if allowed.ndim == 1:         # no check here: every row allows the same
+            allowed = np.repeat(allowed[None], len(block), axis=0)
+        if i == n_cells - 1:
+            yield block, allowed
+            continue
+        child = _extend(block, i, allowed)
+        stack.extend([(i + 1, child[k:k + _BLOCK])
+                      for k in range(0, len(child), _BLOCK)][::-1])
+
+
+def _count_blocks(free, checks) -> int:
+    """Number of admissible assignments, summed exactly over the blocks."""
+    return sum(int(np.count_nonzero(leaves)) for _, leaves in _block_search(free, checks))
+
+
+def _search(domains, checks, budget) -> bool:
+    """Does an admissible assignment exist?  Depth-first on an explicit stack:
+    cell i takes symbols from ``domains[i]`` except ``banned[read(assign)]``
+    for each ``(read, banned)`` in ``checks[i]``.  Raises BudgetExceeded past
+    ``budget`` admissible symbols offered to cells."""
+    n = len(domains)
+    if n == 0:
+        return True
+    assign = [0] * n
     last, assigned, i = n - 1, 0, 0
     untried, nxt = [()] * n, [0] * n     # per cell: admissible symbols, next to try
     while True:
@@ -91,49 +211,42 @@ def _search(domains, checks, budget=math.inf):
             assigned += len(syms)
             if assigned > budget:
                 raise BudgetExceeded(f"search exceeds {budget} cell assignments")
-            if i < last:
-                untried[i], nxt[i], assign[i] = syms, 1, syms[0]
-                i += 1
-                continue
-            yield assign, syms
+            if i == last:
+                return True
+            untried[i], nxt[i], assign[i] = syms, 1, syms[0]
+            i += 1
+            continue
         # backtrack to the deepest cell with an untried symbol
         i -= 1
         while i >= 0 and nxt[i] == len(untried[i]):
             i -= 1
         if i < 0:
-            return
+            return False
         assign[i] = untried[i][nxt[i]]
         nxt[i] += 1
         i += 1
 
 
-def _occurrence_checks(occurrences, n_cells: int):
-    """``_search`` checks for forbidden (cells, symbols) occurrences, each
-    attached to its last cell; occurrences sharing other cells share a lookup."""
-    groups: list[dict] = [{} for _ in range(n_cells)]
-    for idx, syms in occurrences:
-        pairs = sorted(zip(idx, syms))
-        last, last_sym = pairs.pop()
-        cells, key = tuple(i for i, _ in pairs), tuple(s for _, s in pairs)
-        banned = groups[last].setdefault(cells, {})
-        banned.setdefault(key[0] if len(key) == 1 else key, set()).add(last_sym)
-    return [tuple((itemgetter(*cells) if cells else lambda _: (), banned)
-                  for cells, banned in g.items()) for g in groups]
-
-
 @lru_cache(maxsize=8)
-def _constraint_table(lat: FiniteLattice, spec: SftSpec):
-    """Cell index by point, free domains and ``_search`` checks, built once per
-    lattice and spec."""
-    checks = _occurrence_checks(forbidden_occurrences(lat, spec), len(lat))
+def _constraint_table(lat: FiniteLattice, spec: SftSpec, blocks: bool):
+    """Cell index by point, free domains and checks, of the block search
+    (`blocks`) or of ``_search``, built once per lattice and spec."""
+    occurrences = forbidden_occurrences(lat, spec)
     index = {p: i for i, p in enumerate(lat)}
-    return index, [tuple(range(spec.alphabet_size))] * len(lat), checks
+    if blocks:
+        return index, *_block_checks(occurrences, len(lat), spec.alphabet_size)
+    # safe symbols first: no check bans one, so with one the search extends
+    # admissible fixed cells without backtracking
+    safe = spec.safe_symbols
+    free = [safe + tuple(s for s in range(spec.alphabet_size) if s not in safe)] * len(lat)
+    return index, free, _occurrence_checks(occurrences, len(lat))
 
 
-def _domains(lat: FiniteLattice, spec: SftSpec, fixed):
-    """``_search`` arguments for `lat`; a cell in `fixed` has one symbol, and
-    a fixed symbol outside the alphabet raises SymbolOutOfRange."""
-    index, free, checks = _constraint_table(lat, spec)
+def _domains(lat: FiniteLattice, spec: SftSpec, fixed, blocks: bool):
+    """Free domains and checks for `lat`, of the block search (`blocks`) or
+    of ``_search``; a cell in `fixed` keeps one symbol, and a fixed symbol
+    outside the alphabet raises SymbolOutOfRange."""
+    index, free, checks = _constraint_table(lat, spec, blocks)
     domains = free.copy()
     for p, s in (fixed or {}).items():
         if not 0 <= s < spec.alphabet_size:
@@ -141,7 +254,10 @@ def _domains(lat: FiniteLattice, spec: SftSpec, fixed):
                 f"fixed symbol {s} outside alphabet 0..{spec.alphabet_size - 1}")
         i = index.get(p)          # Points, int pairs and numpy scalars hash alike
         if i is not None:
-            domains[i] = (int(s),)
+            if blocks:
+                domains[i] &= np.arange(spec.alphabet_size) == s
+            else:
+                domains[i] = (int(s),)
     return domains, checks
 
 
@@ -154,8 +270,7 @@ def count_bruteforce(
     """Exhaustive count of locally admissible assignments (reference oracle)."""
     free = len(lat) - sum(p in lat for p in fixed or ())
     _check_budget(spec.alphabet_size, free, budget)
-    value = sum(len(leaves) for _, leaves in _search(*_domains(lat, spec, fixed)))
-    return CountResult(value, len(lat))
+    return CountResult(_count_blocks(*_domains(lat, spec, fixed, blocks=True)), len(lat))
 
 
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
@@ -164,10 +279,8 @@ def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAUL
     if len(lat) == 0:
         yield ()
         return
-    for assign, leaves in _search(*_domains(lat, spec, None)):
-        for sym in leaves:
-            assign[-1] = sym
-            yield tuple(assign)
+    for block, leaves in _block_search(*_domains(lat, spec, None, blocks=True)):
+        yield from map(tuple, _extend(block, len(lat) - 1, leaves).tolist())
 
 
 def admissible_extension_exists(
@@ -175,7 +288,7 @@ def admissible_extension_exists(
 ) -> bool:
     """Is there an admissible assignment agreeing with `fixed`?  The search may
     assign at most `budget` cells, else it raises BudgetExceeded."""
-    return any(_search(*_domains(lat, spec, fixed), budget=budget))
+    return _search(*_domains(lat, spec, fixed, blocks=False), budget)
 
 
 # ---------------------------------------------------------------------------

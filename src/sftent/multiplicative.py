@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .counting import DEFAULT_BUDGET, _check_budget, _occurrence_checks, _search
+from .counting import DEFAULT_BUDGET, _block_checks, _check_budget, _count_blocks
 
 _fib_cache = [1, 2, 3]  # a_0 = 1 (empty string), a_1 = 2, a_2 = 3
 
@@ -105,8 +105,7 @@ def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET
     _check_budget(2, n, budget)
     # cell k - 1 holds x_k; the pair (x_{k/q}, x_k) may not be (1, 1)
     pairs = [((k // q - 1, k - 1), (1, 1)) for k in range(q, n + 1, q)]
-    search = _search([(0, 1)] * n, _occurrence_checks(pairs, n))
-    return sum(len(leaves) for _, leaves in search)
+    return _count_blocks(*_block_checks(pairs, n, 2))
 
 
 def multiplicative_entropy_series(q: int, terms: int) -> SeriesValue:

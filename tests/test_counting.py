@@ -1,7 +1,8 @@
 import math
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from sftent import (
     count,
     count_bruteforce,
     count_extendable,
+    count_multiplicative,
+    count_multiplicative_bruteforce,
     count_profile_dp,
     dilate,
     enumerate_admissible,
@@ -28,9 +31,12 @@ from sftent import (
     omega_q,
     period_forcing_horizontal,
     rectangle,
+    replay_counterexample,
     staircase,
     stick_augmented,
+    verify_block_gluing,
 )
+from sftent.sft import Pattern, is_locally_admissible
 from sftent import counting
 from sftent.counting import _check_budget, _sweep_bans, admissible_extension_exists
 from conftest import random_connected_lattice
@@ -113,6 +119,102 @@ def test_bruteforce_rejects_fixed_symbol_outside_alphabet():
         count_bruteforce(rectangle((0, 0), 2, 1), GM_H, fixed={(0, 0): 7})
     with pytest.raises(SymbolOutOfRange):
         admissible_extension_exists(rectangle((0, 0), 2, 1), GM_H, {(0, 0): -1})
+
+
+BRUTE_BOX = [(x, y) for x in range(3) for y in range(3)]
+ORACLE_CELLS = {2: 7, 3: 5, 4: 4}     # a 3x3 box with holes: N ** cells candidates
+
+
+@st.composite
+def bruteforce_specs(draw):
+    """Specs whose 1-4-cell shapes lie in a 3x3 box, N in 2..4, 1-4 patterns."""
+    n = draw(st.integers(2, 4))
+    pattern = st.lists(st.tuples(st.sampled_from(BRUTE_BOX), st.integers(0, n - 1)),
+                       min_size=1, max_size=4, unique_by=lambda cell: cell[0])
+    return SftSpec.make(n, draw(st.lists(pattern, min_size=1, max_size=4)))
+
+
+def product_oracle(lat, spec):
+    """Every admissible assignment, in lexicographic order, by filtering all
+    of them through `is_locally_admissible`."""
+    return [syms for syms in product(range(spec.alphabet_size), repeat=len(lat))
+            if is_locally_admissible(Pattern(lat, syms), spec)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bruteforce_specs(), st.randoms(use_true_random=False), st.sampled_from((1, 2, 7)),
+       st.booleans(), st.integers(1, 16), st.integers(2, 5))
+def test_block_search_matches_oracles(spec, rnd, block, compare, n, q):
+    # blocks of 1, 2 and 7 rows split every child; `compare` sends every
+    # check through the banned-key comparison instead of a lookup table
+    lat = FiniteLattice(rnd.sample(BRUTE_BOX, ORACLE_CELLS[spec.alphabet_size]))
+    points = list(lat)
+    fixed = {p: rnd.randrange(spec.alphabet_size)
+             for p in rnd.sample(points, rnd.randint(0, min(2, len(points))))}
+    admissible = product_oracle(lat, spec)
+    pinned = [syms for syms in admissible
+              if all(syms[points.index(p)] == s for p, s in fixed.items())]
+    with patch.object(counting, "_BLOCK", block), \
+            patch.object(counting, "_DENSE", 1 if compare else counting._DENSE):
+        counting._constraint_table.cache_clear()      # tables built under the patch
+        try:
+            assert list(enumerate_admissible(lat, spec)) == admissible
+            assert count_bruteforce(lat, spec).value == len(admissible)
+            assert count_bruteforce(lat, spec, fixed=fixed).value == len(pinned)
+            assert count_multiplicative_bruteforce(n, q) == count_multiplicative(n, q)
+        finally:
+            counting._constraint_table.cache_clear()
+
+
+def test_block_checks_compare_keys_past_the_lookup_table(rng):
+    # a 3x3 pattern over 3 symbols has 3**8 keys, past _DENSE: its check
+    # compares keys.  Forcing every check there must keep every count,
+    # against the sweep
+    wide = SftSpec.make(3, [[((x, y), (x + y) % 3) for x in range(3) for y in range(3)]])
+    square = rectangle((0, 0), 3, 3)
+    assert count_bruteforce(square, wide).value == 3**9 - 1
+    corpus = [(rectangle((0, 0), 4, 3), wide)]
+    box = [(x, y) for x in range(4) for y in range(3)]
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        patterns = [[(c, rng.randrange(n)) for c in rng.sample(BRUTE_BOX, rng.randint(2, 4))]
+                    for _ in range(rng.randint(1, 4))]
+        corpus.append((FiniteLattice(rng.sample(box, 10 if n == 2 else 7)),
+                       SftSpec.make(n, patterns)))
+    with patch.object(counting, "_DENSE", 1):
+        counting._constraint_table.cache_clear()
+        try:
+            for lat, spec in corpus:
+                assert count_bruteforce(lat, spec).value == count_profile_dp(lat, spec).value
+        finally:
+            counting._constraint_table.cache_clear()
+    assert count_bruteforce(*corpus[0]).value == count_profile_dp(*corpus[0]).value
+
+
+def test_block_search_memory_is_bounded():
+    # 2**20 assignments, all admissible: the blocks in flight, not the count,
+    # bound the memory
+    tracemalloc.start()
+    try:
+        assert count_bruteforce(rectangle((0, 0), 4, 5), full_shift(2)).value == 2**20
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # a replay counts under budget 2**60: only the free cells are searched
+    spec = period_forcing_horizontal()
+    verdict = verify_block_gluing(spec, gap=1, window=2, extent=4)
+    assert replay_counterexample(spec, verdict.counterexample) == 0
+
+
+def test_extension_search_tries_safe_symbols_first():
+    # 3 is safe: filling every free cell with it extends the fixed cell at
+    # once, where trying 0, 1 and 2 first overran a budget of N per cell
+    spec = SftSpec.make(4, [[((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((2, 1), 1)],
+                            [((0, 0), 0), ((2, 2), 1)],
+                            [((0, 0), 1), ((1, 0), 1), ((1, 1), 0), ((2, 1), 1)]])
+    ring = dilate(rectangle((0, 0), 1, 1), 2)
+    assert admissible_extension_exists(ring, spec, {(0, 0): 1}, budget=4 * len(ring))
 
 
 # ---------------------------------------------------------------------------
