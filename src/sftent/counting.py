@@ -172,11 +172,9 @@ def _block_search(free, checks):
     stack = [(0, root)]
     while stack:
         i, block = stack.pop()
-        allowed = free[i]
+        allowed = np.repeat(free[i:i + 1], len(block), axis=0)
         for check in checks[i]:
-            allowed = allowed & check(block)
-        if allowed.ndim == 1:         # no check here: every row allows the same
-            allowed = np.repeat(allowed[None], len(block), axis=0)
+            allowed &= check(block)
         if i == n_cells - 1:
             yield block, allowed
             continue
