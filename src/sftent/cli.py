@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("count", help="count admissible patterns on a lattice")
-    p.add_argument("--spec", required=True, help="builtin name, full:N, or spec file")
-    p.add_argument("--lattice", required=True, help="shorthand like rect:3,2 or a lattice file")
+    p.add_argument("--spec", required=True, help="builtin name, full:N, inline JSON or a file")
+    p.add_argument("--lattice", required=True, help="shorthand (rect:3,2), inline JSON or a file")
     p.add_argument("--mode", default="local", help="local (default) or ext:M")
     p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
                    help="cap on N**cells for enumeration routes")
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy-omega", help="entropy along an expanding system")
     p.add_argument("--spec", required=True)
-    p.add_argument("--system", required=True, help="shorthand or JSON system description")
+    p.add_argument("--system", required=True, help="shorthand (omega_q:2), inline JSON or a file")
     p.add_argument("--n-range", default="1:8", help="index range a:b")
     add_common(p, *_SEQUENCE_FORMATS)
     p.set_defaults(func=_cmd_entropy_omega)

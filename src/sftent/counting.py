@@ -61,7 +61,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BudgetExceeded, SymbolOutOfRange, UnsupportedForbiddenShape
-from .lattice import FiniteLattice, _cells, _run_lengths, dilate
+from .lattice import FiniteLattice, _cells, _integer, _run_lengths, dilate
 from .sft import CountResult, SftSpec, _placement_runs, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
@@ -242,11 +242,12 @@ def _constraint_table(lat: FiniteLattice, spec: SftSpec, blocks: bool):
 
 def _domains(lat: FiniteLattice, spec: SftSpec, fixed, blocks: bool):
     """Free domains and checks for `lat`, of the block search (`blocks`) or
-    of ``_search``; a cell in `fixed` keeps one symbol, and a fixed symbol
-    outside the alphabet raises SymbolOutOfRange."""
+    of ``_search``; a cell in `fixed` keeps one symbol.  A fixed symbol must
+    be an integer (else ValueError) inside the alphabet (else SymbolOutOfRange)."""
     index, free, checks = _constraint_table(lat, spec, blocks)
     domains = free.copy()
     for p, s in (fixed or {}).items():
+        s = _integer(s)
         if not 0 <= s < spec.alphabet_size:
             raise SymbolOutOfRange(
                 f"fixed symbol {s} outside alphabet 0..{spec.alphabet_size - 1}")
@@ -255,7 +256,7 @@ def _domains(lat: FiniteLattice, spec: SftSpec, fixed, blocks: bool):
             if blocks:
                 domains[i] &= np.arange(spec.alphabet_size) == s
             else:
-                domains[i] = (int(s),)
+                domains[i] = (s,)
     return domains, checks
 
 
@@ -527,6 +528,7 @@ def count_extendable(
     Otherwise each admissible pattern on `lat` (budgeted at N ** |lat|) is
     kept when a search, assigning at most `budget` cells, completes the ring.
     """
+    margin = _integer(margin)
     if margin < 0:
         raise ValueError("margin must be >= 0")
     dilated = dilate(lat, margin)     # raises ValueError past the coordinate range

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, gcd
+from math import ceil
 from operator import itemgetter
 
 from .counting import count, log_count
-from .errors import NonPrimitiveVector
-from .lattice import FiniteLattice, Point, rectangle
+from .lattice import FiniteLattice, Point, _pair, _require_primitive, rectangle
 from .sft import SftSpec, golden_mean_horizontal, golden_mean_vertical
 from .systems import ExpandingSystem
 
@@ -103,16 +102,9 @@ def system_entropy(
     return _sequence(records)
 
 
-def _require_primitive(v) -> Point:
-    vx, vy = int(v[0]), int(v[1])
-    if (vx, vy) == (0, 0) or gcd(abs(vx), abs(vy)) != 1:
-        raise NonPrimitiveVector(f"direction {(vx, vy)} is not primitive")
-    return Point(vx, vy)
-
-
 def segment(v, n: int) -> FiniteLattice:
     """The n-point segment {0, v, 2v, ..., (n-1)v}."""
-    vx, vy = int(v[0]), int(v[1])
+    vx, vy = _pair(v)
     return FiniteLattice([(s * vx, s * vy) for s in range(n)])
 
 

@@ -21,7 +21,7 @@ class UnsupportedForbiddenShape(SftentError):
     """The profile sweep holds one context bit per placed shape, 63 at most."""
 
 
-class NonPrimitiveVector(SftentError):
+class NonPrimitiveVector(SftentError, ValueError):
     """A direction vector must be nonzero with coprime components."""
 
 

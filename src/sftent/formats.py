@@ -1,22 +1,27 @@
-"""File formats: lattice literals, spec files, system descriptions.
+"""Specs, lattices and systems given as text, by one grammar (:func:`_resolve`).
 
-Lattice files are JSON: either an explicit point list
-``{"type": "points", "points": [[x, y], ...]}`` or a named generator
-``{"type": "generator", "name": ..., "params": {...}}``.  Spec files are
-``{"N": 2, "name": ..., "forbidden": [[[dx, dy, symbol], ...], ...]}``.
-System descriptions are ``{"system": "omega_q", "q": 2}`` and friends, with
-rectangle sides given in a small expression grammar over n (integer
-constants, n, n^2, 2^n, and products thereof).
+Text starting with ``{`` is inline JSON.  ``name`` or ``name:a,b,...`` is
+shorthand when the name is registered, as is other text with a ``:`` naming
+no existing file (an unknown name); the rest is a JSON file path.  Lattice
+JSON is ``{"type": "points", "points": [[x, y], ...]}`` or
+``{"type": "generator", "name": ..., "params": {...}}``, spec JSON
+``{"N": 2, "name": ..., "forbidden": [[[dx, dy, symbol], ...], ...]}`` and
+system JSON ``{"system": "omega_q", "q": 2}`` and friends.  Rectangle sides
+are ``*``-products of factors c, n, n^k (k >= 0) and b^n (integers c, b).
+Integers follow the package's rule, ``sftent.lattice._integer``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
 from typing import Callable
 
-from .lattice import FiniteLattice, rectangle
-from .sft import BUILTIN_SPECS, SftSpec, full_shift
+from .lattice import FiniteLattice, _integer, _pair, rectangle
+from .sft import (SftSpec, full_shift, golden_mean_horizontal, golden_mean_vertical,
+                  period_forcing_horizontal)
 from .systems import (
     ExpandingSystem,
     lshape,
@@ -47,24 +52,9 @@ def real_text(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _integer(value) -> int:
-    """A JSON integer; bools, floats, strings and the rest raise FormatError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise FormatError(f"expected an integer, got {value!r}")
-
-
-def _pair(value) -> tuple[int, int]:
-    try:
-        x, y = value
-        return _integer(x), _integer(y)
-    except (TypeError, ValueError):
-        raise FormatError(f"expected a pair of integers, got {value!r}") from None
-
-
 # parameter name -> converter for every generator; pairs take two shorthand
 # numbers, and a real is a float or an integer
-_CONVERT: dict[str, Callable] = {**dict.fromkeys("mnqb", _integer), "origin": _pair, "v": _pair,
+_CONVERT: dict[str, Callable] = {**dict.fromkeys("mnqbN", _integer), "origin": _pair, "v": _pair,
                                  "a_target": lambda v: v if isinstance(v, float) else float(_integer(v)),
                                  "w": str, "h": str}
 
@@ -84,12 +74,16 @@ def _build(registry: dict, kind: str, name, params: dict):
     return build(**args)
 
 
+_INT = r"[+-]?\d+(?:_\d+)*"        # a decimal integer as int() reads it
+
+
 def _shorthand(text: str, registry: dict) -> tuple[str, dict]:
     """'name:a,b,...' -> (name, parameter dict); pair parameters take two numbers."""
     name, _, rest = text.partition(":")
+    name = name.strip()
     tokens, params = rest.split(",") if rest else [], {}
     # tokens int() reads as decimal integers become ints, decimal reals floats
-    tokens = [int(t) if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", t) else float(t)
+    tokens = [int(t) if re.fullmatch(rf"\s*{_INT}\s*", t) else float(t)
               if re.fullmatch(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*", t) else t for t in tokens]
     for field in registry[name][1] if name in registry else ():
         if tokens:
@@ -99,6 +93,17 @@ def _shorthand(text: str, registry: dict) -> tuple[str, dict]:
     if tokens:
         params["extra arguments"] = tokens      # rejected by _build
     return name, params
+
+
+def _resolve(text: str, registry: dict, kind: str, from_dict: Callable):
+    """Inline JSON, shorthand from `registry`, or a JSON file read by `from_dict`."""
+    if text.lstrip().startswith("{"):
+        return from_dict(json.loads(text))
+    name, params = _shorthand(text, registry)
+    if name in registry or (":" in text and not os.path.exists(text)):
+        return _build(registry, kind, name, params)
+    with open(text) as fh:
+        return from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,10 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
         pts = data.get("points")
         if not isinstance(pts, (list, tuple)):
             raise FormatError(f"lattice 'points' must be a list of integer pairs, got {pts!r}")
-        return FiniteLattice([_pair(p) for p in pts])
+        try:
+            return FiniteLattice(pts)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
     if kind == "generator":
         return _build(_LATTICES, "lattice generator", data.get("name"), data.get("params", {}))
     raise FormatError(f"lattice type must be 'points' or 'generator', got {kind!r}")
@@ -134,11 +142,6 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
     return {"type": "points", "points": [[p.x, p.y] for p in lat]}
 
 
-def load_lattice(path: str) -> FiniteLattice:
-    with open(path) as fh:
-        return lattice_from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # specs
 # ---------------------------------------------------------------------------
@@ -146,14 +149,10 @@ def load_lattice(path: str) -> FiniteLattice:
 
 def spec_from_dict(data: dict) -> SftSpec:
     try:
-        n = _integer(data["N"])
-        forbidden = [
-            [((_integer(dx), _integer(dy)), _integer(sym)) for dx, dy, sym in pattern]
-            for pattern in data.get("forbidden", [])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        forbidden = [[((dx, dy), s) for dx, dy, s in pattern] for pattern in data.get("forbidden", [])]
+        return SftSpec.make(data["N"], forbidden, name=str(data.get("name", "")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed spec: {exc}") from exc
-    return SftSpec.make(n, forbidden, name=str(data.get("name", "")))
 
 
 def spec_to_dict(spec: SftSpec) -> dict:
@@ -166,18 +165,18 @@ def spec_to_dict(spec: SftSpec) -> dict:
     }
 
 
-def load_spec(path: str) -> SftSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+# spec name -> (builder, parameters in shorthand order, defaults)
+_SPECS: dict[str, tuple] = {
+    "golden-mean-h": (golden_mean_horizontal, (), {}),
+    "golden-mean-v": (golden_mean_vertical, (), {}),
+    "period-forcing-h": (period_forcing_horizontal, (), {}),
+    "full": (lambda N: full_shift(N), ("N",), {}),
+}
 
 
 def resolve_spec(text: str) -> SftSpec:
-    """Builtin name ('golden-mean-h', 'full:N', ...) or a spec file path."""
-    if text in BUILTIN_SPECS:
-        return BUILTIN_SPECS[text]()
-    if text.startswith("full:"):
-        return full_shift(int(text.split(":", 1)[1]))
-    return load_spec(text)
+    """A builtin ('golden-mean-h', 'full:N', ...), inline JSON or a spec file."""
+    return _resolve(text, _SPECS, "spec", spec_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +185,16 @@ def resolve_spec(text: str) -> SftSpec:
 
 
 def parse_size_expr(text: str) -> Callable[[int], int]:
-    """Tiny grammar: products of integer constants, n, n^k, and 2^n."""
-    factors = str(text).replace(" ", "").split("*")
-
-    def parse_factor(tok: str) -> Callable[[int], int]:
-        if tok == "n":
-            return lambda n: n
-        if "^" in tok:
-            base, exp = tok.split("^", 1)
-            if base == "n":
-                k = int(exp)
-                if k < 0:
-                    raise FormatError(f"size expression exponents must be >= 0, got {tok!r}")
-                return lambda n: n ** k
-            if exp == "n":
-                b = int(base)
-                return lambda n: b ** n
-            raise FormatError(f"unsupported size expression factor {tok!r}")
-        try:
-            c = int(tok)
-        except ValueError as exc:
-            raise FormatError(f"unsupported size expression factor {tok!r}") from exc
-        return lambda n: c
-
-    parsed = [parse_factor(tok) for tok in factors]
-
-    def evaluate(n: int) -> int:
-        out = 1
-        for f in parsed:
-            out *= f(n)
-        return out
-
-    return evaluate
+    """A size expression as a function of n: a '*'-product of factors, each an
+    integer c, n, n^k (k >= 0) or b^n (any integer b)."""
+    factors = []                        # (c, k, b): the factor c * n**k * b**n
+    for tok in "".join(str(text).split()).split("*"):
+        m = re.fullmatch(rf"({_INT})|n|n\^({_INT})|({_INT})\^n", tok)
+        if m is None or int(m[2] or 0) < 0:
+            raise FormatError(f"size expression factors are c, n, n^k (k >= 0) or b^n, got {tok!r}")
+        c, k, b = m.groups()
+        factors.append((int(c or 1), 1 if tok == "n" else int(k or 0), int(b or 1)))
+    return lambda n: math.prod(c * n ** k * b ** n for c, k, b in factors)
 
 
 # system name -> (builder, parameters in shorthand order, defaults)
@@ -233,22 +210,17 @@ _SYSTEMS: dict[str, tuple] = {
 
 
 def system_from_dict(data: dict) -> ExpandingSystem:
+    if not isinstance(data, dict):
+        raise FormatError(f"a system must be a JSON object, got {data!r}")
     params = {k: v for k, v in data.items() if k != "system"}
     return _build(_SYSTEMS, "system", data.get("system"), params)
 
 
 def resolve_system(text: str) -> ExpandingSystem:
-    """JSON object string, or shorthand like 'squares' / 'omega_q:2'."""
-    text = text.strip()
-    if text.startswith("{"):
-        return system_from_dict(json.loads(text))
-    name, params = _shorthand(text, _SYSTEMS)
-    return system_from_dict({"system": name, **params})
+    """Shorthand like 'squares' / 'omega_q:2', inline JSON or a system file."""
+    return _resolve(text, _SYSTEMS, "system", system_from_dict)
 
 
 def resolve_lattice(text: str) -> FiniteLattice:
-    """Shorthand like 'rect:3,2' / 'omega_q:2,2', or a lattice file path."""
-    if ":" in text:
-        name, params = _shorthand(text, _LATTICES)
-        return lattice_from_dict({"type": "generator", "name": name, "params": params})
-    return load_lattice(text)
+    """Shorthand like 'rect:3,2' / 'omega_q:2,2', inline JSON or a lattice file."""
+    return _resolve(text, _LATTICES, "lattice generator", lattice_from_dict)

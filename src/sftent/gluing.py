@@ -22,7 +22,7 @@ from .counting import (
     count_bruteforce,
     enumerate_admissible,
 )
-from .lattice import Point, dilate, rectangle
+from .lattice import Point, _integer, dilate, rectangle
 from .sft import Pattern, SftSpec
 
 
@@ -91,6 +91,7 @@ def verify_block_gluing(
     """
     if variant not in ("full", "horizontal", "vertical"):
         raise ValueError(f"unknown variant {variant!r}")
+    window, extent = _integer(window), _integer(extent)
     if not 1 <= window <= 4:
         raise ValueError("window must be between 1 and 4")
     offsets = _offsets(gap, window, extent, variant)

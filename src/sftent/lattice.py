@@ -8,6 +8,7 @@ the transpose all go through one coverage kernel over run endpoints
 (:func:`_cover`), so they cost time in the number of runs, not of cells: a
 rectangle with millions of cells has one run per row.  Point coordinates are
 built only on demand, and nothing is stored per cell of the bounding box.
+Every integer argument must be a Python or numpy int, else ValueError (:func:`_integer`).
 """
 
 from __future__ import annotations
@@ -19,12 +20,39 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NotDecomposable, SubsetViolation
+from .errors import NonPrimitiveVector, NotDecomposable, SubsetViolation
 
 
 class Point(NamedTuple):
     x: int
     y: int
+
+
+def _integer(value) -> int:
+    """An integer; bools, floats, strings and the rest raise ValueError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _pair(value) -> tuple[int, int]:
+    try:
+        x, y = value
+        if type(x) is int and type(y) is int:
+            return x, y
+        return _integer(x), _integer(y)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a pair of integers, got {value!r}") from None
+
+
+def _require_primitive(v) -> Point:
+    """A direction vector: nonzero with coprime components."""
+    vx, vy = _pair(v)
+    if math.gcd(vx, vy) != 1:
+        raise NonPrimitiveVector(f"direction {(vx, vy)} is not primitive")
+    return Point(vx, vy)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +125,10 @@ class FiniteLattice:
     """Immutable finite subset of Z^2 in canonical row-major point order."""
 
     def __init__(self, points: Iterable[tuple[int, int]] = ()):
-        if not isinstance(points, np.ndarray):
-            points = [(int(p[0]), int(p[1])) for p in points]
+        # an int64 (P, 2) array is taken as is; anything else point by point
+        if not (isinstance(points, np.ndarray) and points.dtype == np.int64
+                and points.shape[1:] == (2,)):
+            points = [_pair(p) for p in points]
         try:
             pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
         except OverflowError:       # a coordinate beyond int64, which _check_coords rejects
@@ -144,7 +174,9 @@ class FiniteLattice:
             yield Point(x, y)
 
     def __contains__(self, point) -> bool:
-        x, y = int(point[0]), int(point[1])
+        x, y = point
+        if (x, y) != (int(x), int(y)):      # a member equals a point, as dict keys do
+            return False
         rows = self._runs[:, 0]
         lo, hi = np.searchsorted(rows, y), np.searchsorted(rows, y, "right")
         i = lo + int(np.searchsorted(self._runs[lo:hi, 1], x, "right")) - 1
@@ -214,7 +246,7 @@ class FiniteLattice:
         return len(self.intersection(other)) == 0
 
     def translate(self, v) -> "FiniteLattice":
-        dx, dy = int(v[0]), int(v[1])
+        dx, dy = _pair(v)
         (ox, oy), w, h = self.bbox
         _check_coords(min(ox + dx, oy + dy), max(ox + dx + w, oy + dy + h) - 1)
         # the result is in range, so the move mod 2**64 wraps onto it in int64
@@ -233,9 +265,10 @@ class FiniteLattice:
 
 def rectangle(origin, m: int, n: int) -> FiniteLattice:
     """The m x n rectangular lattice with left-bottom vertex `origin`."""
+    m, n = _integer(m), _integer(n)
     if m < 1 or n < 1:
         raise ValueError(f"rectangle sides must be >= 1, got {m}x{n}")
-    ox, oy = int(origin[0]), int(origin[1])
+    ox, oy = _pair(origin)
     _check_coords(min(ox, oy), max(ox + m, oy + n) - 1)
     # a rectangle's transpose is a rectangle: no run ends to pair
     return FiniteLattice._from_runs(_band(oy, n, ox, ox + m), _band(ox, m, oy, oy + n))
@@ -243,6 +276,7 @@ def rectangle(origin, m: int, n: int) -> FiniteLattice:
 
 def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
     """All points within Chebyshev distance `radius` of the lattice."""
+    radius = _integer(radius)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .counting import DEFAULT_BUDGET, _block_checks, _check_budget, _count_blocks
+from .lattice import _integer
 
 _fib_cache = [1, 2, 3]  # a_0 = 1 (empty string), a_1 = 2, a_2 = 3
 
@@ -70,6 +71,7 @@ def _fiber_lengths(n: int, q: int) -> dict[int, int]:
     The fibers of length at least L are headed by the i <= m = n // q^(L-1)
     not divisible by q, so there are m - m // q of them.
     """
+    n, q = _integer(n), _integer(q)
     if n < 1 or q < 2:
         raise ValueError("need n >= 1 and q >= 2")
     exactly = []            # exactly[L - 1]: number of fibers of length L

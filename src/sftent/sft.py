@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SymbolOutOfRange
-from .lattice import FiniteLattice, Point, _cells, _cover, _moved_back
+from .lattice import FiniteLattice, Point, _cells, _cover, _integer, _moved_back, _pair
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ForbiddenPattern:
 
     @staticmethod
     def make(cells: Iterable[tuple[tuple[int, int], int]]) -> "ForbiddenPattern":
-        items = [((int(p[0]), int(p[1])), int(s)) for p, s in cells]
+        items = [(_pair(p), _integer(s)) for p, s in cells]
         if not items:
             raise ValueError("forbidden pattern must have at least one cell")
         offsets = [p for p, _ in items]
@@ -67,6 +67,7 @@ class SftSpec:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet_size", _integer(self.alphabet_size))
         if self.alphabet_size < 2:
             raise ValueError("alphabet size must be >= 2")
         for pat in self.forbidden:
@@ -126,21 +127,22 @@ class Pattern:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "symbols", tuple(map(_integer, self.symbols)))
         if len(self.symbols) != len(self.support):
             raise ValueError("symbol tuple must match the support size")
 
     @staticmethod
     def from_dict(assignment: dict) -> "Pattern":
         support = FiniteLattice(assignment.keys())
-        syms = tuple(int(assignment[(p.x, p.y)]) for p in support)
-        return Pattern(support, syms)
+        return Pattern(support, tuple(assignment[p] for p in support))
 
     @cached_property
     def _by_point(self) -> dict:
         return {(p.x, p.y): s for p, s in zip(self.support, self.symbols)}
 
     def symbol(self, point) -> int:
-        return self._by_point[(int(point[0]), int(point[1]))]
+        x, y = point        # looked up by equality, as dict keys are
+        return self._by_point[(x, y)]
 
     def translate(self, v) -> "Pattern":
         moved = self.support.translate(v)
@@ -194,13 +196,6 @@ def period_forcing_horizontal() -> SftSpec:
         [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 0), ((1, 0), 0)]],
         name="period-forcing-h",
     )
-
-
-BUILTIN_SPECS = {
-    "golden-mean-h": golden_mean_horizontal,
-    "golden-mean-v": golden_mean_vertical,
-    "period-forcing-h": period_forcing_horizontal,
-}
 
 
 # ---------------------------------------------------------------------------

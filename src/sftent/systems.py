@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import OverlapError
-from .lattice import FiniteLattice, _full_blocks, _interior_runs, is_tessellation, rectangle
+from .lattice import (FiniteLattice, _full_blocks, _integer, _interior_runs, _pair, _require_primitive,
+                      _run_lengths, is_tessellation, rectangle)
 from .multiplicative import SeriesValue, _fiber_entropy_series, _fiber_lengths, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
@@ -87,7 +88,7 @@ def rect_system(
     """Family n -> width_fn(n) x height_fn(n) rectangle anchored at the origin."""
 
     def gen(n: int) -> FiniteLattice:
-        w, h = int(width_fn(n)), int(height_fn(n))
+        w, h = _integer(width_fn(n)), _integer(height_fn(n))
         if w < 1 or h < 1:
             raise ValueError(f"rectangle sides must stay positive, got {w}x{h} at n={n}")
         return rectangle((0, 0), w, h)
@@ -113,6 +114,7 @@ def omega_q_plus(q: int, n: int) -> FiniteLattice:
     row r is the run [0, L_i), where L_i counts the t <= n with i <= q^t.
     Column j is the run [0, c_j) over the c_j heads i <= q^(n-j).
     """
+    q, n = _integer(q), _integer(n)
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
     rank = np.arange(q ** n - q ** (n - 1), dtype=np.int64)
@@ -152,9 +154,7 @@ def row_census(q: int, n: int) -> dict[int, int]:
     (q-1)^2 * q^(n-1-k) rows of each length 1 <= k <= n-1; the weighted total
     is exactly q^n.
     """
-    runs = omega_q_plus(q, n)._runs
-    lengths, mult = np.unique(runs[:, 2] - runs[:, 1], return_counts=True)
-    return {int(length): int(m) for length, m in zip(lengths, mult)}
+    return _run_lengths(omega_q_plus(q, n), "horizontal")
 
 
 def omega_q_golden_mean_count(q: int, n: int) -> int:
@@ -164,6 +164,7 @@ def omega_q_golden_mean_count(q: int, n: int) -> int:
     each fiber of length L in {1..q^n} gives two rows of length 2L.  Exact;
     must agree with the counting engine on the actual lattice.
     """
+    q, n = _integer(q), _integer(n)
     if q < 2:
         raise ValueError("need q >= 2 and n >= 1")
     return math.prod(fibonacci(2 * length) ** (2 * mult)
@@ -182,13 +183,12 @@ def omega_q_entropy_series(q: int, terms: int) -> SeriesValue:
 
 def stick_augmented(n: int, v, b: int) -> FiniteLattice:
     """The n x n square with a stick {s*v + (n, 0) : 0 <= s <= b} attached."""
+    n, b = _integer(n), _integer(b)
     if n < 1:
         raise ValueError("n must be >= 1")
     if b < 0:
         raise ValueError("b must be >= 0")
-    vx, vy = int(v[0]), int(v[1])
-    if math.gcd(abs(vx), abs(vy)) != 1:
-        raise ValueError("stick direction must be a primitive vector")
+    vx, vy = _require_primitive(v)
     square = rectangle((0, 0), n, n)
     s = np.arange(b + 1, dtype=np.int64)
     stick_coords = np.stack([s * vx + n, s * vy], axis=1)
@@ -200,13 +200,13 @@ def stick_augmented(n: int, v, b: int) -> FiniteLattice:
 
 def stick_system(v, a_target: float) -> ExpandingSystem:
     """Family with stick length chosen so n^2 / |lattice| approaches a_target."""
+    vx, vy = _require_primitive(v)
     if not 0 < a_target <= 1:
         raise ValueError("a_target must lie in (0, 1]")
 
     def b_of(n: int) -> int:
         return max(0, round(n * n * (1 - a_target) / a_target) - 1)
 
-    vx, vy = int(v[0]), int(v[1])
     return ExpandingSystem(f"stick:{vx},{vy}:a={a_target:g}",
                            lambda n: stick_augmented(n, (vx, vy), b_of(n)))
 
@@ -413,7 +413,7 @@ def condition_report(
     explicit = callable(tessellation)
     if not explicit and tessellation not in ("bounding_rectangle", "self"):
         raise ValueError(f"unknown tessellation choice {tessellation!r}")
-    bsizes = tuple((int(k), int(l)) for k, l in block_sizes)
+    bsizes = tuple(map(_pair, block_sizes))
     if any(k < 1 or l < 1 for k, l in bsizes):
         raise ValueError("block sides must be >= 1")
 

@@ -74,13 +74,27 @@ def test_resolve_lattice_shorthand():
             resolve_lattice(text)
 
 
+# sizes at n = 0..5, as the per-factor parser before the one product gave them
+SIZE_VALUES = {
+    "n": [0, 1, 2, 3, 4, 5], "n^0": [1] * 6, "n^2": [0, 1, 4, 9, 16, 25],
+    "3^n": [1, 3, 9, 27, 81, 243], "2^n": [1, 2, 4, 8, 16, 32],
+    "2*n^2*3^n": [0, 6, 72, 486, 2592, 12150], "3_0": [30] * 6, "0": [0] * 6,
+    "n*n^3": [0, 1, 16, 81, 256, 625], "-2^n": [1, -2, 4, -8, 16, -32], "0^n": [1, 0, 0, 0, 0, 0],
+    " 2 * n ": [0, 2, 4, 6, 8, 10], "n^+2": [0, 1, 4, 9, 16, 25], "1^n*4": [4] * 6,
+}
+
+
 def test_parse_size_expr():
     f = parse_size_expr("n^2")
     assert [f(n) for n in (1, 2, 5)] == [1, 4, 25]
     assert parse_size_expr("2^n")(6) == 64
     assert parse_size_expr("3*n")(5) == 15
     assert parse_size_expr("7")(99) == 7
-    for text in ("n!", "4*n^-1"):     # the grammar is integer-only: n^-1 is no size
+    for text, values in SIZE_VALUES.items():
+        f = parse_size_expr(text)
+        assert [f(n) for n in range(6)] == values, text
+    # the grammar is integer-only (n^-1 is no size); a malformed factor is a FormatError
+    for text in ("n!", "4*n^-1", "n^n", "x^n", "n^", "^n", "n^2^3", "", "n*", "2.5", "2^m"):
         with pytest.raises(FormatError):
             parse_size_expr(text)
 
@@ -95,6 +109,36 @@ def test_resolve_system_shorthand_and_json():
     for text in ('{"system":"omega_q"}', '{"system":"squares","q":2}', "omega_q", "stick:0,1"):
         with pytest.raises(FormatError):
             resolve_system(text)
+
+
+@pytest.mark.parametrize("option, forms, tail", [
+    ("--spec", ["golden-mean-h",
+                '{"N":2,"name":"golden-mean-h","forbidden":[[[0,0,1],[1,0,1]]]}'],
+     ["count", "--lattice", "rect:3,2"]),
+    ("--lattice", ["omega_q:2,2", '{"type":"generator","name":"omega_q","params":{"q":2,"n":2}}'],
+     ["count", "--spec", "golden-mean-h"]),
+    ("--system", ["omega_q:2", '{"system":"omega_q","q":2}'],
+     ["entropy-omega", "--spec", "golden-mean-h", "--n-range", "1:3"]),
+])
+def test_every_input_is_shorthand_inline_json_or_a_file(capsys, tmp_path, option, forms, tail):
+    path = tmp_path / "input.json"
+    path.write_text(forms[1])
+    outputs = set()
+    for text in forms + [str(path)]:
+        code, out, err = run_cli(capsys, *tail, option, text)
+        assert code == 0, err
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+def test_registered_names_shadow_files_and_paths_with_colons_are_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "squares").write_text('{"system":"omega_q","q":2}')
+    (tmp_path / "a:b.json").write_text('{"type":"points","points":[[0,0],[3,0]]}')
+    assert resolve_system("squares").name == "squares"
+    assert resolve_lattice("a:b.json") == lattice_from_dict({"type": "points", "points": [[0, 0], [3, 0]]})
+    with pytest.raises(FormatError, match="unknown lattice generator 'c'"):
+        resolve_lattice("c:b.json")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +329,11 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
         ["reproduce", "eq1_11", "--q", "1"],
         ["reproduce", "eq1_13", "--q", "0"],
         ["count", "--spec", "golden-mean-h", "--lattice", "rect:3,2,9223372036854775807,0"],
+        # non-integers and non-primitive directions
+        ["count", "--spec", "golden-mean-h", "--lattice", '{"type":"points","points":[[1.7,0]]}'],
+        ["count", "--spec", "full:2.0", "--lattice", "rect:2,2"],
+        ["entropy-omega", "--spec", "golden-mean-h", "--system", "stick:2,2,0.5"],
+        ["projectional", "--spec", "golden-mean-h", "--v", "2,2"],
     ]
     for i, text in enumerate((
         '[[0, 0], [1, 0]]',
@@ -299,9 +348,15 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
         path = tmp_path / f"lattice{i}.json"
         path.write_text(text)
         argvs.append(["count", "--spec", "golden-mean-h", "--lattice", str(path)])
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"N": 2, "forbidden": [[[0.5, 0, 1], [1.7, 0, 1]]]}')
+    argvs.append(["count", "--spec", str(spec), "--lattice", "rect:2,2"])
+    system = tmp_path / "system.json"
+    system.write_text('["omega_q", 2]')
+    argvs.append(["entropy-omega", "--spec", "golden-mean-h", "--system", str(system)])
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and err.startswith("error:")
+        assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
 @pytest.mark.parametrize("argv", [
