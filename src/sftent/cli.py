@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import counting, entropy
 from .errors import BudgetExceeded, SftentError
@@ -53,6 +54,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _json(obj) -> str:
+    """One compact JSON line, keys sorted."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _sequence_text(seq: entropy.EntropySequence, fmt: str) -> str:
     if fmt == "csv":
         lines = ["n,size,log_count,ratio"]
@@ -62,19 +68,9 @@ def _sequence_text(seq: entropy.EntropySequence, fmt: str) -> str:
         lines.append(f"# estimate,{real_text(seq.estimate)},kind,{seq.estimator_kind}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(
-            {
-                "records": [
-                    {"n": r.n, "size": r.size, "log_count": r.log_count, "ratio": r.ratio}
-                    for r in seq.records
-                ],
-                "estimate": seq.estimate,
-                "estimator_kind": seq.estimator_kind,
-                "note": seq.note,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ) + "\n"
+        return _json({"records": [{"n": r.n, "size": r.size, "log_count": r.log_count, "ratio": r.ratio}
+                                  for r in seq.records],
+                      "estimate": seq.estimate, "estimator_kind": seq.estimator_kind, "note": seq.note})
     return "".join(f"{r.n} {real_text(r.ratio)}\n" for r in seq.records)   # plot
 
 
@@ -87,17 +83,9 @@ def _table_text(table: entropy.RectTable, fmt: str) -> str:
         lines.append(f"# h_r_estimate,{real_text(table.h_r_estimate)}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(
-            {
-                "max_width": table.max_width,
-                "max_height": table.max_height,
-                "log_counts": [list(row) for row in table.log_counts],
-                "h_r_estimate": table.h_r_estimate,
-                "argmin": list(table.argmin),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ) + "\n"
+        return _json({"max_width": table.max_width, "max_height": table.max_height,
+                      "log_counts": [list(row) for row in table.log_counts],
+                      "h_r_estimate": table.h_r_estimate, "argmin": list(table.argmin)})
     # plot: the per-width ratio at the tallest column, the table's converging edge
     return "".join(
         f"{m} {real_text(table.ratio(m, table.max_height))}\n"
@@ -115,16 +103,8 @@ def _cmd_count(args) -> int:
     lat = resolve_lattice(args.lattice)
     result = counting.count(lat, spec, margin=_parse_mode(args.mode), budget=args.budget)
     if args.format == "json":
-        text = json.dumps(
-            {
-                "value": str(result.value),
-                "mode": result.mode,
-                "margin": result.margin,
-                "cells": result.lattice_size,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ) + "\n"
+        text = _json({"value": str(result.value), "mode": result.mode,
+                      "margin": result.margin, "cells": result.lattice_size})
     elif args.format == "csv":
         text = "value,mode,cells\n" f"{result.value},{result.mode},{result.lattice_size}\n"
     else:
@@ -171,6 +151,7 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache     # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sftent",
@@ -230,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # exact counts print in full: Python's int-to-str digit limit (3.11, and
     # 3.10 from 3.10.7 on) is lifted while the command runs, then restored
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -24,25 +24,23 @@ lattice:
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
   which keeps lattices with millions of cells exact.  Otherwise a
-  broken-profile sweep takes the bans from ``placements``, as the search
-  does, each attached to its last cell, and its state reaches back as far as
-  they do: ``depth`` positions, the frontier plus one or the longest back
-  distance of a placed ban.  It orders the cells column-major or row-major,
-  whichever needs the smaller depth; on a tie, so that the frontier lies
-  along the bounding box's shorter side.  It steps through the lattice's own
-  columns, a stretch of empty ones shortened to the run that flushes a
-  state.  The live states are one numpy array of base-N integer codes (int64
-  while ``N ** depth < 2**63``, else Python ints), the newest cell least
-  significant, kept sorted by code beside one column of weights, Python ints
-  for exact counts.  A position outside the lattice holds digit 0 and ends
-  no placement.  Each step (``_sweep_step``) yields the successor codes and
-  a plan that carries weights to them; one column of steps is cached by
-  row, keyed exactly by context, merging flag and incoming codes, so a step
-  that repeats the one a column back is not recomputed.  The sweep raises
-  BudgetExceeded when its positions, or a step's live states times N, times
-  the 64-bit words of one code pass ``DEFAULT_BUDGET``, and
-  UnsupportedForbiddenShape past 63 placed shapes (one context bit each);
-  the cache stores steps only while its words stay within that budget.
+  broken-profile sweep takes the bans from ``placements``, each attached to
+  its last cell, and its state holds exactly what they read: ``depth``
+  positions, the longest back distance of a placed ban (at least 1).  It
+  orders the cells column-major or row-major, whichever needs the smaller
+  depth, on a tie the shorter frontier.  It steps through the lattice's own
+  rows and columns: empty rows no placed shape spans close to one, a
+  stretch of empty columns shortens to the run that flushes a state.  The
+  live states are one numpy array of base-N codes (int64 while
+  ``N ** depth < 2**63``, else Python ints), the newest cell least
+  significant, sorted beside one column of weights.  A position outside
+  the lattice holds digit 0.  Each step (``_sweep_step``) yields the
+  successor codes and a plan that carries weights to them; one column of
+  steps is cached by row, keyed exactly by context, merging flag and
+  incoming codes.  The sweep raises BudgetExceeded when its positions, or
+  a step's live states times N, times the 64-bit words of one code pass
+  ``DEFAULT_BUDGET`` (which also bounds the cache's words), and
+  UnsupportedForbiddenShape past 63 placed shapes (one context bit each).
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -334,13 +332,13 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     and 64-bit words of one code, each position's context (-1 off the lattice,
     else one bit per placed pattern shape ending there), per context the bans
     (banned symbol, (back distance, symbol) per other cell) and the frontier
-    length h.  Position ``column * h + row`` holds a cell; the orientation is
-    the one whose bans need the smaller depth, on a tie the one whose columns
-    run along the bounding box's longer side.  The layout is refused before
-    it is allocated when its positions times a code's words pass the budget.
+    length h.  Position ``column * h + row`` holds a cell; the depth is the
+    longest back distance of a placed ban, at least 1, and the orientation
+    the one that needs the smaller depth, on a tie the smaller h.  The layout
+    is refused before it is allocated when its positions times a code's
+    words pass the budget.
     """
     n = spec.alphabet_size
-    (ox, oy), w, box_h = lat.bbox
     runs = {}                 # shape -> placement runs
     for pat in spec.forbidden:
         if pat.shape not in runs:
@@ -351,8 +349,14 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
             f"{len(bit)} placed forbidden shapes exceed the sweep's 63 context bits")
 
     def orient(major):
-        """Depth, major axis, frontier length, last cell per shape and bans."""
-        h = (box_h, w)[major]
+        """Depth, frontier length, major axis, rows, last cell per shape and bans."""
+        # the lattice's rows (sorted, with repeats); a gap no placed shape
+        # spans closes to one row.  Differences are exact in uint64
+        ys = (lat._runs if major == 0 else lat._truns)[:, 0]
+        reach = max([0] + [pat.extent[1 - major] for pat in spec.forbidden if pat.shape in bit])
+        gaps = np.diff(ys.view(np.uint64))
+        rows = np.append(np.uint64(0), np.where(gaps > reach, 1, gaps).cumsum())
+        h = int(rows[-1]) + 1
         last, bans = {}, []
         for pat in spec.forbidden:
             if pat.shape in bit:
@@ -361,27 +365,26 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
                 back = tuple(((end[major] - p[major]) * h + end[1 - major] - p[1 - major], s)
                              for p, s in others)
                 bans.append((bit[pat.shape], sym, back))
-        return max([h + 1] + [d for _, _, back in bans for d, _ in back]), major, h, last, bans
+        return max([1] + [d for _, _, back in bans for d, _ in back]), h, major, (ys, rows), last, bans
 
-    box = 0 if w >= box_h else 1
-    depth, major, h, last, bans = min(orient(box), orient(1 - box), key=itemgetter(0))
-    edge = (ox, oy)[1 - major]
+    depth, h, major, (ys, rows), last, bans = min(orient(0), orient(1), key=itemgetter(0, 1))
     # int64 codes while n ** depth < 2**63 (depth < 63 keeps the power small)
     dtype = np.int64 if depth < 63 and n ** depth < 2 ** 63 else object
     words = 1 if dtype is np.int64 else -(-depth * (n - 1).bit_length() // 64)
     cols = (lat._truns if major == 0 else lat._runs)[:, 0]    # sorted, with repeats
-    # column gaps and their sum are exact in uint64; ceil(depth / h) empty columns
-    # flush a state, so a longer gap is capped there (h = 0: no lattice, no gaps)
-    gaps = np.minimum(np.diff(cols.view(np.uint64)), -(-depth // max(h, 1)) + 1)
+    # column gaps and their sum are exact in uint64; ceil(depth / h) empty
+    # columns flush a state, so a longer gap is capped there
+    gaps = np.minimum(np.diff(cols.view(np.uint64)), -(-depth // h) + 1)
     column = np.append(np.uint64(0), gaps.cumsum())
     positions = (int(column[-1]) + 1) * h
     if positions * words > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"{positions} sweep positions * {words} code words exceed budget {DEFAULT_BUDGET}")
-    column = column.astype(np.int64)
+    column, rows = column.astype(np.int64), rows.astype(np.int64)
 
     def position(cells):
-        return column[np.searchsorted(cols, cells[:, major])] * h + (cells[:, 1 - major] - edge)
+        return (column[np.searchsorted(cols, cells[:, major])] * h
+                + rows[np.searchsorted(ys, cells[:, 1 - major])])
     context = np.full(positions, -1, dtype=np.int64)
     context[position(lat.coords)] = 0
     for shape, b in bit.items():     # cells, unlike runs, one shape at a time

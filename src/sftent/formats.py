@@ -8,7 +8,7 @@ JSON is ``{"type": "points", "points": [[x, y], ...]}`` or
 ``{"N": 2, "name": ..., "forbidden": [[[dx, dy, symbol], ...], ...]}`` and
 system JSON ``{"system": "omega_q", "q": 2}`` and friends.  Rectangle sides
 are ``*``-products of factors c, n, n^k (k >= 0) and b^n (integers c, b).
-Integers follow the package's rule, ``sftent.lattice._integer``.
+Integers and reals follow the package's rules, ``sftent.lattice._integer`` and ``_real``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import re
 from typing import Callable
 
-from .lattice import FiniteLattice, _integer, _pair, rectangle
+from .lattice import FiniteLattice, _integer, _pair, _real, rectangle
 from .sft import (SftSpec, full_shift, golden_mean_horizontal, golden_mean_vertical,
                   period_forcing_horizontal)
 from .systems import (
@@ -55,8 +55,7 @@ def real_text(x: float) -> str:
 # parameter name -> converter for every generator; pairs take two shorthand
 # numbers, and a real is a float or an integer
 _CONVERT: dict[str, Callable] = {**dict.fromkeys("mnqbN", _integer), "origin": _pair, "v": _pair,
-                                 "a_target": lambda v: v if isinstance(v, float) else float(_integer(v)),
-                                 "w": str, "h": str}
+                                 "a_target": _real, "w": str, "h": str}
 
 
 def _build(registry: dict, kind: str, name, params: dict):

@@ -37,6 +37,17 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _real(value) -> float:
+    """A real as a float: ints and floats pass; bools, strings, the rest and
+    ints past the float range raise ValueError."""
+    try:
+        if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"expected a real number, got {value!r}")
+
+
 def _pair(value) -> tuple[int, int]:
     try:
         x, y = value

@@ -21,6 +21,7 @@ _fib_cache = [1, 2, 3]  # a_0 = 1 (empty string), a_1 = 2, a_2 = 3
 
 def fibonacci(k: int) -> int:
     """Count of binary strings of length k without adjacent ones (a_1=2, a_2=3)."""
+    k = _integer(k)
     if k < 0:
         raise ValueError("index must be >= 0")
     while len(_fib_cache) <= k:
@@ -50,6 +51,7 @@ class FiberDecomposition:
 
 def fiber_decomposition(n: int, q: int) -> FiberDecomposition:
     """Partition {1..n} into fibers {i, i*q, i*q^2, ...} with q not dividing i."""
+    n, q = _integer(n), _integer(q)
     if n < 1 or q < 2:
         raise ValueError("need n >= 1 and q >= 2")
     fibers = []
@@ -102,6 +104,7 @@ def log_count_multiplicative(n: int, q: int) -> float:
 
 def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Enumerate all binary strings and test the constraint directly."""
+    n, q = _integer(n), _integer(q)
     if q < 2:
         raise ValueError("q must be >= 2")
     _check_budget(2, n, budget)
@@ -124,6 +127,7 @@ def _fiber_entropy_series(q: int, terms: int, c: float, s: int) -> SeriesValue:
     The sum stops at the last K <= terms whose q^(K+1) is still a float:
     every later term lies far below one ulp of the sum.
     """
+    q, terms = _integer(q), _integer(terms)
     if terms < 1:
         raise ValueError("need at least one term")
     if q < 2:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OverlapError
 from .lattice import (FiniteLattice, _full_blocks, _integer, _interior_runs, _pair, _require_primitive,
-                      _run_lengths, is_tessellation, rectangle)
+                      _real, _run_lengths, is_tessellation, rectangle)
 from .multiplicative import SeriesValue, _fiber_entropy_series, _fiber_lengths, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
@@ -165,7 +165,7 @@ def omega_q_golden_mean_count(q: int, n: int) -> int:
     must agree with the counting engine on the actual lattice.
     """
     q, n = _integer(q), _integer(n)
-    if q < 2:
+    if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
     return math.prod(fibonacci(2 * length) ** (2 * mult)
                      for length, mult in _fiber_lengths(q ** n, q).items())
@@ -201,6 +201,7 @@ def stick_augmented(n: int, v, b: int) -> FiniteLattice:
 def stick_system(v, a_target: float) -> ExpandingSystem:
     """Family with stick length chosen so n^2 / |lattice| approaches a_target."""
     vx, vy = _require_primitive(v)
+    a_target = _real(a_target)
     if not 0 < a_target <= 1:
         raise ValueError("a_target must lie in (0, 1]")
 

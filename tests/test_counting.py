@@ -412,6 +412,28 @@ def test_sweep_log_counts_bit_for_bit():
     assert repr(log_count(rectangle((0, 0), 16, 100), HARD_SQUARE)) == "659.834559702015"
 
 
+def test_sweep_values_stay_bit_for_bit():
+    # exact counts and log_count reprs on the heavier builtin cases, as the
+    # sweep gave them while its state also held the frontier plus one: a
+    # change to the state or to the order of summation must not move them
+    colouring = SftSpec.make(3, [[((0, 0), a), (d, a)] for a in range(3) for d in ((1, 0), (0, 1))])
+    omega = int(
+        "15231150410704456017922953852636329236124470460178599484154920986528423206992951"
+        "60220916615736892820734164986488350715236468850998450352904522908093505709955650"
+        "07834807089368359442096749012359067093500022044370841964130242580294645122677868"
+        "44783457910444583846743690698981417890627533648128139244191007260251263488681464"
+        "76771236492689716407273721318463906168362160833852248256028")
+    for lat, spec, exact, log in (
+            (rectangle((0, 0), 16, 16), HARD_SQUARE,
+             18396766424410124752958806046933947217821482942, "106.5285040960995"),
+            (omega_q(2, 9), HARD_SQUARE, omega, "870.7979227586403"),
+            (rectangle((0, 0), 8, 8), colouring, 40724629633188, "31.337854176039833"),
+            (lshape(4), L_TRIOMINO_RUN, 1295012623386330299191138, "55.52056267474976")):
+        assert count_profile_dp(lat, spec).value == exact
+        assert repr(log_count(lat, spec)) == log
+    assert repr(log_count(rectangle((0, 0), 16, 400), HARD_SQUARE)) == "2635.9276152512516"
+
+
 def test_sweep_single_cell_bans_large_alphabets():
     # symbols banned outright leave hard squares over the two symbols left
     pairs = [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]]
@@ -485,22 +507,29 @@ def test_sweep_refuses_steps_past_the_budget():
     for route in (count_profile_dp, log_count, count):
         with pytest.raises(BudgetExceeded):
             route(square, spec)
-    # 4096 symbols with a frontier of 101: 4096 * 4096 candidates, each code
-    # of 102 digits in 20 words, are refused by their words, not their number
+    # 4096 symbols on an L of two 101-cell arms: every row is held, so either
+    # way a domino along one arm reaches back a frontier of 101 positions:
+    # 4096 * 4096 candidates, each code of 101 digits in 19 words, are
+    # refused by their words, not their number
     wide = SftSpec.make(4096, [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]])
-    corners = FiniteLattice([(0, 0), (0, 100), (100, 0)])
+    reach = FiniteLattice([(i, 0) for i in range(101)] + [(0, i) for i in range(101)])
+    assert _sweep_bans(reach, wide)[:3] == (101, object, 19)
     for route in (count_profile_dp, log_count, count):
         with pytest.raises(BudgetExceeded):
-            route(corners, wide)
-    # rows are not shortened: two diagonal cells `gap` apart lay out
-    # 4 * (gap + 1) positions of codes of gap + 2 digits, refused before the
-    # layout is allocated; count takes brute force on the two cells
-    for gap in (10**6, 2**40):
+            route(reach, wide)
+    # three bare corners place no domino: the state reads nothing back, one
+    # digit, and the sweep counts them (refused while it held 102 digits)
+    corners = FiniteLattice([(0, 0), (0, 100), (100, 0)])
+    assert count_profile_dp(corners, wide).value == 4096 ** 3
+    assert log_count(corners, wide) == pytest.approx(3 * math.log(4096), rel=1e-12)
+    # empty rows close as empty columns shorten: two diagonal cells `gap`
+    # apart lay out two rows, not gap + 1, and the sweep counts them (refused
+    # while every row of the box was laid out, in codes of gap + 2 digits)
+    for gap in (10**6, 2**40, 2**62):
         pair = FiniteLattice([(0, 0), (gap, gap)])
-        for route in (count_profile_dp, log_count):
-            with pytest.raises(BudgetExceeded):
-                route(pair, HARD_SQUARE)
-        assert count(pair, HARD_SQUARE).value == 4
+        assert _sweep_bans(pair, HARD_SQUARE)[5] == 2
+        assert count_profile_dp(pair, HARD_SQUARE).value == 4
+        assert log_count(pair, HARD_SQUARE) == math.log(4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,11 +555,24 @@ def test_sweep_factorises_over_far_clusters(spec, rnd, vertical):
 
 
 def test_sweep_keeps_the_gaps_a_placement_spans():
-    # a pair 5 columns apart spans 4 empty ones: they stay laid out, while 8
-    # empty columns (more than the 5 that flush a state) shorten
+    # a pair 4 columns apart, and vertical dominoes that make row-major dear:
+    # between two 5 x 2 blocks, 3 empty columns stay laid out as the pair
+    # spans them (13 columns), while 9 (more than the 5 that flush a state)
+    # shorten to 5 (14 columns, not 19)
+    spec = SftSpec.make(2, [[((0, 0), 1), ((4, 0), 1)], [((0, 0), 1), ((0, 1), 1)]])
+    for start, positions, value in ((8, 26, 29889), (14, 28, 189 ** 2)):
+        lat = FiniteLattice([(x, y) for x in [*range(5), *range(start, start + 5)] for y in range(2)])
+        depth, _, _, context, _, h = _sweep_bans(lat, spec)
+        assert (depth, h, len(context)) == (8, 2, positions)
+        assert count_bruteforce(lat, spec).value == value
+        assert count_profile_dp(lat, spec).value == value
+        assert count_profile_dp(lat.transpose(), spec.transpose()).value == value
+    # empty rows likewise: row-major a pair 5 apart keeps the 4 rows it
+    # spans (h = 6), and with no placement the gap closes to one (h = 2)
     spec = SftSpec.make(2, [[((0, 0), 1), ((5, 0), 1)]])
-    for far, value in ((5, 3 ** 3), (9, 2 ** 6)):
+    for far, value, h in ((5, 3 ** 3, 6), (9, 2 ** 6, 2)):
         lat = FiniteLattice([(x, y) for x in (0, far) for y in range(3)])
+        assert _sweep_bans(lat, spec)[5] == h
         assert count_bruteforce(lat, spec).value == value
         assert count_profile_dp(lat, spec).value == value
         assert count_profile_dp(lat.transpose(), spec.transpose()).value == value
@@ -551,26 +593,37 @@ L_TRIOMINO_RUN = SftSpec.make(2, [[((0, 0), 1), ((1, 0), 1), ((0, 1), 1)],
 
 
 def test_sweep_orients_by_depth():
-    # the horizontal 1x3 run reaches back 2h column-major but 2 row-major, so
-    # row-major needs a state of w + 1 digits where column-major needs 2h + 1:
-    # on lshape(4), a 16 x 16 box, 17 digits rather than 32
+    # the state holds exactly the positions a step reads back.  The horizontal
+    # 1x3 run reaches back 2h column-major but 2 row-major, and the L-triomino
+    # w row-major: on lshape(4), a 16 x 16 box, 16 digits rather than 32
+    # (17 while the state also had to hold the frontier plus one)
     lat = lshape(4)
-    assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 17
-    assert _sweep_bans(lat.transpose(), L_TRIOMINO_RUN.transpose())[0] == 17
+    assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 16
+    assert _sweep_bans(lat.transpose(), L_TRIOMINO_RUN.transpose())[0] == 16
     assert (count_profile_dp(lat, L_TRIOMINO_RUN).value
             == count_profile_dp(lat.transpose(), L_TRIOMINO_RUN.transpose()).value)
-    # 5 x 4 boxes with holes: the box would pick depth 9, the bans need 6
+    # 5 x 4 boxes with holes: column-major, along the box, the run needs 8;
+    # row-major the L-triomino needs w = 5 (6 with the frontier-plus-one floor)
     for holes in ((), ((2, 1),), ((0, 3), (3, 2), (4, 0))):
         lat = rectangle((0, 0), 5, 4).difference(FiniteLattice(list(holes)))
-        assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 6
+        assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 5
         exact = count_bruteforce(lat, L_TRIOMINO_RUN).value
         assert count_profile_dp(lat, L_TRIOMINO_RUN).value == exact
         assert count_profile_dp(lat.transpose(), L_TRIOMINO_RUN.transpose()).value == exact
         assert log_count(lat, L_TRIOMINO_RUN) == pytest.approx(math.log(exact), rel=1e-12)
-    # a tie keeps the box's orientation: 2x2-window specs keep theirs
+    # hard squares read one column back, h positions: the frontier runs along
+    # the shorter side, 4 digits on 5 x 4 either way (5 with the old floor)
     square = rectangle((0, 0), 5, 4)
-    assert _sweep_bans(square, HARD_SQUARE)[0] == 5
-    assert _sweep_bans(square.transpose(), HARD_SQUARE.transpose())[0] == 5
+    assert _sweep_bans(square, HARD_SQUARE)[0] == 4
+    assert _sweep_bans(square.transpose(), HARD_SQUARE.transpose())[0] == 4
+    # a tie, when no shape of two or more cells has a placement (depth 1),
+    # takes the shorter frontier: on a 5 x 4 box, 4 rows either way
+    apart = SftSpec.make(2, [[((0, 0), 1), ((5, 0), 1)], [((0, 0), 1), ((0, 5), 1)]])
+    assert _sweep_bans(square, apart)[::5] == (1, 4)
+    assert _sweep_bans(square.transpose(), apart.transpose())[::5] == (1, 4)
+    # rows no placed shape spans close to one: three corners hold two rows
+    corners = FiniteLattice([(0, 0), (4, 0), (0, 3)])
+    assert _sweep_bans(corners, HARD_SQUARE)[::5] == (1, 2)
 
 
 THREE_SYMBOLS = SftSpec.make(3, [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],

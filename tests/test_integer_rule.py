@@ -1,5 +1,6 @@
 """One integer rule at every library entry point: Python and numpy integers
-pass; bools, floats and strings raise ValueError instead of being truncated."""
+pass; bools, floats and strings raise ValueError instead of being truncated.
+Reals follow one rule too: ints and floats pass, bools and strings raise."""
 
 import numpy as np
 import pytest
@@ -14,10 +15,15 @@ from sftent import (
     count_bruteforce,
     count_extendable,
     count_multiplicative,
+    count_multiplicative_bruteforce,
     dilate,
     directional_entropy_max,
+    fiber_decomposition,
+    fibonacci,
     golden_mean_horizontal,
     log_count_multiplicative,
+    multiplicative_entropy_series,
+    omega_q_entropy_series,
     omega_q_golden_mean_count,
     omega_q_plus,
     rect_system,
@@ -29,7 +35,8 @@ from sftent import (
 )
 from sftent.counting import admissible_extension_exists
 from sftent.entropy import segment
-from sftent.lattice import _require_primitive
+from sftent.formats import FormatError, resolve_system
+from sftent.lattice import _real, _require_primitive
 
 GM_H = golden_mean_horizontal()
 CELL = rectangle((0, 0), 1, 1)
@@ -60,6 +67,16 @@ ENTRY_POINTS = {
     "multiplicative n": (lambda v: count_multiplicative(v, 2), 3),
     "multiplicative q": (lambda v: log_count_multiplicative(10, v), 3),
     "wedge count q": (lambda v: omega_q_golden_mean_count(v, 2), 3),
+    "wedge count n": (lambda v: omega_q_golden_mean_count(2, v), 3),
+    "fibonacci k": (lambda v: fibonacci(v), 3),
+    "fiber decomposition n": (lambda v: fiber_decomposition(v, 2), 3),
+    "fiber decomposition q": (lambda v: fiber_decomposition(10, v), 3),
+    "multiplicative series q": (lambda v: multiplicative_entropy_series(v, 40), 3),
+    "multiplicative series terms": (lambda v: multiplicative_entropy_series(2, v), 3),
+    "wedge series q": (lambda v: omega_q_entropy_series(v, 40), 3),
+    "wedge series terms": (lambda v: omega_q_entropy_series(2, v), 3),
+    "multiplicative brute force n": (lambda v: count_multiplicative_bruteforce(v, 2), 3),
+    "multiplicative brute force q": (lambda v: count_multiplicative_bruteforce(10, v), 3),
     "gluing window": (lambda v: verify_block_gluing(GM_H, window=v), 3),
     "gluing extent": (lambda v: verify_block_gluing(GM_H, extent=v), 3),
 }
@@ -112,3 +129,19 @@ def test_one_primitive_direction_check():
             with pytest.raises(NonPrimitiveVector):
                 call(v)
     assert issubclass(NonPrimitiveVector, ValueError)
+
+
+def test_one_real_rule():
+    # ints and floats (numpy ones too) pass as floats; bools, strings and
+    # ints past the float range raise, in the library as in JSON input
+    for good in (0.5, 1, np.float64(0.25), np.float32(0.5), np.int64(1)):
+        assert _real(good) == float(good) and type(_real(good)) is float
+    for bad in (True, False, np.bool_(True), "0.5", None, 10 ** 400):
+        with pytest.raises(ValueError, match="expected a real number"):
+            _real(bad)
+        with pytest.raises(ValueError):
+            stick_system((0, 1), bad)
+    for text in ("true", '"0.5"', "null", "1" + "0" * 400):
+        with pytest.raises(FormatError):
+            resolve_system(f'{{"system": "stick", "v": [0, 1], "a_target": {text}}}')
+    assert stick_system((0, 1), 1).lattice(3) == stick_system((0, 1), 1.0).lattice(3)

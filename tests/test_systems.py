@@ -148,9 +148,9 @@ def test_golden_mean_count_matches_eq_1_10_product():
             for k in range(1, n):
                 expected *= fibonacci(2 * k) ** (2 * (q - 1) ** 2 * q ** (n - 1 - k))
             assert omega_q_golden_mean_count(q, n) == expected
-    for q in (1, 0):
+    for q, n in ((1, 3), (0, 3), (2, 0), (2, -1)):
         with pytest.raises(ValueError, match="need q >= 2 and n >= 1"):
-            omega_q_golden_mean_count(q, 3)
+            omega_q_golden_mean_count(q, n)
 
 
 def test_golden_mean_count_formula_vs_bruteforce():
