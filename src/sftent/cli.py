@@ -44,9 +44,14 @@ def _parse_mode(text: str) -> int | None:
     raise FormatError(f"mode must be 'local' or 'ext:M', got {text!r}")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+def _int_pair(text: str, sep: str, form: str) -> tuple[int, int]:
+    """Two decimal integers joined by `sep` (case-insensitive), written `form`
+    in the usage error."""
+    try:
+        a, b = map(int, text.lower().split(sep))
+    except ValueError:
+        raise FormatError(f"expected {form}, got {text!r}") from None
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +120,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_entropy_rect(args) -> int:
     spec = resolve_spec(args.spec)
-    m, n = (int(t) for t in args.table.lower().split("x"))
+    m, n = _int_pair(args.table, "x", "MxN")
     table = entropy.rect_entropy_table(spec, m, n)
     _emit(_table_text(table, args.format), args.out)
     return EXIT_OK
@@ -124,7 +129,7 @@ def _cmd_entropy_rect(args) -> int:
 def _cmd_entropy_omega(args) -> int:
     spec = resolve_spec(args.spec)
     system = resolve_system(args.system)
-    lo, hi = _parse_range(args.n_range)
+    lo, hi = _int_pair(args.n_range, ":", "a:b")
     seq = entropy.system_entropy(spec, system, lo, hi)
     _emit(_sequence_text(seq, args.format), args.out)
     return EXIT_OK
@@ -132,7 +137,7 @@ def _cmd_entropy_omega(args) -> int:
 
 def _cmd_projectional(args) -> int:
     spec = resolve_spec(args.spec)
-    vx, vy = (int(t) for t in args.v.split(","))
+    vx, vy = _int_pair(args.v, ",", "x,y")
     seq = entropy.projectional_entropy(spec, (vx, vy), args.n_max, margin=_parse_mode(args.mode))
     _emit(_sequence_text(seq, args.format), args.out)
     return EXIT_OK

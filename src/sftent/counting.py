@@ -23,14 +23,17 @@ lattice:
 * ``count_profile_dp`` -- a frontier dynamic program for any finite forbidden
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
-  which keeps lattices with millions of cells exact.  Otherwise a
-  broken-profile sweep takes the bans from ``placements``, each attached to
-  its last cell, and its state holds exactly what they read: ``depth``
-  positions, the longest back distance of a placed ban (at least 1).  It
-  orders the cells column-major or row-major, whichever needs the smaller
-  depth, on a tie the shorter frontier.  It steps through the lattice's own
-  rows and columns: empty rows no placed shape spans close to one, a
-  stretch of empty columns shortens to the run that flushes a state.  The
+  which keeps lattices with millions of cells exact.  The counts a_L of
+  admissible strings of length L come from one series (``_string_counts``),
+  and a rectangle table of such a spec (``_rect_logs``) reads it alone: the
+  count on m x n is a_m ** n along x, so the table builds no lattice.
+  Otherwise a broken-profile sweep takes the bans from ``placements``, each
+  attached to its last cell, and its state holds exactly what they read:
+  ``depth`` positions, the longest back distance of a placed ban (at least
+  1).  It orders the cells column-major or row-major, whichever needs the
+  smaller depth, on a tie the shorter frontier.  It steps through the
+  lattice's own rows and columns: empty rows no placed shape spans close to
+  one, a stretch of empty columns shortens to the run that flushes a state.  The
   live states are one numpy array of base-N codes (int64 while
   ``N ** depth < 2**63``, else Python ints), the newest cell least
   significant, sorted beside one column of weights.  A position outside
@@ -59,7 +62,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BudgetExceeded, SymbolOutOfRange, UnsupportedForbiddenShape
-from .lattice import FiniteLattice, _cells, _integer, _run_lengths, dilate
+from .lattice import FiniteLattice, _cells, _integer, _run_lengths, dilate, rectangle
 from .sft import CountResult, SftSpec, _placement_runs, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
@@ -293,9 +296,9 @@ def admissible_extension_exists(
 # ---------------------------------------------------------------------------
 
 
-def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
-    """Product over the maximal runs along the spec's axis of the number of
-    admissible strings of each run's length; returns it exactly or its log."""
+def _string_counts(spec: SftSpec, lengths) -> list[int]:
+    """a_L, the number of admissible strings of length L along the spec's
+    axis, exactly, for each L of the ascending `lengths`."""
     banned, pairs = set(), set()
     for pat in spec.forbidden:     # one cell, or two along the axis, (0, 0) first
         if len(pat.cells) == 1:
@@ -304,22 +307,48 @@ def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
             pairs.add((pat.cells[0][1], pat.cells[1][1]))
     symbols = [s for s in range(spec.alphabet_size) if s not in banned]
     pairs = [(a, b) for a, b in pairs if a not in banned and b not in banned]
-    # admissible strings of the current length, by last symbol: a string grows
-    # by every symbol but those a pair bars after its last, O(N + pairs) a step
-    length, ending = 1, dict.fromkeys(symbols, 1)
-    runs = []
-    for run, mult in _run_lengths(lat, spec.pure_axis).items():    # ascending
-        while length < run:
-            grown = dict.fromkeys(symbols, sum(ending.values()))
+    # admissible strings of the current length, their total and their count
+    # by last symbol (the empty string has none): a string grows by every
+    # symbol but those a pair bars after its last, O(N + pairs) a step
+    length, total, ending = 0, 1, dict.fromkeys(symbols, 0)
+    counts = []
+    for want in lengths:
+        while length < want:
+            grown = dict.fromkeys(symbols, total)
             for a, b in pairs:
                 grown[b] -= ending[a]
             ending, length = grown, length + 1
-        runs.append((sum(ending.values()), mult))
+            total = sum(ending.values())
+        counts.append(total)
+    return counts
+
+
+def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
+    """Product over the maximal runs along the spec's axis of the number of
+    admissible strings of each run's length; returns it exactly or its log."""
+    runs = _run_lengths(lat, spec.pure_axis)     # ascending
+    counts = list(zip(_string_counts(spec, runs), runs.values()))
     if not log_domain:
-        return math.prod(c ** mult for c, mult in runs)
-    if any(c == 0 for c, _ in runs):
+        return math.prod(c ** mult for c, mult in counts)
+    if any(c == 0 for c, _ in counts):
         return float("-inf")
-    return sum((mult * math.log(c) for c, mult in runs), 0.0)
+    return sum((mult * math.log(c) for c, mult in counts), 0.0)
+
+
+def _rect_logs(spec: SftSpec, width: int, height: int) -> tuple[tuple[float, ...], ...]:
+    """Natural log counts on every m x n rectangle, m <= width and n <= height,
+    as rows ``[m - 1][n - 1]``.  A single-axis spec builds no lattice: the
+    count on m x n is a_m ** n along x (a_n ** m along y), so the entries
+    read one string-count series and equal ``log_count`` bit for bit."""
+    if spec.pure_axis is None:
+        return tuple(tuple(log_count(rectangle((0, 0), m, n), spec) for n in range(1, height + 1))
+                     for m in range(1, width + 1))
+    horizontal = spec.pure_axis == "horizontal"
+    logs = [math.log(a) if a else float("-inf")
+            for a in _string_counts(spec, range(1, (width if horizontal else height) + 1))]
+    if horizontal:
+        return tuple(tuple(n * logs[m - 1] for n in range(1, height + 1)) for m in range(1, width + 1))
+    return tuple(tuple(m * logs[n - 1] for n in range(1, height + 1)) for m in range(1, width + 1))
 
 
 # ---------------------------------------------------------------------------

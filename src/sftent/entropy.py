@@ -15,8 +15,8 @@ from functools import cached_property
 from math import ceil
 from operator import itemgetter
 
-from .counting import count, log_count
-from .lattice import FiniteLattice, Point, _pair, _require_primitive, rectangle
+from .counting import _rect_logs, count, log_count
+from .lattice import FiniteLattice, Point, _integer, _pair, _require_primitive, rectangle
 from .sft import SftSpec, golden_mean_horizontal, golden_mean_vertical
 from .systems import ExpandingSystem
 
@@ -77,14 +77,15 @@ class RectTable:
 
 
 def rect_entropy_table(spec: SftSpec, max_width: int, max_height: int) -> RectTable:
-    """Exact-log table over all m x n rectangles up to the given sizes."""
+    """Exact-log table over all m x n rectangles up to the given sizes.
+
+    A single-axis spec's table reads one 1-D string-count series and builds
+    no lattice; any other spec takes ``log_count`` on each rectangle.
+    """
+    max_width, max_height = _integer(max_width), _integer(max_height)
     if max_width < 1 or max_height < 1:
         raise ValueError("table sides must be >= 1")
-    logs = tuple(
-        tuple(log_count(rectangle((0, 0), m, n), spec) for n in range(1, max_height + 1))
-        for m in range(1, max_width + 1)
-    )
-    return RectTable(max_width, max_height, logs)
+    return RectTable(max_width, max_height, _rect_logs(spec, max_width, max_height))
 
 
 def system_entropy(
@@ -92,6 +93,7 @@ def system_entropy(
 ) -> EntropySequence:
     """Per-index ratios log(count on lattice(n)) / |lattice(n)| with a
     tail-max estimate of the limsup."""
+    n_lo, n_hi = _integer(n_lo), _integer(n_hi)
     if n_hi < n_lo:
         raise ValueError("empty index range")
     records = []
@@ -132,6 +134,7 @@ def projectional_entropy(
     pattern fits the longest segment: the local counts are then N**n.
     """
     vp = _require_primitive(v)
+    n_max = _integer(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     line = _along(spec, vp)

@@ -357,6 +357,12 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
+    # a pair of integers names the form it expects and the text it got
+    for option, text, form in (("--table", "3x3x3", "MxN"), ("--table", "3", "MxN"),
+                               ("--v", "1", "x,y"), ("--v", "1,2,3", "x,y")):
+        command = "entropy-rect" if option == "--table" else "projectional"
+        code, out, err = run_cli(capsys, command, "--spec", "golden-mean-h", option, text)
+        assert (code, out, err) == (2, "", f"error: expected {form}, got {text!r}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,23 +1,32 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftent import (
     LOG_GOLDEN_MEAN,
     NonPrimitiveVector,
     Point,
+    RectTable,
+    SftSpec,
+    count_profile_dp,
     directional_entropy_max,
     full_shift,
     golden_mean_horizontal,
     golden_mean_vertical,
+    log_count,
     omega_q_system,
     projectional_entropy,
     rect_entropy_table,
+    rectangle,
     segment,
     squares,
     strict_gap_check,
     system_entropy,
 )
+from sftent import counting
+from sftent.counting import _profile_sweep, _string_counts
 
 GM_H = golden_mean_horizontal()
 GM_V = golden_mean_vertical()
@@ -77,6 +86,52 @@ def test_rect_table_monotone_in_width_and_infimum_bound():
         assert all(b <= a + 1e-15 for a, b in zip(col, col[1:]))
     for _, _, _, ratio in table.entries():
         assert ratio >= table.h_r_estimate - 1e-15
+
+
+@st.composite
+def axis_specs(draw):
+    """Single-axis specs, N in 2..6, along x or y: random forbidden pairs,
+    one-cell bans or both, full shifts, and specs whose strings die out (every
+    pair a, b with b <= a banned, so a string strictly increases)."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("pairs", "dying", "bans", "full")))
+    if kind == "full":
+        return full_shift(n)
+    symbol = st.integers(0, n - 1)
+    step = draw(st.sampled_from(((1, 0), (0, 1))))
+    pairs = set() if kind == "bans" else draw(st.sets(st.tuples(symbol, symbol),
+                                                      min_size=1, max_size=n * n))
+    if kind == "dying":
+        pairs |= {(a, b) for a in range(n) for b in range(a + 1)}
+    bans = draw(st.sets(symbol, min_size=kind == "bans", max_size=n))
+    return SftSpec.make(n, [[((0, 0), a), (step, b)] for a, b in pairs]
+                        + [[((0, 0), s)] for s in bans])
+
+
+@settings(max_examples=80, deadline=None)
+@given(axis_specs(), st.integers(1, 30), st.integers(1, 30))
+def test_axis_table_reads_the_string_series(spec, width, height):
+    # the table equals log_count on each rectangle bit for bit
+    table = rect_entropy_table(spec, width, height)
+    direct = RectTable(width, height, tuple(
+        tuple(log_count(rectangle((0, 0), m, n), spec) for n in range(1, height + 1))
+        for m in range(1, width + 1)))
+    assert [list(map(repr, row)) for row in table.log_counts] == \
+        [list(map(repr, row)) for row in direct.log_counts]
+    assert table.argmin == direct.argmin
+    assert repr(table.h_r_estimate) == repr(direct.h_r_estimate)
+    # the series is the count on 1-D rows, by the axis product and the sweep
+    lengths = range(max(width, height) + 1)
+    rows = [rectangle((0, 0), *((n, 1) if spec.pure_axis == "horizontal" else (1, n)))
+            for n in lengths[1:]]
+    assert _string_counts(spec, lengths) == [1] + [count_profile_dp(r, spec).value for r in rows]
+    assert _string_counts(spec, lengths)[1:] == [_profile_sweep(r, spec, False) for r in rows]
+
+
+def test_axis_table_builds_no_lattice(monkeypatch):
+    monkeypatch.setattr(counting, "rectangle", None)
+    for spec in (GM_H, GM_V, full_shift(3)):
+        assert rect_entropy_table(spec, 5, 4).log_counts[4][3] > 0
 
 
 # ---------------------------------------------------------------------------

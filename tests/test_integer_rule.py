@@ -26,11 +26,15 @@ from sftent import (
     omega_q_entropy_series,
     omega_q_golden_mean_count,
     omega_q_plus,
+    projectional_entropy,
+    rect_entropy_table,
     rect_system,
     rectangle,
     squares,
     stick_augmented,
     stick_system,
+    strict_gap_check,
+    system_entropy,
     verify_block_gluing,
 )
 from sftent.counting import admissible_extension_exists
@@ -79,6 +83,13 @@ ENTRY_POINTS = {
     "multiplicative brute force q": (lambda v: count_multiplicative_bruteforce(10, v), 3),
     "gluing window": (lambda v: verify_block_gluing(GM_H, window=v), 3),
     "gluing extent": (lambda v: verify_block_gluing(GM_H, extent=v), 3),
+    "rect table width": (lambda v: rect_entropy_table(GM_H, v, 3), 3),
+    "rect table height": (lambda v: rect_entropy_table(GM_H, 3, v), 3),
+    "strict gap side": (lambda v: strict_gap_check(GM_H, v, 3), 3),
+    "system entropy n_lo": (lambda v: system_entropy(GM_H, squares(), v, 4), 3),
+    "system entropy n_hi": (lambda v: system_entropy(GM_H, squares(), 2, v), 3),
+    "projectional n_max": (lambda v: projectional_entropy(GM_H, (1, 0), v), 3),
+    "directional n_max": (lambda v: directional_entropy_max(GM_H, [(1, 0), (0, 1)], v), 3),
 }
 
 
