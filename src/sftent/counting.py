@@ -36,14 +36,20 @@ lattice:
   one, a stretch of empty columns shortens to the run that flushes a state.  The
   live states are one numpy array of base-N codes (int64 while
   ``N ** depth < 2**63``, else Python ints), the newest cell least
-  significant, sorted beside one column of weights.  A position outside
-  the lattice holds digit 0.  Each step (``_sweep_step``) yields the
-  successor codes and a plan that carries weights to them; one column of
-  steps is cached by row, keyed exactly by context, merging flag and
-  incoming codes.  The sweep raises BudgetExceeded when its positions, or
-  a step's live states times N, times the 64-bit words of one code pass
-  ``DEFAULT_BUDGET`` (which also bounds the cache's words), and
-  UnsupportedForbiddenShape past 63 placed shapes (one context bit each).
+  significant, sorted beside one column of weights: exact weights are int64
+  until a step that adds could pass 2**63 - 1 (a successor sums at most N
+  of them), then Python ints.  A position outside the lattice holds digit
+  0.  Each context's bans compile into one table indexed by the base-N
+  code of the digits they read (``_compile_bans``; one mask per ban past
+  ``_DENSE`` entries).  Each step (``_sweep_step``) yields the successor
+  codes and a plan that carries weights to them; where no ban reads the
+  digit a step drops, the states that differ only there merge before they
+  extend.  One column of steps is cached by row, keyed exactly by context,
+  merging flag and incoming codes.  The sweep raises BudgetExceeded when
+  its positions, or a step's live states times N, times the 64-bit words
+  of one code pass ``DEFAULT_BUDGET`` (which also bounds the cache's
+  words), and UnsupportedForbiddenShape past 63 placed shapes (one context
+  bit each).
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -241,23 +248,24 @@ def _constraint_table(lat: FiniteLattice, spec: SftSpec, blocks: bool):
     return index, free, _occurrence_checks(occurrences, len(lat))
 
 
-def _domains(lat: FiniteLattice, spec: SftSpec, fixed, blocks: bool):
-    """Free domains and checks for `lat`, of the block search (`blocks`) or
-    of ``_search``; a cell in `fixed` keeps one symbol.  A fixed symbol must
-    be an integer (else ValueError) inside the alphabet (else SymbolOutOfRange)."""
-    index, free, checks = _constraint_table(lat, spec, blocks)
+def _symbol(s, n: int) -> int:
+    """A fixed symbol: an integer (else ValueError) below `n` (else SymbolOutOfRange)."""
+    s = _integer(s)
+    if not 0 <= s < n:
+        raise SymbolOutOfRange(f"fixed symbol {s} outside alphabet 0..{n - 1}")
+    return s
+
+
+def _domains(lat: FiniteLattice, spec: SftSpec, fixed):
+    """Free domains and checks of the block search for `lat`; a cell in
+    `fixed` keeps one symbol (see ``_symbol``)."""
+    index, free, checks = _constraint_table(lat, spec, blocks=True)
     domains = free.copy()
     for p, s in (fixed or {}).items():
-        s = _integer(s)
-        if not 0 <= s < spec.alphabet_size:
-            raise SymbolOutOfRange(
-                f"fixed symbol {s} outside alphabet 0..{spec.alphabet_size - 1}")
+        s = _symbol(s, spec.alphabet_size)
         i = index.get(p)          # Points, int pairs and numpy scalars hash alike
         if i is not None:
-            if blocks:
-                domains[i] &= np.arange(spec.alphabet_size) == s
-            else:
-                domains[i] = (s,)
+            domains[i] &= np.arange(spec.alphabet_size) == s
     return domains, checks
 
 
@@ -270,7 +278,7 @@ def count_bruteforce(
     """Exhaustive count of locally admissible assignments (reference oracle)."""
     free = len(lat) - sum(p in lat for p in fixed or ())
     _check_budget(spec.alphabet_size, free, budget)
-    return CountResult(_count_blocks(*_domains(lat, spec, fixed, blocks=True)), len(lat))
+    return CountResult(_count_blocks(*_domains(lat, spec, fixed)), len(lat))
 
 
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
@@ -279,16 +287,35 @@ def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAUL
     if len(lat) == 0:
         yield ()
         return
-    for block, leaves in _block_search(*_domains(lat, spec, None, blocks=True)):
+    for block, leaves in _block_search(*_domains(lat, spec, None)):
         yield from map(tuple, _extend(block, len(lat) - 1, leaves).tolist())
 
 
 def admissible_extension_exists(
     lat: FiniteLattice, spec: SftSpec, fixed: dict, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Is there an admissible assignment agreeing with `fixed`?  The search may
-    assign at most `budget` cells, else it raises BudgetExceeded."""
-    return _search(*_domains(lat, spec, fixed, blocks=False), budget)
+    """Is there an admissible assignment agreeing with `fixed` (symbols as in
+    ``_symbol``)?  The search may assign at most `budget` cells, else it
+    raises BudgetExceeded."""
+    symbols = [_symbol(s, spec.alphabet_size) for s in fixed.values()]
+    return _extension_oracle(lat, spec, list(fixed), budget)(symbols)
+
+
+def _extension_oracle(lat: FiniteLattice, spec: SftSpec, points, budget: int = DEFAULT_BUDGET):
+    """``exists(symbols)``: is there an admissible assignment on `lat` with
+    ``symbols[i]`` at ``points[i]`` (points off `lat` are ignored)?  The
+    constraint table and the cells are looked up once, for many calls; the
+    symbols must be integers in the alphabet.  Each call's search may assign
+    at most `budget` cells, else it raises BudgetExceeded."""
+    index, free, checks = _constraint_table(lat, spec, blocks=False)
+    cells = [(i, k) for k, i in enumerate(map(index.get, points)) if i is not None]
+
+    def exists(symbols) -> bool:
+        domains = free.copy()
+        for i, k in cells:
+            domains[i] = (symbols[k],)
+        return _search(domains, checks, budget)
+    return exists
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +386,14 @@ def _rect_logs(spec: SftSpec, width: int, height: int) -> tuple[tuple[float, ...
 def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     """The sweep's layout, read from `placements`: the state depth, the dtype
     and 64-bit words of one code, each position's context (-1 off the lattice,
-    else one bit per placed pattern shape ending there), per context the bans
-    (banned symbol, (back distance, symbol) per other cell) and the frontier
-    length h.  Position ``column * h + row`` holds a cell; the depth is the
-    longest back distance of a placed ban, at least 1, and the orientation
-    the one that needs the smaller depth, on a tie the smaller h.  The layout
-    is refused before it is allocated when its positions times a code's
-    words pass the budget.
+    else one bit per placed pattern shape ending there), per context its
+    bans (banned symbol, (back distance, symbol) per other cell) compiled by
+    ``_compile_bans``, and the frontier length h.  Position
+    ``column * h + row`` holds a cell; the depth is the longest back
+    distance of a placed ban, at least 1, and the orientation the one that
+    needs the smaller depth, on a tie the smaller h.  The layout is refused
+    before it is allocated when its positions times a code's words pass the
+    budget.
     """
     n = spec.alphabet_size
     runs = {}                 # shape -> placement runs
@@ -419,30 +447,104 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     for shape, b in bit.items():     # cells, unlike runs, one shape at a time
         context[position(np.column_stack(_cells(runs[shape])) + last[shape])] |= b
     context = context.tolist()
-    table = {code: [(sym, back) for b, sym, back in bans if code & b]    # codes in use
-             for code in set(context) - {-1}}
+    table = {code: _compile_bans([(sym, back) for b, sym, back in bans if code & b], n, depth)
+             for code in set(context) - {-1}}     # codes in use
     return depth, dtype, words, context, table, h
+
+
+def _compile_bans(bans, n: int, depth: int):
+    """One context's ``(check, oldest)``.  `check` maps state codes to the
+    ``(states, n)`` mask of the symbols that the context's bans (banned
+    symbol, (back distance, symbol) per other cell) allow; `oldest` says
+    whether a ban reads back `depth`, the digit a merging step drops.  The
+    bans compile into one table indexed by the base-N code of the digits
+    they read, the nearest least significant, while it has at most
+    ``_DENSE`` entries (rows times n); past that each ban builds its own
+    mask, as the block search compares keys past its tables."""
+    reads = sorted({d for _, back in bans for d, _ in back})
+    oldest = bool(reads) and reads[-1] == depth
+    if n ** len(reads) * n > _DENSE:
+        return partial(_ban_masks, n, bans), oldest
+    place = {d: len(reads) - 1 - i for i, d in enumerate(reads)}   # the nearest last
+    allow = np.ones((n,) * len(reads) + (n,), dtype=bool)
+    for sym, back in bans:
+        key = [slice(None)] * len(reads)
+        for d, s in back:
+            key[place[d]] = s
+        allow[(*key, sym)] = False
+    # each run of consecutive digits is one (divisor, modulus, place value)
+    runs = [[i for i, _ in run] for _, run in groupby(enumerate(reads), lambda p: p[1] - p[0])]
+    spans = [(n ** (reads[run[0]] - 1), n ** len(run), n ** run[0]) for run in runs]
+    return partial(_ban_lookup, spans, allow.reshape(-1, n)), oldest
+
+
+def _ban_masks(n: int, bans, codes):
+    """The allowed symbols of each of `codes`, one mask per ban."""
+    ok = np.ones((len(codes), n), dtype=bool)
+    digits: dict = {}
+    for sym, back in bans:
+        hit = np.ones(len(codes), dtype=bool)    # a single-cell ban hits all
+        for d, s in back:
+            if d not in digits:
+                digits[d] = codes // n ** (d - 1) % n
+            hit &= digits[d] == s
+        ok[:, sym] &= ~hit
+    return ok
+
+
+def _ban_lookup(spans, allow, codes):
+    """The rows of `allow` at the code of the digits read in each of `codes`:
+    per run of digits, ``codes // divisor % modulus * place value``."""
+    if not spans:
+        return np.broadcast_to(allow, (len(codes), allow.shape[1]))
+    (div, mod, _), *rest = spans     # the nearest run has place value 1
+    index = (codes // div if div > 1 else codes) % mod
+    for div, mod, place in rest:
+        index += codes // div % mod * place
+    return allow.take(index.astype(np.intp, copy=False), axis=0)
+
+
+def _groups(keys, src):
+    """The distinct keys of the sorted `keys` and the plan that sums the
+    weights at `src` per key, in order: each key's first source, and per
+    k = 1, 2, ... the keys with a k-th source and that source, int32."""
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    ends = np.append(starts[1:], len(keys))
+    terms = []
+    for k in range(1, len(keys)):     # a group with k + 1 sources also has k
+        at = np.flatnonzero(starts + k < ends)
+        if not len(at):
+            break
+        terms.append((at.astype(np.int32), src[starts[at] + k]))
+    return keys[starts], (src[starts], terms)
 
 
 def _sweep_step(codes, here: int, merging: bool, n: int, top: int, table):
     """One sweep step from the sorted state codes `codes` at a position of
     context `here` (-1 off the lattice); `merging` when the state's oldest
     digit, ``top`` its place value, is a present cell.  Returns the sorted
-    successor codes and the plan that carries weights to them: each
-    successor's first source, and per k = 1..n-1 the successors with a k-th
-    source and that source, int32."""
-    if here >= 0:
-        ok = np.ones((len(codes), n), dtype=bool)
-        digits: dict = {}
-        for sym, back in table[here]:
-            hit = np.ones(len(codes), dtype=bool)    # a single-cell ban hits all
-            for d, s in back:
-                if d not in digits:
-                    digits[d] = codes // n ** (d - 1) % n
-                hit &= digits[d] == s
-            ok[:, sym] &= ~hit
-        rows, syms = np.nonzero(ok)   # in state order, then symbol order
-        del ok, digits                # free each intermediate once consumed
+    successor codes and the plan ``(first, terms, after)`` that carries
+    weights to them, all int32 indices: ``w[first]``, then per k-th source
+    ``(at, src)`` ``w[at] += w[src]``, then the gather ``w[after]`` if any.
+
+    The bans' check (``_compile_bans``) gives each state's allowed symbols.
+    Where no ban reads the oldest digit, a merging step first merges the
+    states that share all other digits (a merge of at most n sources each,
+    in state order) and then extends them, gathering each successor's
+    weight; otherwise it extends every state and then groups the successors
+    by code.  Either way each successor sums the same sources in the same
+    order."""
+    check, oldest = table[here] if here >= 0 else (None, False)
+    merge = None
+    if merging and not oldest:
+        keys = codes % top
+        order = np.argsort(keys, kind="stable").astype(np.int32)
+        keys = keys[order]
+        codes, merge = _groups(keys, order)
+        del keys, order
+        merging = False
+    if check is not None:
+        rows, syms = np.nonzero(check(codes))   # in state order, then symbol order
         rows = rows.astype(np.int32)
     else:
         rows, syms = np.arange(len(codes), dtype=np.int32), 0
@@ -451,29 +553,23 @@ def _sweep_step(codes, here: int, merging: bool, n: int, top: int, table):
     # order, are already sorted
     dest = (codes % top if merging else codes)[rows] * n + syms
     del syms
+    if merge is not None:     # off the lattice `rows` is the identity
+        return dest, (*merge, rows if check is not None else None)
     if not merging or not len(dest):
-        return dest, (rows, ())
+        return dest, (rows, (), None)
     # group successors by code, at most n sources each, in state order
     order = np.argsort(dest, kind="stable")
-    src = rows[order]
-    dest = dest[order]
-    del rows, order
-    starts = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
-    ends = np.append(starts[1:], len(dest))
-    terms = []
-    for k in range(1, n):       # a group with k + 1 sources also has k
-        at = np.flatnonzero(starts + k < ends)
-        if not len(at):
-            break
-        terms.append((at.astype(np.int32), src[starts[at] + k]))
-    return dest[starts], (src[starts], terms)
+    dest, rows = dest[order], rows[order]
+    del order
+    dest, (first, terms) = _groups(dest, rows)
+    return dest, (first, terms, None)
 
 
 def _plan_words(codes, dest, plan, words: int) -> int:
     """64-bit words a cached step holds: its key and successor codes, and its
     plan's int32 indices."""
-    first, terms = plan
-    indices = len(first) + sum(2 * len(at) for at, _ in terms)
+    first, terms, after = plan
+    indices = len(first) + sum(2 * len(at) for at, _ in terms) + len(() if after is None else after)
     return (len(codes) + len(dest)) * words + -(-indices // 2)
 
 
@@ -482,11 +578,14 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     n = spec.alphabet_size
     # a state is the last `depth` positions' symbols as one base-n code, the
     # newest cell least significant, absent cells 0.  States stay sorted by
-    # code, each with one weight: a Python int, or a renormalised float64
+    # code, each with one weight: an exact integer, or a renormalised float64.
+    # Exact weights are int64 until a step that adds could pass 2**63 - 1 (a
+    # successor sums at most n weights), then Python ints from there on
     depth, dtype, words, context, table, h = _sweep_bans(lat, spec)
     top = n ** (depth - 1)
     codes = np.zeros(1, dtype=dtype)
-    weights = np.ones(1, dtype=np.float64 if log_domain else object)
+    weights = np.ones(1, dtype=np.float64 if log_domain else np.int64)
+    limit = None if log_domain else (2 ** 63 - 1) // n
     log_scale = 0.0
     # one column of steps, by row: a step repeats the one a column back when
     # its context, merging flag and incoming codes (compared exactly) do.
@@ -512,11 +611,13 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
                 cache[t % h], held = (here, merging, codes, dest, plan, size), held + size
         if not len(dest):
             return float("-inf") if log_domain else 0
-        first, terms = plan
+        first, terms, after = plan
+        if terms and limit is not None and weights.max() > limit:
+            weights, limit = weights.astype(object), None
         merged = weights[first]
         for at, src in terms:        # added one source at a time, in state order
             merged[at] += weights[src]
-        codes, weights = dest, merged
+        codes, weights = dest, merged if after is None else merged[after]
         # the pairwise sum is far within 0.1% of fsum: fsum runs only where it may pass 1e12
         if log_domain and weights.sum() > 0.999e12:
             total = math.fsum(weights.tolist())
@@ -566,11 +667,9 @@ def count_extendable(
     dilated = dilate(lat, margin)     # raises ValueError past the coordinate range
     if margin == 0 or spec.safe_symbols:
         return CountResult(count(lat, spec, budget=budget).value, len(lat), margin=margin)
-    core_points = list(lat)
-    kept = sum(
-        admissible_extension_exists(dilated, spec, dict(zip(core_points, symbols)), budget=budget)
-        for symbols in enumerate_admissible(lat, spec, budget=budget)
-    )
+    _check_budget(spec.alphabet_size, len(lat), budget)    # before the dilation's table
+    exists = _extension_oracle(dilated, spec, list(lat), budget)
+    kept = sum(map(exists, enumerate_admissible(lat, spec, budget=budget)))
     return CountResult(kept, len(lat), margin=margin)
 
 

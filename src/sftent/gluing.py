@@ -17,11 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import (
-    admissible_extension_exists,
-    count_bruteforce,
-    enumerate_admissible,
-)
+from .counting import _extension_oracle, count_bruteforce, enumerate_admissible
 from .lattice import Point, _integer, dilate, rectangle
 from .sft import Pattern, SftSpec
 
@@ -107,18 +103,16 @@ def verify_block_gluing(
     base = rectangle((0, 0), window, window)
     admissible = [Pattern(base, syms) for syms in enumerate_admissible(base, spec)]
     margin = max(1, spec.forbidden_diameter)
-    firsts = [dict(zip(base, p.symbols)) for p in admissible]
     pairs_checked = 0
     for offset in offsets:
         shifted = base.translate(offset)
         joint = dilate(base.union(shifted), margin)
         sep = rectangle_separation(offset, window)
-        shifted_points = list(shifted)
-        seconds = [dict(zip(shifted_points, p.symbols)) for p in admissible]
-        for first, fixed_first in zip(admissible, firsts):
-            for second, fixed_second in zip(admissible, seconds):
+        exists = _extension_oracle(joint, spec, [*base, *shifted])
+        for first in admissible:
+            for second in admissible:
                 pairs_checked += 1
-                if not admissible_extension_exists(joint, spec, fixed_first | fixed_second):
+                if not exists(first.symbols + second.symbols):
                     cex = GluingCounterexample(first, Pattern(shifted, second.symbols), offset, sep)
                     return verdict("exhaustive-pairs", pairs_checked, cex)
     return verdict("exhaustive-pairs", pairs_checked)

@@ -393,12 +393,34 @@ def test_sweep_l_triomino_counts():
         assert count_profile_dp(rectangle((0, 0), n, m), spec.transpose()).value == value
 
 
+A006506 = [1, 2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955, 770548397261707,
+           2030049051145980050, 12083401651433651945979, 162481813349792588536582997,
+           4935961285224791538367780371090, 338752110195939290445247645371206783,
+           52521741712869136440040654451875316861275,
+           18396766424410124752958806046933947217821482942]
+
+
 def test_sweep_hard_squares_oeis_a006506():
-    expected = {8: 660647962955, 10: 2030049051145980050,
-                12: 162481813349792588536582997,
-                16: 18396766424410124752958806046933947217821482942}
-    for n, value in expected.items():
-        assert count_profile_dp(rectangle((0, 0), n, n), HARD_SQUARE).value == value
+    # exact weights are int64 up to 10 x 10 (the count is below 2**63) and
+    # turn into Python ints part of the way through 11 x 11 and beyond
+    for n in range(1, 17):
+        assert count_profile_dp(rectangle((0, 0), n, n), HARD_SQUARE).value == A006506[n]
+
+
+@pytest.mark.parametrize("n, lengths",
+                         [(2, range(60, 67)), (3, (39, 40, 41, 45)), (5, (27, 28, 29))])
+def test_sweep_exact_weights_past_int64(n, lengths):
+    # a diagonal pair places nowhere on one row, so the count is n ** L.
+    # Each step merges the state's n weights, n ** (k - 1) each after k
+    # cells, and the column of weights leaves int64 at the first merge that
+    # could pass 2**63 - 1: from L = 64 (n = 2), 41 (n = 3) and 29 (n = 5)
+    spec = SftSpec.make(n, [[((0, 0), 1), ((1, 1), 1)]])
+    assert spec.pure_axis is None
+    for length in lengths:
+        row = rectangle((0, 0), length, 1)
+        assert count_profile_dp(row, spec).value == n ** length
+        assert count_profile_dp(row.transpose(), spec.transpose()).value == n ** length
+        assert log_count(row, spec) == pytest.approx(length * math.log(n), rel=1e-12)
 
 
 def test_sweep_log_counts_bit_for_bit():
@@ -656,6 +678,121 @@ def test_sweep_merging_step_with_no_successors():
     assert log_count(square, spec) == -math.inf
 
 
+@st.composite
+def lookup_specs(draw):
+    """Specs of 1-3-cell shapes in a 3x3 box, 1-4 patterns, N in {2, 3, 5, 20}:
+    with 20 symbols a 3-cell shape reads 2 digits, 20**2 * 20 table entries,
+    past ``_DENSE``, so its context falls back to one mask per ban."""
+    n = draw(st.sampled_from((2, 3, 5, 20)))
+    pattern = st.lists(st.tuples(st.sampled_from(BOX3), st.integers(0, n - 1)),
+                       min_size=1, max_size=3, unique_by=lambda cell: cell[0])
+    return SftSpec.make(n, draw(st.lists(pattern, min_size=1, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lookup_specs(), st.randoms(use_true_random=False))
+def test_sweep_ban_lookups_equal_per_ban_masks(spec, rnd):
+    # every context's compiled check against the per-ban masks (forced by a
+    # zero table cap) on random state codes, then whole sweeps both ways
+    n = spec.alphabet_size
+    lat = holey_clusters(rnd, 12 if n == 2 else 7)
+    depth, dtype, _, _, table, _ = _sweep_bans(lat, spec)
+    with patch.object(counting, "_DENSE", 0):
+        masks = _sweep_bans(lat, spec)[4]
+        exact, log = count_profile_dp(lat, spec).value, log_count(lat, spec)
+    codes = np.array(sorted({rnd.randrange(n ** depth) for _ in range(300)}), dtype=dtype)
+    for context, (check, oldest) in table.items():
+        assert masks[context][0].func is counting._ban_masks
+        assert masks[context][1] == oldest
+        assert np.array_equal(check(codes), masks[context][0](codes))
+    assert count_profile_dp(lat, spec).value == exact
+    assert repr(log_count(lat, spec)) == repr(log)
+    if len(lat) * math.log2(n) <= 24:
+        assert exact == count_bruteforce(lat, spec).value
+
+
+def test_sweep_ban_lookups_fall_back_past_the_table_cap():
+    # 20 symbols: an L-triomino reads two digits (8,000 entries), a domino one
+    # (400): the L's contexts build a mask per ban, the others one table
+    spec = SftSpec.make(20, [[((0, 0), 3), ((1, 0), 4), ((0, 1), 5)], [((0, 0), 7), ((0, 1), 7)]])
+    lat = rectangle((0, 0), 3, 3)
+    kinds = {check.func for check, _ in _sweep_bans(lat, spec)[4].values()}
+    assert kinds == {counting._ban_masks, counting._ban_lookup}
+    exact, log = count_profile_dp(lat, spec).value, repr(log_count(lat, spec))
+    with patch.object(counting, "_DENSE", 0):
+        assert (count_profile_dp(lat, spec).value, repr(log_count(lat, spec))) == (exact, log)
+    small = rectangle((0, 0), 2, 2)
+    assert count_profile_dp(small, spec).value == count_bruteforce(small, spec).value
+
+
+DIAGONAL_VERTICAL = [((0, 0), (1, 1)), ((1, 0), (0, 1)), ((0, 0), (0, 1)), ((0, 0), (0, 2)),
+                     ((0, 0), (1, 0), (1, 1))]
+
+
+@st.composite
+def diagonal_vertical_specs(draw):
+    """Diagonal, anti-diagonal and vertical shapes, N in {2, 3}: column-major
+    the diagonal reads back h + 1, the state's oldest digit, while the other
+    shapes, and every ban in the bottom row, read less."""
+    n = draw(st.sampled_from((2, 3)))
+    shape = st.sampled_from(DIAGONAL_VERTICAL)
+    patterns = draw(st.lists(shape.flatmap(lambda cells: st.tuples(
+        *[st.tuples(st.just(c), st.integers(0, n - 1)) for c in cells])), min_size=1, max_size=4))
+    return SftSpec.make(n, [list(p) for p in patterns])
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_vertical_specs(), st.randoms(use_true_random=False))
+def test_sweep_merges_first_where_no_ban_reads_the_dropped_digit(spec, rnd):
+    lat = holey_clusters(rnd, 12 if spec.alphabet_size == 2 else 8)
+    exact = count_bruteforce(lat, spec).value
+    assert count_profile_dp(lat, spec).value == exact
+    assert count_profile_dp(lat.transpose(), spec.transpose()).value == exact
+    if exact == 0:
+        assert log_count(lat, spec) == -math.inf
+    else:
+        assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
+
+
+def test_sweep_merge_first_steps_keep_every_value(monkeypatch):
+    # on these rectangles the bottom row (and off-lattice positions) merge
+    # before they extend; counts and log reprs are the ones the sweep gave
+    # when every merging step extended first and grouped after
+    spec = SftSpec.make(3, [[((0, 0), 1), ((1, 1), 2)], [((0, 0), 0), ((0, 1), 0)],
+                            [((0, 0), 2), ((1, 2), 2)]])
+    first = []
+
+    def step(codes, here, merging, n, top, table):
+        first.append(merging and not (here >= 0 and table[here][1]))
+        return sweep_step(codes, here, merging, n, top, table)
+    sweep_step = counting._sweep_step
+    monkeypatch.setattr(counting, "_sweep_step", step)
+    for (m, n), exact, log in (((6, 5), 59837796298, "24.814903343363664"),
+                               ((7, 7), 85707137146465812, "38.98971249763565"),
+                               ((5, 9), 3799721255130585, "35.873704105039494")):
+        for lat, s in ((rectangle((0, 0), m, n), spec),
+                       (rectangle((0, 0), n, m), spec.transpose())):
+            first.clear()
+            assert count_profile_dp(lat, s).value == exact
+            assert repr(log_count(lat, s)) == log
+            assert any(first)
+
+
+def test_extension_oracle_agrees_with_pinned_bruteforce(rng):
+    # one constraint table for many calls: an extension exists exactly when
+    # brute force with those cells pinned counts one
+    for spec in (period_forcing_horizontal(), SftSpec.make(2, [[((0, 0), 0), ((1, 0), 0)],
+                                                                [((0, 0), 1), ((1, 1), 1)]])):
+        core = rectangle((0, 0), 2, 2)
+        dilated = dilate(core, 1)
+        points = list(core) + [(9, 9)]          # a point off the lattice is ignored
+        exists = counting._extension_oracle(dilated, spec, points)
+        for _ in range(20):
+            symbols = [rng.randrange(spec.alphabet_size) for _ in points]
+            pinned = count_bruteforce(dilated, spec, fixed=dict(zip(points, symbols))).value
+            assert exists(symbols) == (pinned > 0)
+
+
 def test_sweep_cache_bound_refuses_nothing_the_step_budget_admits(monkeypatch):
     # at the smallest budget the steps admit, the cache holds far fewer steps
     # than the sweep takes: they are computed again, never refused
@@ -849,6 +986,16 @@ def test_extension_search_enforces_budget():
     assert admissible_extension_exists(square, GM_H, {(0, 0): 1}, budget=100)
     with pytest.raises(BudgetExceeded):     # no safe symbol, so the search runs
         count_extendable(rectangle((0, 0), 1, 1), period_forcing_horizontal(), 1, budget=4)
+
+
+def test_extendable_count_refuses_before_the_dilation_table(monkeypatch):
+    # 2**900 core patterns: refused before the dilation's constraint table
+    # (the extension oracle's set-up) is built
+    def table(*args):
+        raise AssertionError("constraint table built before the budget check")
+    monkeypatch.setattr(counting, "_constraint_table", table)
+    with pytest.raises(BudgetExceeded):
+        count_extendable(rectangle((0, 0), 30, 30), period_forcing_horizontal(), 1)
 
 
 @settings(max_examples=40, deadline=None)

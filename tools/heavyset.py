@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Time the heavy counting set, one fresh process per case.
+
+    python3 tools/heavyset.py [CASE ...]
+
+Run from the root of a source checkout; ``sftent`` is imported from
+``src/``.  Each case runs in its own interpreter, so its time and its
+maximum resident memory are its own; one JSON line per case goes to stdout:
+the case, its wall seconds (import excluded), the process's max RSS in MB
+and the result (an exact count, a log count or a per-cell ratio).  The
+times are reported, not checked: the exit code is 1 only when a case fails.
+
+Cases: hard squares exact on 16x16 and 20x20, hard-square ``log_count`` on
+20x400 and on the mirrored wedge ``omega_q(2, 11)`` (as log count per cell),
+and the 3-symbol ``r3`` spec exact on 10x10.
+"""
+
+from __future__ import annotations
+
+import json
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HARD_SQUARE = [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]]
+R3 = [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
+      [((0, 0), 2), ((0, 1), 2), ((1, 0), 1)], [((0, 0), 0), ((1, 0), 1)]]
+
+# name -> (alphabet size, forbidden patterns, lattice, route)
+CASES = {
+    "hard-square-16x16-exact": (2, HARD_SQUARE, ("rectangle", 16, 16), "count"),
+    "hard-square-20x20-exact": (2, HARD_SQUARE, ("rectangle", 20, 20), "count"),
+    "hard-square-20x400-log": (2, HARD_SQUARE, ("rectangle", 20, 400), "log"),
+    "hard-square-omega_q:2,11-ratio": (2, HARD_SQUARE, ("omega_q", 2, 11), "ratio"),
+    "r3-10x10-exact": (3, R3, ("rectangle", 10, 10), "count"),
+}
+
+
+def run_case(name: str) -> dict:
+    """Run one case in this process and describe it."""
+    sys.path.insert(0, str(SRC))
+    import sftent
+
+    n, forbidden, (family, *args), route = CASES[name]
+    spec = sftent.SftSpec.make(n, forbidden)
+    t0 = time.perf_counter()
+    lat = sftent.rectangle((0, 0), *args) if family == "rectangle" else sftent.omega_q(*args)
+    if route == "count":
+        result = str(sftent.count_profile_dp(lat, spec).value)
+    elif route == "log":
+        result = repr(sftent.log_count(lat, spec))
+    else:
+        result = repr(sftent.log_count(lat, spec) / len(lat))
+    seconds = time.perf_counter() - t0
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024    # KiB on Linux
+    return {"case": name, "seconds": round(seconds, 4), "max_rss_mb": round(rss_mb, 1),
+            "result": result}
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--case"]:
+        print(json.dumps(run_case(argv[1])))
+        return 0
+    unknown = [name for name in argv if name not in CASES]
+    if unknown:
+        print(f"unknown case(s) {unknown}; choose from {list(CASES)}", file=sys.stderr)
+        return 2
+    failed = False
+    for name in argv or CASES:
+        proc = subprocess.run([sys.executable, __file__, "--case", name],
+                              capture_output=True, text=True)
+        if proc.returncode:
+            failed = True
+            print(json.dumps({"case": name, "error": proc.stderr.strip().splitlines()[-1:]}))
+        else:
+            print(proc.stdout.strip(), flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
