@@ -16,7 +16,6 @@ from .errors import (
     SftentError,
     SubsetViolation,
     SymbolOutOfRange,
-    UnsupportedForbiddenShape,
 )
 from .lattice import (
     BlockDecomposition,

@@ -40,7 +40,10 @@ def _parse_mode(text: str) -> int | None:
     if text == "local":
         return None
     if text.startswith("ext:"):
-        return int(text.split(":", 1)[1])
+        try:
+            return int(text[4:])
+        except ValueError:
+            pass
     raise FormatError(f"mode must be 'local' or 'ext:M', got {text!r}")
 
 

@@ -39,17 +39,18 @@ lattice:
   significant, sorted beside one column of weights: exact weights are int64
   until a step that adds could pass 2**63 - 1 (a successor sums at most N
   of them), then Python ints.  A position outside the lattice holds digit
-  0.  Each context's bans compile into one table indexed by the base-N
-  code of the digits they read (``_compile_bans``; one mask per ban past
-  ``_DENSE`` entries).  Each step (``_sweep_step``) yields the successor
+  0.  The layout (``_sweep_bans``) gives each position its step: None off
+  the lattice, else the bans of the shapes ending there compiled into one
+  table indexed by the base-N code of the digits they read
+  (``_compile_bans``; one mask per ban past ``_DENSE`` entries), one object
+  per set of shapes.  Each step (``_sweep_step``) yields the successor
   codes and a plan that carries weights to them; where no ban reads the
   digit a step drops, the states that differ only there merge before they
-  extend.  One column of steps is cached by row, keyed exactly by context,
-  merging flag and incoming codes.  The sweep raises BudgetExceeded when
-  its positions, or a step's live states times N, times the 64-bit words
-  of one code pass ``DEFAULT_BUDGET`` (which also bounds the cache's
-  words), and UnsupportedForbiddenShape past 63 placed shapes (one context
-  bit each).
+  extend.  One column of steps is cached by row, keyed exactly by step
+  object, merging flag and incoming codes.  The sweep's one refusal is
+  BudgetExceeded, when its positions, or a step's live states times N,
+  times the 64-bit words of one code pass ``DEFAULT_BUDGET`` (which also
+  bounds the cache's words).
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -62,13 +63,14 @@ margin returns the extendable-count refinement.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import BudgetExceeded, SymbolOutOfRange, UnsupportedForbiddenShape
+from .errors import BudgetExceeded, SymbolOutOfRange
 from .lattice import FiniteLattice, _cells, _integer, _run_lengths, dilate, rectangle
 from .sft import CountResult, SftSpec, _placement_runs, forbidden_occurrences
 
@@ -383,12 +385,15 @@ def _rect_logs(spec: SftSpec, width: int, height: int) -> tuple[tuple[float, ...
 # ---------------------------------------------------------------------------
 
 
-def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
+_SweepLayout = namedtuple("_SweepLayout", "depth dtype words steps h")
+
+
+def _sweep_bans(lat: FiniteLattice, spec: SftSpec) -> _SweepLayout:
     """The sweep's layout, read from `placements`: the state depth, the dtype
-    and 64-bit words of one code, each position's context (-1 off the lattice,
-    else one bit per placed pattern shape ending there), per context its
-    bans (banned symbol, (back distance, symbol) per other cell) compiled by
-    ``_compile_bans``, and the frontier length h.  Position
+    and 64-bit words of one code, per position its step (None off the
+    lattice, else the ``_compile_bans`` of the bans (banned symbol, (back
+    distance, symbol) per other cell) of the shapes ending there, one object
+    per set of shapes), and the frontier length h.  Position
     ``column * h + row`` holds a cell; the depth is the longest back
     distance of a placed ban, at least 1, and the orientation the one that
     needs the smaller depth, on a tie the smaller h.  The layout is refused
@@ -401,9 +406,6 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
         if pat.shape not in runs:
             runs[pat.shape] = _placement_runs(pat.shape, lat)
     bit = {shape: 1 << i for i, shape in enumerate(s for s, r in runs.items() if len(r))}
-    if len(bit) > 63:
-        raise UnsupportedForbiddenShape(
-            f"{len(bit)} placed forbidden shapes exceed the sweep's 63 context bits")
 
     def orient(major):
         """Depth, frontier length, major axis, rows, last cell per shape and bans."""
@@ -442,19 +444,21 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec):
     def position(cells):
         return (column[np.searchsorted(cols, cells[:, major])] * h
                 + rows[np.searchsorted(ys, cells[:, 1 - major])])
-    context = np.full(positions, -1, dtype=np.int64)
-    context[position(lat.coords)] = 0
+    # per position one bit per shape ending there, -1 off the lattice: int64
+    # while at most 63 shapes are placed, else Python ints
+    shapes = np.full(positions, -1, dtype=np.int64 if len(bit) < 64 else object)
+    shapes[position(lat.coords)] = 0
     for shape, b in bit.items():     # cells, unlike runs, one shape at a time
-        context[position(np.column_stack(_cells(runs[shape])) + last[shape])] |= b
-    context = context.tolist()
-    table = {code: _compile_bans([(sym, back) for b, sym, back in bans if code & b], n, depth)
-             for code in set(context) - {-1}}     # codes in use
-    return depth, dtype, words, context, table, h
+        shapes[position(np.column_stack(_cells(runs[shape])) + last[shape])] |= b
+    shapes = shapes.tolist()
+    step = {code: _compile_bans([(sym, back) for b, sym, back in bans if code & b], n, depth)
+            for code in set(shapes) - {-1}}     # codes in use
+    return _SweepLayout(depth, dtype, words, [step.get(code) for code in shapes], h)
 
 
 def _compile_bans(bans, n: int, depth: int):
-    """One context's ``(check, oldest)``.  `check` maps state codes to the
-    ``(states, n)`` mask of the symbols that the context's bans (banned
+    """One position's step ``(check, oldest)``.  `check` maps state codes to
+    the ``(states, n)`` mask of the symbols that the position's bans (banned
     symbol, (back distance, symbol) per other cell) allow; `oldest` says
     whether a ban reads back `depth`, the digit a merging step drops.  The
     bans compile into one table indexed by the base-N code of the digits
@@ -519,22 +523,22 @@ def _groups(keys, src):
     return keys[starts], (src[starts], terms)
 
 
-def _sweep_step(codes, here: int, merging: bool, n: int, top: int, table):
+def _sweep_step(codes, step, merging: bool, n: int, top: int):
     """One sweep step from the sorted state codes `codes` at a position of
-    context `here` (-1 off the lattice); `merging` when the state's oldest
-    digit, ``top`` its place value, is a present cell.  Returns the sorted
-    successor codes and the plan ``(first, terms, after)`` that carries
+    layout step `step` (None off the lattice); `merging` when the state's
+    oldest digit, ``top`` its place value, is a present cell.  Returns the
+    sorted successor codes and the plan ``(first, terms, after)`` that carries
     weights to them, all int32 indices: ``w[first]``, then per k-th source
     ``(at, src)`` ``w[at] += w[src]``, then the gather ``w[after]`` if any.
 
-    The bans' check (``_compile_bans``) gives each state's allowed symbols.
+    The step's check (``_compile_bans``) gives each state's allowed symbols.
     Where no ban reads the oldest digit, a merging step first merges the
     states that share all other digits (a merge of at most n sources each,
     in state order) and then extends them, gathering each successor's
     weight; otherwise it extends every state and then groups the successors
     by code.  Either way each successor sums the same sources in the same
     order."""
-    check, oldest = table[here] if here >= 0 else (None, False)
+    check, oldest = step or (None, False)
     merge = None
     if merging and not oldest:
         keys = codes % top
@@ -581,34 +585,34 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     # code, each with one weight: an exact integer, or a renormalised float64.
     # Exact weights are int64 until a step that adds could pass 2**63 - 1 (a
     # successor sums at most n weights), then Python ints from there on
-    depth, dtype, words, context, table, h = _sweep_bans(lat, spec)
+    depth, dtype, words, steps, h = _sweep_bans(lat, spec)
     top = n ** (depth - 1)
     codes = np.zeros(1, dtype=dtype)
     weights = np.ones(1, dtype=np.float64 if log_domain else np.int64)
     limit = None if log_domain else (2 ** 63 - 1) // n
     log_scale = 0.0
     # one column of steps, by row: a step repeats the one a column back when
-    # its context, merging flag and incoming codes (compared exactly) do.
+    # its step object, merging flag and incoming codes (compared exactly) do.
     # The cached words stay within the budget; past it a step is not stored
     cache, held = [None] * h, 0
-    for t, here in enumerate(context):
+    for t, step in enumerate(steps):
         # candidate successors times their words bound every array this step allocates
-        if here >= 0 and len(codes) * n * words > DEFAULT_BUDGET:
+        if step is not None and len(codes) * n * words > DEFAULT_BUDGET:
             raise BudgetExceeded(
                 f"{len(codes)} states * {n} * {words} code words exceed budget {DEFAULT_BUDGET}")
-        merging = t >= depth and context[t - depth] >= 0
+        merging = t >= depth and steps[t - depth] is not None
         entry = cache[t % h]
-        if (entry is not None and entry[0] == here and entry[1] == merging
+        if (entry is not None and entry[0] is step and entry[1] == merging
                 and (entry[2] is codes
                      or len(entry[2]) == len(codes) and np.array_equal(entry[2], codes))):
             dest, plan = entry[3], entry[4]
         else:
             if entry is not None:     # freed before the step allocates
                 cache[t % h], held, entry = None, held - entry[5], None
-            dest, plan = _sweep_step(codes, here, merging, n, top, table)
+            dest, plan = _sweep_step(codes, step, merging, n, top)
             size = _plan_words(codes, dest, plan, words)
             if held + size <= DEFAULT_BUDGET:
-                cache[t % h], held = (here, merging, codes, dest, plan, size), held + size
+                cache[t % h], held = (step, merging, codes, dest, plan, size), held + size
         if not len(dest):
             return float("-inf") if log_domain else 0
         first, terms, after = plan
@@ -690,9 +694,9 @@ def count(
     """
     if margin is not None:
         return count_extendable(lat, spec, margin, budget=budget)
-    try:      # the sweep refuses past 63 placed shapes and past its budget
+    try:      # the sweep refuses only past its budget
         return count_profile_dp(lat, spec)
-    except (UnsupportedForbiddenShape, BudgetExceeded) as refusal:
+    except BudgetExceeded as refusal:
         try:
             return count_bruteforce(lat, spec, budget=budget)
         except BudgetExceeded as exc:

@@ -17,10 +17,6 @@ class SymbolOutOfRange(SftentError):
     """A pattern uses a symbol outside the spec's alphabet 0..N-1."""
 
 
-class UnsupportedForbiddenShape(SftentError):
-    """The profile sweep holds one context bit per placed shape, 63 at most."""
-
-
 class NonPrimitiveVector(SftentError, ValueError):
     """A direction vector must be nonzero with coprime components."""
 

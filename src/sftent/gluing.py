@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import _extension_oracle, count_bruteforce, enumerate_admissible
-from .lattice import Point, _integer, dilate, rectangle
+from .lattice import Point, _integer, _real, dilate, rectangle
 from .sft import Pattern, SftSpec
 
 
@@ -55,20 +55,11 @@ def rectangle_separation(offset: Point, window: int) -> float:
 
 def _offsets(gap: float, window: int, extent: int, variant: str) -> list[Point]:
     """Offsets with separation >= gap, one per unordered {delta, -delta} pair."""
-    out = []
-    for dy in range(-extent, extent + 1):
-        for dx in range(-extent, extent + 1):
-            if variant == "horizontal" and dy != 0:
-                continue
-            if variant == "vertical" and dx != 0:
-                continue
-            if (dy, dx) <= (0, 0):
-                continue  # ordered pairs cover the mirrored offset
-            p = Point(dx, dy)
-            sep = rectangle_separation(p, window)
-            if sep >= gap and sep > 0:
-                out.append(p)
-    return out
+    span = range(-extent, extent + 1)
+    # (dy, dx) > (0, 0): ordered pairs cover the mirrored offset
+    points = (Point(dx, dy) for dy in ((0,) if variant == "horizontal" else span)
+              for dx in ((0,) if variant == "vertical" else span) if (dy, dx) > (0, 0))
+    return [p for p in points if 0 < rectangle_separation(p, window) >= gap]
 
 
 def verify_block_gluing(
@@ -83,13 +74,17 @@ def verify_block_gluing(
     Returns verified(gap) if every pair of admissible window patterns at every
     offset with separation >= gap (within the extent) has a locally admissible
     joint extension on the bounding box dilated by the spec's forbidden-shape
-    diameter; otherwise returns the first counterexample found.
+    diameter; otherwise returns the first counterexample found.  Without a
+    safe symbol, a gap and extent that leave no offset to check raise
+    ValueError rather than verify vacuously.
     """
     if variant not in ("full", "horizontal", "vertical"):
         raise ValueError(f"unknown variant {variant!r}")
-    window, extent = _integer(window), _integer(extent)
+    gap, window, extent = _real(gap), _integer(window), _integer(extent)
     if not 1 <= window <= 4:
         raise ValueError("window must be between 1 and 4")
+    if math.isnan(gap) or extent < 1:
+        raise ValueError(f"need gap not NaN and extent >= 1, got gap {gap}, extent {extent}")
     offsets = _offsets(gap, window, extent, variant)
 
     def verdict(method: str, pairs_checked: int, counterexample=None) -> GluingVerdict:
@@ -100,6 +95,8 @@ def verify_block_gluing(
         # padding with a symbol absent from every forbidden pattern extends any
         # pair of admissible windows, at any offset
         return verdict(f"padding-witness(symbol={spec.safe_symbols[0]})", 0)
+    if not offsets:
+        raise ValueError(f"no {variant} offset within extent {extent} reaches gap {gap}")
     base = rectangle((0, 0), window, window)
     admissible = [Pattern(base, syms) for syms in enumerate_admissible(base, spec)]
     margin = max(1, spec.forbidden_diameter)

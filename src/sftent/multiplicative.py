@@ -105,8 +105,8 @@ def log_count_multiplicative(n: int, q: int) -> float:
 def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Enumerate all binary strings and test the constraint directly."""
     n, q = _integer(n), _integer(q)
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    if n < 1 or q < 2:
+        raise ValueError("need n >= 1 and q >= 2")
     _check_budget(2, n, budget)
     # cell k - 1 holds x_k; the pair (x_{k/q}, x_k) may not be (1, 1)
     pairs = [((k // q - 1, k - 1), (1, 1)) for k in range(q, n + 1, q)]

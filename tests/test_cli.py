@@ -363,6 +363,13 @@ def test_count_parse_error_exit_code(capsys, tmp_path):
         command = "entropy-rect" if option == "--table" else "projectional"
         code, out, err = run_cli(capsys, command, "--spec", "golden-mean-h", option, text)
         assert (code, out, err) == (2, "", f"error: expected {form}, got {text!r}\n")
+    # a --mode past ext: that is no integer names the mode, not int()
+    for mode in ("ext:", "ext:x", "ext:1.5"):
+        for argv in (["count", "--spec", "golden-mean-h", "--lattice", "rect:2,2"],
+                     ["projectional", "--spec", "golden-mean-h", "--v", "1,0"]):
+            code, out, err = run_cli(capsys, *argv, "--mode", mode)
+            assert (code, out, err) == (
+                2, "", f"error: mode must be 'local' or 'ext:M', got {mode!r}\n"), argv
 
 
 @pytest.mark.parametrize("argv", [

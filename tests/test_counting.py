@@ -14,7 +14,6 @@ from sftent import (
     FiniteLattice,
     SftSpec,
     SymbolOutOfRange,
-    UnsupportedForbiddenShape,
     count,
     count_bruteforce,
     count_extendable,
@@ -36,7 +35,7 @@ from sftent import (
     stick_augmented,
     verify_block_gluing,
 )
-from sftent.sft import Pattern, is_locally_admissible
+from sftent.sft import Pattern, is_locally_admissible, placements
 from sftent import counting
 from sftent.counting import _check_budget, _sweep_bans, admissible_extension_exists
 from conftest import random_connected_lattice
@@ -293,23 +292,46 @@ def test_wedge_counts():
 BOX3 = [(x, y) for x in range(3) for y in range(3)]
 
 
-def test_dp_rejects_wide_shapes():
+QUADS = SftSpec.make(2, [[(c, 1) for c in cells] for cells in combinations(BOX3, 4)])
+
+
+def test_dp_sweeps_wide_shapes():
     # the skip pair reaches back two columns, and the sweep's state with it
     square = rectangle((0, 0), 3, 3)
     spec = SftSpec.make(2, [[((0, 0), 1), ((2, 0), 1)]], name="skip-pair")
     assert count_profile_dp(square, spec).value == count_bruteforce(square, spec).value
-    # one context bit per placed shape: 63 sweep, 64 go to brute force
-    quads = SftSpec.make(2, [[(c, 1) for c in cells] for cells in combinations(BOX3, 4)])
-    assert len({pat.shape for pat in quads.forbidden}) == len(quads.forbidden) >= 64
-    for k in (63, 64):
-        spec = SftSpec.make(2, quads.forbidden[:k])
+    # 63 placed shapes sweep with int64 shape bits, 64 with Python ints
+    assert len({pat.shape for pat in QUADS.forbidden}) == len(QUADS.forbidden) == 97
+    for k in (63, 64, 97):
+        spec = SftSpec.make(2, QUADS.forbidden[:k])
         exact = count_bruteforce(square, spec).value
-        if k == 63:
-            assert count_profile_dp(square, spec).value == exact
-        else:
-            with pytest.raises(UnsupportedForbiddenShape):
-                count_profile_dp(square, spec)
+        assert count_profile_dp(square, spec).value == exact
         assert count(square, spec).value == exact
+    assert count_profile_dp(rectangle((0, 0), 6, 6), QUADS).value == 73948482
+
+
+# the shapes of two to five cells of the 3x3 box, each once up to translation
+BOX3_SHAPES = sorted({tuple(sorted((x - min(c[0] for c in cells), y - min(c[1] for c in cells))
+                                   for x, y in cells))
+                      for size in range(2, 6) for cells in combinations(BOX3, size)})
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(64, 120), st.randoms(use_true_random=False))
+def test_sweep_takes_any_number_of_shapes(k, rnd):
+    # k shapes of the 3x3 box with random symbols, the first cell's 1 (so
+    # all 0s stay admissible), on a 4x4 square with at most two holes where
+    # more than 63 of them are placed: the shape bits pass int64
+    spec = SftSpec.make(2, [[(c, rnd.randrange(2) if i else 1) for i, c in enumerate(cells)]
+                            for cells in rnd.sample(BOX3_SHAPES, k)])
+    square = [(x, y) for x in range(4) for y in range(4)]
+    lat = rectangle((0, 0), 4, 4).difference(FiniteLattice(rnd.sample(square, rnd.randint(0, 2))))
+    assume(sum(1 for pat in spec.forbidden if placements(pat.shape, lat)) > 63)
+    exact = count_bruteforce(lat, spec).value
+    assert exact > 0
+    assert count_profile_dp(lat, spec).value == exact
+    assert count_profile_dp(lat.transpose(), spec.transpose()).value == exact
+    assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
 
 
 def test_dp_three_cell_window_spec(rng):
@@ -535,7 +557,7 @@ def test_sweep_refuses_steps_past_the_budget():
     # refused by their words, not their number
     wide = SftSpec.make(4096, [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]])
     reach = FiniteLattice([(i, 0) for i in range(101)] + [(0, i) for i in range(101)])
-    assert _sweep_bans(reach, wide)[:3] == (101, object, 19)
+    assert _sweep_bans(reach, wide)[:3] == (101, object, 19)     # depth, dtype, words
     for route in (count_profile_dp, log_count, count):
         with pytest.raises(BudgetExceeded):
             route(reach, wide)
@@ -549,7 +571,7 @@ def test_sweep_refuses_steps_past_the_budget():
     # while every row of the box was laid out, in codes of gap + 2 digits)
     for gap in (10**6, 2**40, 2**62):
         pair = FiniteLattice([(0, 0), (gap, gap)])
-        assert _sweep_bans(pair, HARD_SQUARE)[5] == 2
+        assert _sweep_bans(pair, HARD_SQUARE).h == 2
         assert count_profile_dp(pair, HARD_SQUARE).value == 4
         assert log_count(pair, HARD_SQUARE) == math.log(4)
 
@@ -584,8 +606,8 @@ def test_sweep_keeps_the_gaps_a_placement_spans():
     spec = SftSpec.make(2, [[((0, 0), 1), ((4, 0), 1)], [((0, 0), 1), ((0, 1), 1)]])
     for start, positions, value in ((8, 26, 29889), (14, 28, 189 ** 2)):
         lat = FiniteLattice([(x, y) for x in [*range(5), *range(start, start + 5)] for y in range(2)])
-        depth, _, _, context, _, h = _sweep_bans(lat, spec)
-        assert (depth, h, len(context)) == (8, 2, positions)
+        layout = _sweep_bans(lat, spec)
+        assert (layout.depth, layout.h, len(layout.steps)) == (8, 2, positions)
         assert count_bruteforce(lat, spec).value == value
         assert count_profile_dp(lat, spec).value == value
         assert count_profile_dp(lat.transpose(), spec.transpose()).value == value
@@ -594,7 +616,7 @@ def test_sweep_keeps_the_gaps_a_placement_spans():
     spec = SftSpec.make(2, [[((0, 0), 1), ((5, 0), 1)]])
     for far, value, h in ((5, 3 ** 3, 6), (9, 2 ** 6, 2)):
         lat = FiniteLattice([(x, y) for x in (0, far) for y in range(3)])
-        assert _sweep_bans(lat, spec)[5] == h
+        assert _sweep_bans(lat, spec).h == h
         assert count_bruteforce(lat, spec).value == value
         assert count_profile_dp(lat, spec).value == value
         assert count_profile_dp(lat.transpose(), spec.transpose()).value == value
@@ -620,15 +642,15 @@ def test_sweep_orients_by_depth():
     # w row-major: on lshape(4), a 16 x 16 box, 16 digits rather than 32
     # (17 while the state also had to hold the frontier plus one)
     lat = lshape(4)
-    assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 16
-    assert _sweep_bans(lat.transpose(), L_TRIOMINO_RUN.transpose())[0] == 16
+    assert _sweep_bans(lat, L_TRIOMINO_RUN).depth == 16
+    assert _sweep_bans(lat.transpose(), L_TRIOMINO_RUN.transpose()).depth == 16
     assert (count_profile_dp(lat, L_TRIOMINO_RUN).value
             == count_profile_dp(lat.transpose(), L_TRIOMINO_RUN.transpose()).value)
     # 5 x 4 boxes with holes: column-major, along the box, the run needs 8;
     # row-major the L-triomino needs w = 5 (6 with the frontier-plus-one floor)
     for holes in ((), ((2, 1),), ((0, 3), (3, 2), (4, 0))):
         lat = rectangle((0, 0), 5, 4).difference(FiniteLattice(list(holes)))
-        assert _sweep_bans(lat, L_TRIOMINO_RUN)[0] == 5
+        assert _sweep_bans(lat, L_TRIOMINO_RUN).depth == 5
         exact = count_bruteforce(lat, L_TRIOMINO_RUN).value
         assert count_profile_dp(lat, L_TRIOMINO_RUN).value == exact
         assert count_profile_dp(lat.transpose(), L_TRIOMINO_RUN.transpose()).value == exact
@@ -636,16 +658,17 @@ def test_sweep_orients_by_depth():
     # hard squares read one column back, h positions: the frontier runs along
     # the shorter side, 4 digits on 5 x 4 either way (5 with the old floor)
     square = rectangle((0, 0), 5, 4)
-    assert _sweep_bans(square, HARD_SQUARE)[0] == 4
-    assert _sweep_bans(square.transpose(), HARD_SQUARE.transpose())[0] == 4
+    assert _sweep_bans(square, HARD_SQUARE).depth == 4
+    assert _sweep_bans(square.transpose(), HARD_SQUARE.transpose()).depth == 4
     # a tie, when no shape of two or more cells has a placement (depth 1),
     # takes the shorter frontier: on a 5 x 4 box, 4 rows either way
     apart = SftSpec.make(2, [[((0, 0), 1), ((5, 0), 1)], [((0, 0), 1), ((0, 5), 1)]])
-    assert _sweep_bans(square, apart)[::5] == (1, 4)
-    assert _sweep_bans(square.transpose(), apart.transpose())[::5] == (1, 4)
+    for lat, s in ((square, apart), (square.transpose(), apart.transpose())):
+        assert (_sweep_bans(lat, s).depth, _sweep_bans(lat, s).h) == (1, 4)
     # rows no placed shape spans close to one: three corners hold two rows
     corners = FiniteLattice([(0, 0), (4, 0), (0, 3)])
-    assert _sweep_bans(corners, HARD_SQUARE)[::5] == (1, 2)
+    layout = _sweep_bans(corners, HARD_SQUARE)
+    assert (layout.depth, layout.h) == (1, 2)
 
 
 THREE_SYMBOLS = SftSpec.make(3, [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
@@ -696,15 +719,18 @@ def test_sweep_ban_lookups_equal_per_ban_masks(spec, rnd):
     # zero table cap) on random state codes, then whole sweeps both ways
     n = spec.alphabet_size
     lat = holey_clusters(rnd, 12 if n == 2 else 7)
-    depth, dtype, _, _, table, _ = _sweep_bans(lat, spec)
+    layout = _sweep_bans(lat, spec)
     with patch.object(counting, "_DENSE", 0):
-        masks = _sweep_bans(lat, spec)[4]
+        masks = _sweep_bans(lat, spec).steps
         exact, log = count_profile_dp(lat, spec).value, log_count(lat, spec)
-    codes = np.array(sorted({rnd.randrange(n ** depth) for _ in range(300)}), dtype=dtype)
-    for context, (check, oldest) in table.items():
-        assert masks[context][0].func is counting._ban_masks
-        assert masks[context][1] == oldest
-        assert np.array_equal(check(codes), masks[context][0](codes))
+    codes = np.array(sorted({rnd.randrange(n ** layout.depth) for _ in range(300)}),
+                     dtype=layout.dtype)
+    for step, mask in zip(layout.steps, masks):
+        assert (step is None) == (mask is None)
+        if step is not None:
+            assert mask[0].func is counting._ban_masks
+            assert mask[1] == step[1]
+            assert np.array_equal(step[0](codes), mask[0](codes))
     assert count_profile_dp(lat, spec).value == exact
     assert repr(log_count(lat, spec)) == repr(log)
     if len(lat) * math.log2(n) <= 24:
@@ -716,7 +742,7 @@ def test_sweep_ban_lookups_fall_back_past_the_table_cap():
     # (400): the L's contexts build a mask per ban, the others one table
     spec = SftSpec.make(20, [[((0, 0), 3), ((1, 0), 4), ((0, 1), 5)], [((0, 0), 7), ((0, 1), 7)]])
     lat = rectangle((0, 0), 3, 3)
-    kinds = {check.func for check, _ in _sweep_bans(lat, spec)[4].values()}
+    kinds = {step[0].func for step in _sweep_bans(lat, spec).steps if step is not None}
     assert kinds == {counting._ban_masks, counting._ban_lookup}
     exact, log = count_profile_dp(lat, spec).value, repr(log_count(lat, spec))
     with patch.object(counting, "_DENSE", 0):
@@ -762,9 +788,9 @@ def test_sweep_merge_first_steps_keep_every_value(monkeypatch):
                             [((0, 0), 2), ((1, 2), 2)]])
     first = []
 
-    def step(codes, here, merging, n, top, table):
-        first.append(merging and not (here >= 0 and table[here][1]))
-        return sweep_step(codes, here, merging, n, top, table)
+    def step(codes, here, merging, n, top):
+        first.append(merging and not (here is not None and here[1]))
+        return sweep_step(codes, here, merging, n, top)
     sweep_step = counting._sweep_step
     monkeypatch.setattr(counting, "_sweep_step", step)
     for (m, n), exact, log in (((6, 5), 59837796298, "24.814903343363664"),
@@ -800,11 +826,11 @@ def test_sweep_cache_bound_refuses_nothing_the_step_budget_admits(monkeypatch):
     value = 162481813349792588536582997
     demand, calls = [], []
 
-    def step(codes, here, merging, n, top, table):
+    def step(codes, here, merging, n, top):
         calls.append(here)
-        if here >= 0:
+        if here is not None:
             demand.append(len(codes) * n)
-        return sweep_step(codes, here, merging, n, top, table)
+        return sweep_step(codes, here, merging, n, top)
     sweep_step = counting._sweep_step
     monkeypatch.setattr(counting, "_sweep_step", step)
     assert count_profile_dp(square, HARD_SQUARE).value == value

@@ -86,3 +86,25 @@ def test_window_validation():
         verify_block_gluing(golden_mean_horizontal(), window=5)
     with pytest.raises(ValueError):
         verify_block_gluing(golden_mean_horizontal(), variant="diagonal")
+
+
+def test_gluing_verdicts_are_never_vacuous():
+    # period-forcing fails at gap 1; a gap or extent that leaves no offset to
+    # check raises, rather than verifying with no offset checked
+    spec = period_forcing_horizontal()
+    assert not verify_block_gluing(spec, gap=1, window=2, extent=4).verified
+    for kwargs, message in (({"gap": math.nan}, "gap"), ({"gap": 100}, "extent 4 reaches gap"),
+                            ({"gap": math.inf}, "extent 4 reaches gap"),
+                            ({"extent": 0}, "extent"), ({"extent": -3}, "extent")):
+        with pytest.raises(ValueError, match=message):
+            verify_block_gluing(spec, **{"gap": 1, "window": 2, "extent": 4, **kwargs})
+    # the gap is a real, as elsewhere: bools and strings raise
+    for gap in (True, "1", None):
+        with pytest.raises(ValueError, match="real number"):
+            verify_block_gluing(spec, gap=gap, window=2, extent=4)
+    # a padding witness covers every offset, so it still verifies there
+    verdict = verify_block_gluing(golden_mean_horizontal(), gap=100, window=3, extent=6)
+    assert verdict.verified and verdict.method.startswith("padding-witness")
+    assert verdict.offsets_checked == 0
+    with pytest.raises(ValueError, match="extent"):
+        verify_block_gluing(golden_mean_horizontal(), extent=0)

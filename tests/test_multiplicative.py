@@ -67,9 +67,9 @@ def test_count_examples():
     assert count_multiplicative(9, 3) == 240
 
 
-@pytest.mark.parametrize("n,q", [(0, 2), (5, 1), (5, 0), (5, -3)])
+@pytest.mark.parametrize("n,q", [(0, 2), (-3, 2), (5, 1), (5, 0), (5, -3)])
 def test_count_rejects_bad_arguments(n, q):
-    for f in (count_multiplicative, log_count_multiplicative):
+    for f in (count_multiplicative, log_count_multiplicative, count_multiplicative_bruteforce):
         with pytest.raises(ValueError, match="need n >= 1 and q >= 2"):
             f(n, q)
 

@@ -12,7 +12,8 @@ times are reported, not checked: the exit code is 1 only when a case fails.
 
 Cases: hard squares exact on 16x16 and 20x20, hard-square ``log_count`` on
 20x400 and on the mirrored wedge ``omega_q(2, 11)`` (as log count per cell),
-and the 3-symbol ``r3`` spec exact on 10x10.
+the 3-symbol ``r3`` spec exact on 10x10, and exact on 10x10 the 2-symbol
+spec forbidding all 1s on each of the 97 four-cell shapes of the 3x3 box.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import resource
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,6 +31,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HARD_SQUARE = [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]]
 R3 = [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
       [((0, 0), 2), ((0, 1), 2), ((1, 0), 1)], [((0, 0), 0), ((1, 0), 1)]]
+# four 1s on four cells of the 3x3 box: 126 patterns, 97 up to translation
+BOX3 = [(x, y) for x in range(3) for y in range(3)]
+QUADS = [[(c, 1) for c in cells] for cells in combinations(BOX3, 4)]
 
 # name -> (alphabet size, forbidden patterns, lattice, route)
 CASES = {
@@ -37,6 +42,7 @@ CASES = {
     "hard-square-20x400-log": (2, HARD_SQUARE, ("rectangle", 20, 400), "log"),
     "hard-square-omega_q:2,11-ratio": (2, HARD_SQUARE, ("omega_q", 2, 11), "ratio"),
     "r3-10x10-exact": (3, R3, ("rectangle", 10, 10), "count"),
+    "quads-10x10-exact": (2, QUADS, ("rectangle", 10, 10), "count"),
 }
 
 
