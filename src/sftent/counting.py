@@ -46,8 +46,9 @@ lattice:
   per set of shapes.  Each step (``_sweep_step``) yields the successor
   codes and a plan that carries weights to them; where no ban reads the
   digit a step drops, the states that differ only there merge before they
-  extend.  One column of steps is cached by row, keyed exactly by step
-  object, merging flag and incoming codes.  The sweep's one refusal is
+  extend.  The plans' indices are intp.  One column of steps is cached by
+  row, keyed exactly by step object, merging flag and incoming codes, each
+  array charged once (``_plan_words``).  The sweep's one refusal is
   BudgetExceeded, when its positions, or a step's live states times N,
   times the 64-bit words of one code pass ``DEFAULT_BUDGET`` (which also
   bounds the cache's words).
@@ -401,29 +402,31 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec) -> _SweepLayout:
     budget.
     """
     n = spec.alphabet_size
+    # a shape is keyed by its canonical offsets: hashing a tuple is cheap
+    keys = [tuple(p for p, _ in pat.cells) for pat in spec.forbidden]
     runs = {}                 # shape -> placement runs
-    for pat in spec.forbidden:
-        if pat.shape not in runs:
-            runs[pat.shape] = _placement_runs(pat.shape, lat)
-    bit = {shape: 1 << i for i, shape in enumerate(s for s, r in runs.items() if len(r))}
+    for key, pat in zip(keys, spec.forbidden):
+        if key not in runs:
+            runs[key] = _placement_runs(pat.shape, lat)
+    bit = {key: 1 << i for i, key in enumerate(k for k, r in runs.items() if len(r))}
+    placed = [(key, pat) for key, pat in zip(keys, spec.forbidden) if key in bit]
 
     def orient(major):
         """Depth, frontier length, major axis, rows, last cell per shape and bans."""
         # the lattice's rows (sorted, with repeats); a gap no placed shape
         # spans closes to one row.  Differences are exact in uint64
         ys = (lat._runs if major == 0 else lat._truns)[:, 0]
-        reach = max([0] + [pat.extent[1 - major] for pat in spec.forbidden if pat.shape in bit])
+        reach = max([0] + [pat.extent[1 - major] for _, pat in placed])
         gaps = np.diff(ys.view(np.uint64))
         rows = np.append(np.uint64(0), np.where(gaps > reach, 1, gaps).cumsum())
         h = int(rows[-1]) + 1
         last, bans = {}, []
-        for pat in spec.forbidden:
-            if pat.shape in bit:
-                *others, (end, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
-                last[pat.shape] = end
-                back = tuple(((end[major] - p[major]) * h + end[1 - major] - p[1 - major], s)
-                             for p, s in others)
-                bans.append((bit[pat.shape], sym, back))
+        for key, pat in placed:
+            *others, (end, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
+            last[key] = end
+            back = tuple(((end[major] - p[major]) * h + end[1 - major] - p[1 - major], s)
+                         for p, s in others)
+            bans.append((bit[key], sym, back))
         return max([1] + [d for _, _, back in bans for d, _ in back]), h, major, (ys, rows), last, bans
 
     depth, h, major, (ys, rows), last, bans = min(orient(0), orient(1), key=itemgetter(0, 1))
@@ -511,7 +514,7 @@ def _ban_lookup(spans, allow, codes):
 def _groups(keys, src):
     """The distinct keys of the sorted `keys` and the plan that sums the
     weights at `src` per key, in order: each key's first source, and per
-    k = 1, 2, ... the keys with a k-th source and that source, int32."""
+    k = 1, 2, ... the keys with a k-th source and that source, intp."""
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     ends = np.append(starts[1:], len(keys))
     terms = []
@@ -519,7 +522,7 @@ def _groups(keys, src):
         at = np.flatnonzero(starts + k < ends)
         if not len(at):
             break
-        terms.append((at.astype(np.int32), src[starts[at] + k]))
+        terms.append((at, src[starts[at] + k]))
     return keys[starts], (src[starts], terms)
 
 
@@ -528,8 +531,9 @@ def _sweep_step(codes, step, merging: bool, n: int, top: int):
     layout step `step` (None off the lattice); `merging` when the state's
     oldest digit, ``top`` its place value, is a present cell.  Returns the
     sorted successor codes and the plan ``(first, terms, after)`` that carries
-    weights to them, all int32 indices: ``w[first]``, then per k-th source
-    ``(at, src)`` ``w[at] += w[src]``, then the gather ``w[after]`` if any.
+    weights to them, all intp indices (numpy's fast path for gathers and
+    scatter-adds): ``w[first]``, then per k-th source ``(at, src)``
+    ``w[at] += w[src]``, then the gather ``w[after]`` if any.
 
     The step's check (``_compile_bans``) gives each state's allowed symbols.
     Where no ban reads the oldest digit, a merging step first merges the
@@ -542,16 +546,15 @@ def _sweep_step(codes, step, merging: bool, n: int, top: int):
     merge = None
     if merging and not oldest:
         keys = codes % top
-        order = np.argsort(keys, kind="stable").astype(np.int32)
+        order = np.argsort(keys, kind="stable")
         keys = keys[order]
         codes, merge = _groups(keys, order)
         del keys, order
         merging = False
     if check is not None:
         rows, syms = np.nonzero(check(codes))   # in state order, then symbol order
-        rows = rows.astype(np.int32)
     else:
-        rows, syms = np.arange(len(codes), dtype=np.int32), 0
+        rows, syms = np.arange(len(codes), dtype=np.intp), 0
     # the oldest digit leaves the state; only a present cell there can make
     # two states meet.  Otherwise the successors, in state order then symbol
     # order, are already sorted
@@ -569,12 +572,13 @@ def _sweep_step(codes, step, merging: bool, n: int, top: int):
     return dest, (first, terms, None)
 
 
-def _plan_words(codes, dest, plan, words: int) -> int:
-    """64-bit words a cached step holds: its key and successor codes, and its
-    plan's int32 indices."""
+def _plan_words(dest, plan, words: int) -> int:
+    """64-bit words a cached step holds of its own: its successor codes and
+    its plan's intp indices, one word each.  Its key codes are the previous
+    position's successor codes, charged with that position's step."""
     first, terms, after = plan
     indices = len(first) + sum(2 * len(at) for at, _ in terms) + len(() if after is None else after)
-    return (len(codes) + len(dest)) * words + -(-indices // 2)
+    return len(dest) * words + indices
 
 
 def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
@@ -591,10 +595,21 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     weights = np.ones(1, dtype=np.float64 if log_domain else np.int64)
     limit = None if log_domain else (2 ** 63 - 1) // n
     log_scale = 0.0
+    # `high` bounds the weights from above, so they are scanned only once it
+    # passes a threshold: both decisions below fall at the steps a scan at
+    # every step would put them.  Exact: the largest weight, times
+    # len(terms) + 1 a step, the most sources a successor sums.  Log: the
+    # float sum, times n a step (a plan carries a weight to at most n
+    # successors) and a slack of 1.001, far above float rounding (a
+    # relative len(weights) * 2**-52 per sum)
+    high = 1
     # one column of steps, by row: a step repeats the one a column back when
     # its step object, merging flag and incoming codes (compared exactly) do.
-    # The cached words stay within the budget; past it a step is not stored
-    cache, held = [None] * h, 0
+    # Each array the cache holds is charged once: an entry's key codes are the
+    # previous position's successor codes, charged with its entry, or with
+    # this one when that step was not stored (`kept` is False).  The charged
+    # words stay within the budget; past it a step is not stored
+    cache, held, kept = [None] * h, 0, True
     for t, step in enumerate(steps):
         # candidate successors times their words bound every array this step allocates
         if step is not None and len(codes) * n * words > DEFAULT_BUDGET:
@@ -606,28 +621,42 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
                 and (entry[2] is codes
                      or len(entry[2]) == len(codes) and np.array_equal(entry[2], codes))):
             dest, plan = entry[3], entry[4]
+            if entry[2] is not codes and kept:     # hold the stored codes, not an equal copy
+                cache[t % h] = (step, merging, codes, *entry[3:])
+            kept = True
         else:
             if entry is not None:     # freed before the step allocates
                 cache[t % h], held, entry = None, held - entry[5], None
             dest, plan = _sweep_step(codes, step, merging, n, top)
-            size = _plan_words(codes, dest, plan, words)
-            if held + size <= DEFAULT_BUDGET:
+            size = _plan_words(dest, plan, words) + (0 if kept else len(codes) * words)
+            kept = held + size <= DEFAULT_BUDGET
+            if kept:
                 cache[t % h], held = (step, merging, codes, dest, plan, size), held + size
         if not len(dest):
             return float("-inf") if log_domain else 0
         first, terms, after = plan
-        if terms and limit is not None and weights.max() > limit:
-            weights, limit = weights.astype(object), None
+        if terms and limit is not None:
+            if high > limit:
+                high = int(weights.max())
+                if high > limit:
+                    weights, limit = weights.astype(object), None
+            high *= len(terms) + 1
         merged = weights[first]
         for at, src in terms:        # added one source at a time, in state order
             merged[at] += weights[src]
         codes, weights = dest, merged if after is None else merged[after]
-        # the pairwise sum is far within 0.1% of fsum: fsum runs only where it may pass 1e12
-        if log_domain and weights.sum() > 0.999e12:
-            total = math.fsum(weights.tolist())
-            if total > 1e12:
-                weights *= 1.0 / total
-                log_scale += math.log(total)
+        if log_domain:
+            high *= n * 1.001
+            # the pairwise sum is far within 0.1% of fsum: fsum runs only where it may pass 1e12
+            if high > 0.999e12:
+                high = weights.sum()
+                if high > 0.999e12:
+                    total = math.fsum(weights.tolist())
+                    if total > 1e12:
+                        weights *= 1.0 / total
+                        log_scale += math.log(total)
+                        high /= total
+                high *= 1.001
     if log_domain:
         return log_scale + math.log(math.fsum(weights.tolist()))
     return sum(weights.tolist())

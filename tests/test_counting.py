@@ -430,12 +430,16 @@ def test_sweep_hard_squares_oeis_a006506():
 
 
 @pytest.mark.parametrize("n, lengths",
-                         [(2, range(60, 67)), (3, (39, 40, 41, 45)), (5, (27, 28, 29))])
+                         [(2, range(60, 67)), (3, (39, 40, 41, 45)), (5, (27, 28, 29)),
+                          (4, (32, 33, 34)), (7, (23, 24, 25))])
 def test_sweep_exact_weights_past_int64(n, lengths):
     # a diagonal pair places nowhere on one row, so the count is n ** L.
     # Each step merges the state's n weights, n ** (k - 1) each after k
     # cells, and the column of weights leaves int64 at the first merge that
-    # could pass 2**63 - 1: from L = 64 (n = 2), 41 (n = 3) and 29 (n = 5)
+    # could pass 2**63 - 1: from L = 64 (n = 2), 41 (n = 3), 33 (n = 4),
+    # 29 (n = 5) and 24 (n = 7).  The sweep scans the weights only once a
+    # bound that grows n-fold a merge passes that, so a bound that grew
+    # slower than the merges of 4 and 7 sources would miss the switch
     spec = SftSpec.make(n, [[((0, 0), 1), ((1, 1), 1)]])
     assert spec.pure_axis is None
     for length in lengths:
@@ -843,6 +847,41 @@ def test_sweep_cache_bound_refuses_nothing_the_step_budget_admits(monkeypatch):
     monkeypatch.setattr(counting, "DEFAULT_BUDGET", tight - 1)
     with pytest.raises(BudgetExceeded, match="states"):
         count_profile_dp(square, HARD_SQUARE)
+
+
+def test_sweep_cache_charges_each_array_once(monkeypatch):
+    # a budget of exactly the words one column's cached arrays hold (the
+    # successor codes and the intp plan indices, from their bytes) keeps the
+    # whole column: a 12x12 hard-square sweep computes its first two columns
+    # and no step after them.  Charging the key codes again beside the
+    # previous row's successor codes, the same arrays, would recompute steps
+    square = rectangle((0, 0), 12, 12)
+    value = 162481813349792588536582997
+    calls = []
+
+    def step(codes, here, merging, n, top):
+        dest, plan = sweep_step(codes, here, merging, n, top)
+        calls.append((dest, plan))
+        return dest, plan
+    sweep_step = counting._sweep_step
+    monkeypatch.setattr(counting, "_sweep_step", step)
+    assert count_profile_dp(square, HARD_SQUARE).value == value
+    assert len(calls) == 2 * 12
+
+    def arrays(dest, plan):
+        first, terms, after = plan
+        return [dest, first, *[a for term in terms for a in term], *([] if after is None else [after])]
+    for dest, plan in calls:
+        assert all(a.dtype == np.intp for a in arrays(dest, plan)[1:])
+    column = sum(a.nbytes // 8 for dest, plan in calls[12:] for a in arrays(dest, plan))
+    monkeypatch.setattr(counting, "DEFAULT_BUDGET", column)
+    calls.clear()
+    assert count_profile_dp(square, HARD_SQUARE).value == value
+    assert len(calls) == 2 * 12
+    monkeypatch.setattr(counting, "DEFAULT_BUDGET", column - 1)
+    calls.clear()
+    assert count_profile_dp(square, HARD_SQUARE).value == value
+    assert len(calls) > 2 * 12
 
 
 def test_every_route_ignores_where_the_lattice_lies():

@@ -11,9 +11,10 @@ and the result (an exact count, a log count or a per-cell ratio).  The
 times are reported, not checked: the exit code is 1 only when a case fails.
 
 Cases: hard squares exact on 16x16 and 20x20, hard-square ``log_count`` on
-20x400 and on the mirrored wedge ``omega_q(2, 11)`` (as log count per cell),
-the 3-symbol ``r3`` spec exact on 10x10, and exact on 10x10 the 2-symbol
-spec forbidding all 1s on each of the 97 four-cell shapes of the 3x3 box.
+20x400, on the mirrored wedge ``omega_q(2, 11)`` (as log count per cell) and
+on the n = 24 member of ``stick_system((0, 1), 0.5)``, the 3-symbol ``r3``
+spec exact on 10x10, and exact on 10x10 the 2-symbol spec forbidding all 1s
+on each of the 97 four-cell shapes of the 3x3 box.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ CASES = {
     "hard-square-20x20-exact": (2, HARD_SQUARE, ("rectangle", 20, 20), "count"),
     "hard-square-20x400-log": (2, HARD_SQUARE, ("rectangle", 20, 400), "log"),
     "hard-square-omega_q:2,11-ratio": (2, HARD_SQUARE, ("omega_q", 2, 11), "ratio"),
+    "hard-square-stick:0,1,0.5@24-log": (2, HARD_SQUARE, ("stick", (0, 1), 0.5, 24), "log"),
     "r3-10x10-exact": (3, R3, ("rectangle", 10, 10), "count"),
     "quads-10x10-exact": (2, QUADS, ("rectangle", 10, 10), "count"),
 }
@@ -54,7 +56,13 @@ def run_case(name: str) -> dict:
     n, forbidden, (family, *args), route = CASES[name]
     spec = sftent.SftSpec.make(n, forbidden)
     t0 = time.perf_counter()
-    lat = sftent.rectangle((0, 0), *args) if family == "rectangle" else sftent.omega_q(*args)
+    if family == "rectangle":
+        lat = sftent.rectangle((0, 0), *args)
+    elif family == "omega_q":
+        lat = sftent.omega_q(*args)
+    else:
+        v, a, size = args
+        lat = sftent.stick_system(v, a).lattice(size)
     if route == "count":
         result = str(sftent.count_profile_dp(lat, spec).value)
     elif route == "log":
