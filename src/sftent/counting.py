@@ -17,9 +17,11 @@ lattice:
   whatever the count.  The last cell is counted, never built, and block
   counts are summed as Python ints.  The same blocks enumerate the
   admissible patterns (``enumerate_admissible``) and back the
-  multiplicative brute force.  Only "does an extension exist" runs
-  elsewhere: ``_search`` steps one symbol at a time, depth first, and stops
-  at the first witness, within its per-symbol budget.
+  multiplicative brute force.  "Does an extension exist" runs elsewhere:
+  ``_search`` steps one symbol at a time, depth first, and stops at the
+  first witness, within its per-symbol budget.  It answers a single
+  question (``admissible_extension_exists``), and the questions of a batch
+  that the pinned sweep below leaves.
 * ``count_profile_dp`` -- a frontier dynamic program for any finite forbidden
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
@@ -51,14 +53,23 @@ lattice:
   array charged once (``_plan_words``).  The sweep's one refusal is
   BudgetExceeded, when its positions, or a step's live states times N,
   times the 64-bit words of one code pass ``DEFAULT_BUDGET`` (which also
-  bounds the cache's words).
+  bounds the cache's words).  A pinned sweep answers many extension
+  questions at once (``_extensions``): each query fixes the symbols of the
+  same cells, the weights are one bool per state and query, and a pinned
+  cell masks the successors by their newest digit.  Its codes and plans are
+  those of the unpinned sweep.  Extendable counts ask one query per core
+  pattern, the gluing verifier one per pair of windows.  A sweep that
+  would cost more per query than a search that never backtracks, or that
+  cannot fit a single query, leaves the queries to ``_search``, one at a
+  time; a search past its budget hands them back to sweeps at any cost.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
 
 Counts are exact arbitrary-precision integers; ``count`` dispatches between
 the routes, falling back to brute force when the sweep refuses, and given a
-margin returns the extendable-count refinement.
+margin returns the extendable-count refinement (pinned sweeps of the
+dilation, one query per admissible core pattern).
 """
 
 from __future__ import annotations
@@ -284,14 +295,36 @@ def count_bruteforce(
     return CountResult(_count_blocks(*_domains(lat, spec, fixed)), len(lat))
 
 
+def _admissible_rows(lat: FiniteLattice, spec: SftSpec):
+    """Yield the admissible assignments of `lat` in lexicographic order, as
+    blocks of rows in canonical cell order."""
+    if len(lat) == 0:
+        yield np.zeros((1, 0), dtype=np.uint8)
+        return
+    for block, leaves in _block_search(*_domains(lat, spec, None)):
+        yield _extend(block, len(lat) - 1, leaves)
+
+
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
     """Yield every admissible assignment as a symbol tuple in canonical order."""
     _check_budget(spec.alphabet_size, len(lat), budget)
-    if len(lat) == 0:
-        yield ()
-        return
-    for block, leaves in _block_search(*_domains(lat, spec, None)):
-        yield from map(tuple, _extend(block, len(lat) - 1, leaves).tolist())
+    for rows in _admissible_rows(lat, spec):
+        yield from map(tuple, rows.tolist())
+
+
+def _admissible_batches(lat: FiniteLattice, spec: SftSpec, budget: int):
+    """Yield the admissible assignments of `lat` in lexicographic order, one
+    row each, in arrays of about `budget` symbols (past it by less than one
+    block of the block search): as question sets, their pins are charged a
+    word a symbol, as a pinned sweep charges a word a query."""
+    batch, size = [np.zeros((0, len(lat)), dtype=np.uint8)], 0
+    for rows in _admissible_rows(lat, spec):
+        batch.append(rows)
+        size += rows.size
+        if size >= budget:
+            yield np.concatenate(batch)
+            batch, size = batch[:1], 0
+    yield np.concatenate(batch)
 
 
 def admissible_extension_exists(
@@ -386,7 +419,7 @@ def _rect_logs(spec: SftSpec, width: int, height: int) -> tuple[tuple[float, ...
 # ---------------------------------------------------------------------------
 
 
-_SweepLayout = namedtuple("_SweepLayout", "depth dtype words steps h")
+_SweepLayout = namedtuple("_SweepLayout", "depth dtype words steps h position")
 
 
 def _sweep_bans(lat: FiniteLattice, spec: SftSpec) -> _SweepLayout:
@@ -394,7 +427,8 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec) -> _SweepLayout:
     and 64-bit words of one code, per position its step (None off the
     lattice, else the ``_compile_bans`` of the bans (banned symbol, (back
     distance, symbol) per other cell) of the shapes ending there, one object
-    per set of shapes), and the frontier length h.  Position
+    per set of shapes), the frontier length h, and ``position(cells)``, the
+    positions of an ``(k, 2)`` array of lattice cells.  Position
     ``column * h + row`` holds a cell; the depth is the longest back
     distance of a placed ban, at least 1, and the orientation the one that
     needs the smaller depth, on a tie the smaller h.  The layout is refused
@@ -456,7 +490,7 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec) -> _SweepLayout:
     shapes = shapes.tolist()
     step = {code: _compile_bans([(sym, back) for b, sym, back in bans if code & b], n, depth)
             for code in set(shapes) - {-1}}     # codes in use
-    return _SweepLayout(depth, dtype, words, [step.get(code) for code in shapes], h)
+    return _SweepLayout(depth, dtype, words, [step.get(code) for code in shapes], h, position)
 
 
 def _compile_bans(bans, n: int, depth: int):
@@ -581,19 +615,46 @@ def _plan_words(dest, plan, words: int) -> int:
     return len(dest) * words + indices
 
 
-def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
-    """Run the broken-profile DP; returns the exact count or its natural log."""
+def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool, pins=None,
+                   budget: int = DEFAULT_BUDGET, work: float = math.inf):
+    """Run the broken-profile DP; returns the exact count or its natural log.
+
+    Given `pins`, ``(points, symbols)`` with one row of `symbols` per query
+    and one column per point, it answers per query whether an admissible
+    assignment puts ``symbols[q, k]`` at ``points[k]`` (points off `lat` are
+    ignored).  The weights are then a ``(states, queries)`` bool matrix, so
+    the plans sum them as OR, and a pinned cell masks each successor by its
+    newest digit.  Each step charges its candidate successors times (code
+    words + queries) against `budget`: where that passes it the trailing
+    queries are dropped, and it returns the answers of the leading queries
+    that fit every step, at least one, else it raises BudgetExceeded.  Its
+    steps at cells cost their candidate successors times
+    (``_CANDIDATE_WEIGHTS`` + queries) query weights, and it returns None
+    once they pass `work` per query it still answers."""
     n = spec.alphabet_size
     # a state is the last `depth` positions' symbols as one base-n code, the
     # newest cell least significant, absent cells 0.  States stay sorted by
     # code, each with one weight: an exact integer, or a renormalised float64.
     # Exact weights are int64 until a step that adds could pass 2**63 - 1 (a
     # successor sums at most n weights), then Python ints from there on
-    depth, dtype, words, steps, h = _sweep_bans(lat, spec)
+    depth, dtype, words, steps, h, position = _sweep_bans(lat, spec)
     top = n ** (depth - 1)
     codes = np.zeros(1, dtype=dtype)
-    weights = np.ones(1, dtype=np.float64 if log_domain else np.int64)
-    limit = None if log_domain else (2 ** 63 - 1) // n
+    pinned = {}      # position -> the columns of `symbols` of its points
+    if pins is None:
+        weights = np.ones(1, dtype=np.float64 if log_domain else np.int64)
+        limit = None if log_domain else (2 ** 63 - 1) // n
+        width, cap = 0, DEFAULT_BUDGET
+    else:
+        points, symbols = pins
+        inside = [k for k, p in enumerate(points) if p in lat]
+        if inside:
+            cells = np.array([points[k] for k in inside], dtype=np.int64)
+            for k, t in zip(inside, position(cells).tolist()):
+                pinned.setdefault(t, []).append(k)
+        width, cap, limit = len(symbols), budget, None
+        weights = np.ones((1, width), dtype=bool)
+        spent = 0
     log_scale = 0.0
     # `high` bounds the weights from above, so they are scanned only once it
     # passes a threshold: both decisions below fall at the steps a scan at
@@ -612,9 +673,19 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     cache, held, kept = [None] * h, 0, True
     for t, step in enumerate(steps):
         # candidate successors times their words bound every array this step allocates
-        if step is not None and len(codes) * n * words > DEFAULT_BUDGET:
-            raise BudgetExceeded(
-                f"{len(codes)} states * {n} * {words} code words exceed budget {DEFAULT_BUDGET}")
+        if step is not None and len(codes) * n * (words + width) > cap:
+            if not width:
+                raise BudgetExceeded(
+                    f"{len(codes)} states * {n} * {words} code words exceed budget {cap}")
+            fit = cap // (len(codes) * n) - words      # the queries this step admits
+            if fit < 1:
+                raise BudgetExceeded(f"{len(codes)} states * {n} * ({words} code words"
+                                     f" + 1 query) exceed budget {cap}")
+            weights, width = weights[:, :fit], fit
+        if width and step is not None:
+            spent += len(codes) * n * (_CANDIDATE_WEIGHTS + width)
+            if spent > work * width:
+                return None
         merging = t >= depth and steps[t - depth] is not None
         entry = cache[t % h]
         if (entry is not None and entry[0] is step and entry[1] == merging
@@ -633,6 +704,8 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
             if kept:
                 cache[t % h], held = (step, merging, codes, dest, plan, size), held + size
         if not len(dest):
+            if pins is not None:
+                return np.zeros(width, dtype=bool)
             return float("-inf") if log_domain else 0
         first, terms, after = plan
         if terms and limit is not None:
@@ -645,6 +718,10 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
         for at, src in terms:        # added one source at a time, in state order
             merged[at] += weights[src]
         codes, weights = dest, merged if after is None else merged[after]
+        if pinned and t in pinned:    # keep the successors whose newest digit is pinned
+            newest = (codes % n).astype(np.intp, copy=False)[:, None]
+            for k in pinned[t]:
+                weights &= newest == symbols[:width, k]
         if log_domain:
             high *= n * 1.001
             # the pairwise sum is far within 0.1% of fsum: fsum runs only where it may pass 1e12
@@ -657,9 +734,69 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
                         log_scale += math.log(total)
                         high /= total
                 high *= 1.001
+    if pins is not None:
+        return weights.any(axis=0)
     if log_domain:
         return log_scale + math.log(math.fsum(weights.tolist()))
     return sum(weights.tolist())
+
+
+# what a pinned sweep and a search cost, in query weights of a pinned step
+# (0.25-0.3 ns each; numpy 2.4, Python 3.11, 2 shared CPUs, on extendable
+# counts and gluing offsets of 1 to 32,768 queries): a candidate successor's
+# codes and plans take 100-240 (27-60 ns), and one symbol a search offers a
+# cell 800-2,300 (220-580 ns).  A search offers each cell at least one
+# symbol, so a sweep within 1,000 a cell per query costs less than searches
+_CANDIDATE_WEIGHTS = 200
+_CELL_SEARCH_WEIGHTS = 1000
+
+
+def _sweeps(lat: FiniteLattice, spec: SftSpec, points, symbols, budget: int, work: float):
+    """Yield the answers of pinned sweeps (``_profile_sweep``) of the queries
+    in order, each of the leading ones that fit `budget`, until one stops
+    past `work`."""
+    start = 0
+    while start < len(symbols):
+        answers = _profile_sweep(lat, spec, False, (points, symbols[start:]), budget, work)
+        if answers is None:
+            return
+        start += len(answers)
+        yield answers
+
+
+def _extensions(lat: FiniteLattice, spec: SftSpec, points, symbols, budget: int = DEFAULT_BUDGET):
+    """Yield, in order, per query (row of `symbols`) whether an admissible
+    assignment on `lat` puts ``symbols[q, k]`` at ``points[k]`` (points off
+    `lat` are ignored), one bool array at a time.
+
+    Pinned sweeps answer the queries while a sweep costs no more per query
+    than a search that never backtracks (``_CELL_SEARCH_WEIGHTS`` a cell).
+    Where one would cost more, or a single query does not fit `budget`, the
+    queries left are searched one at a time (``_extension_oracle``), each
+    assigning at most `budget` cells.  A search past `budget` hands the
+    queries left to sweeps at any cost, and its refusal stands only where
+    one of those refuses too."""
+    start = 0
+    try:
+        for answers in _sweeps(lat, spec, points, symbols, budget, _CELL_SEARCH_WEIGHTS * len(lat)):
+            start += len(answers)
+            yield answers
+    except BudgetExceeded:
+        pass
+    if start == len(symbols):
+        return
+    exists = _extension_oracle(lat, spec, points, budget)
+    for row in symbols[start:].tolist():
+        try:
+            answer = exists(row)
+        except BudgetExceeded as refusal:
+            try:
+                yield from _sweeps(lat, spec, points, symbols[start:], budget, math.inf)
+            except BudgetExceeded:
+                raise refusal from None
+            return
+        start += 1
+        yield np.array([answer])
 
 
 def _local_route(spec: SftSpec):
@@ -691,8 +828,11 @@ def count_extendable(
     """Count patterns on `lat` having an admissible extension to the dilation.
 
     That is the local count when margin = 0 or a safe symbol pads the ring.
-    Otherwise each admissible pattern on `lat` (budgeted at N ** |lat|) is
-    kept when a search, assigning at most `budget` cells, completes the ring.
+    Otherwise the admissible patterns on `lat` (budgeted at N ** |lat|) are
+    the questions of ``_extensions`` on the dilation, in sets of about
+    `budget` pinned symbols: a pinned sweep, each step within `budget`, and
+    searches for what it leaves, each assigning at most `budget` cells.
+    Those that extend are kept.
     """
     margin = _integer(margin)
     if margin < 0:
@@ -700,9 +840,10 @@ def count_extendable(
     dilated = dilate(lat, margin)     # raises ValueError past the coordinate range
     if margin == 0 or spec.safe_symbols:
         return CountResult(count(lat, spec, budget=budget).value, len(lat), margin=margin)
-    _check_budget(spec.alphabet_size, len(lat), budget)    # before the dilation's table
-    exists = _extension_oracle(dilated, spec, list(lat), budget)
-    kept = sum(map(exists, enumerate_admissible(lat, spec, budget=budget)))
+    _check_budget(spec.alphabet_size, len(lat), budget)     # before any set-up
+    kept = sum(int(np.count_nonzero(answers))
+               for patterns in _admissible_batches(lat, spec, budget)
+               for answers in _extensions(dilated, spec, list(lat), patterns, budget))
     return CountResult(kept, len(lat), margin=margin)
 
 

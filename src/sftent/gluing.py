@@ -9,7 +9,11 @@ is therefore certified only up to the window and extent used.
 
 When some alphabet symbol occurs in no forbidden pattern, padding any pair
 with that symbol is always admissible, which proves every pair extends without
-enumerating them; the verdict records which method settled it.
+enumerating them; the verdict records which method settled it.  Otherwise
+each offset asks its extension questions, one per (first, second) pair of
+admissible windows in that order, of a pinned profile sweep of the dilated
+joint box, and searches for what it leaves (``counting._extensions``); the
+first pair with no extension is the counterexample.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import _extension_oracle, count_bruteforce, enumerate_admissible
+import numpy as np
+
+from .counting import (DEFAULT_BUDGET, _admissible_rows, _check_budget, _extensions,
+                       count_bruteforce)
 from .lattice import Point, _integer, _real, dilate, rectangle
 from .sft import Pattern, SftSpec
 
@@ -98,20 +105,33 @@ def verify_block_gluing(
     if not offsets:
         raise ValueError(f"no {variant} offset within extent {extent} reaches gap {gap}")
     base = rectangle((0, 0), window, window)
-    admissible = [Pattern(base, syms) for syms in enumerate_admissible(base, spec)]
+    _check_budget(spec.alphabet_size, len(base), DEFAULT_BUDGET)
+    windows = np.concatenate([np.zeros((0, len(base)), dtype=np.uint8),
+                              *_admissible_rows(base, spec)])
+    m = len(windows)
+    # the pairs go to `_extensions` in blocks of first windows, their pins
+    # (a word a symbol, as a pinned sweep charges a word a query) within
+    # DEFAULT_BUDGET where one first window's pairs fit
+    block = max(1, DEFAULT_BUDGET // (m * 2 * len(base) or 1))
     margin = max(1, spec.forbidden_diameter)
     pairs_checked = 0
     for offset in offsets:
         shifted = base.translate(offset)
         joint = dilate(base.union(shifted), margin)
-        sep = rectangle_separation(offset, window)
-        exists = _extension_oracle(joint, spec, [*base, *shifted])
-        for first in admissible:
-            for second in admissible:
-                pairs_checked += 1
-                if not exists(first.symbols + second.symbols):
-                    cex = GluingCounterexample(first, Pattern(shifted, second.symbols), offset, sep)
-                    return verdict("exhaustive-pairs", pairs_checked, cex)
+        checked = 0        # this offset's pairs, in (first, second) order
+        for lo in range(0, m, block):
+            firsts = windows[lo:lo + block]
+            pairs = np.concatenate(
+                [np.repeat(firsts, m, axis=0), np.tile(windows, (len(firsts), 1))], axis=1)
+            for answers in _extensions(joint, spec, [*base, *shifted], pairs):
+                if not answers.all():     # the first pair with no extension
+                    first, second = divmod(checked + int(answers.argmin()), m)
+                    cex = GluingCounterexample(Pattern(base, windows[first].tolist()),
+                                               Pattern(shifted, windows[second].tolist()),
+                                               offset, rectangle_separation(offset, window))
+                    return verdict("exhaustive-pairs", pairs_checked + first * m + second + 1, cex)
+                checked += len(answers)
+        pairs_checked += checked
     return verdict("exhaustive-pairs", pairs_checked)
 
 

@@ -158,6 +158,10 @@ def test_block_search_matches_oracles(spec, rnd, block, compare, n, q):
         counting._constraint_table.cache_clear()      # tables built under the patch
         try:
             assert list(enumerate_admissible(lat, spec)) == admissible
+            batches = list(counting._admissible_batches(lat, spec, 3 * len(lat)))   # 3 rows
+            assert [tuple(row) for b in batches for row in b.tolist()] == admissible
+            most = max(rows.size for rows in counting._admissible_rows(lat, spec))
+            assert all(3 * len(lat) <= b.size < 3 * len(lat) + most for b in batches[:-1])
             assert count_bruteforce(lat, spec).value == len(admissible)
             assert count_bruteforce(lat, spec, fixed=fixed).value == len(pinned)
             assert count_multiplicative_bruteforce(n, q) == count_multiplicative(n, q)
@@ -726,7 +730,10 @@ def test_sweep_ban_lookups_equal_per_ban_masks(spec, rnd):
     layout = _sweep_bans(lat, spec)
     with patch.object(counting, "_DENSE", 0):
         masks = _sweep_bans(lat, spec).steps
-        exact, log = count_profile_dp(lat, spec).value, log_count(lat, spec)
+        try:
+            exact, log = count_profile_dp(lat, spec).value, log_count(lat, spec)
+        except BudgetExceeded:      # e.g. 20 symbols on a 5-cell frontier: 20**5 states
+            exact = log = None
     codes = np.array(sorted({rnd.randrange(n ** layout.depth) for _ in range(300)}),
                      dtype=layout.dtype)
     for step, mask in zip(layout.steps, masks):
@@ -735,6 +742,10 @@ def test_sweep_ban_lookups_equal_per_ban_masks(spec, rnd):
             assert mask[0].func is counting._ban_masks
             assert mask[1] == step[1]
             assert np.array_equal(step[0](codes), mask[0](codes))
+    if exact is None:       # refused both ways
+        with pytest.raises(BudgetExceeded):
+            count_profile_dp(lat, spec)
+        return
     assert count_profile_dp(lat, spec).value == exact
     assert repr(log_count(lat, spec)) == repr(log)
     if len(lat) * math.log2(n) <= 24:
@@ -821,6 +832,109 @@ def test_extension_oracle_agrees_with_pinned_bruteforce(rng):
             symbols = [rng.randrange(spec.alphabet_size) for _ in points]
             pinned = count_bruteforce(dilated, spec, fixed=dict(zip(points, symbols))).value
             assert exists(symbols) == (pinned > 0)
+
+
+def test_pinned_sweep_agrees_with_pinned_bruteforce(rng):
+    # one sweep answers many queries: an extension exists exactly when
+    # brute force with those cells pinned counts one
+    for spec in (period_forcing_horizontal(), SftSpec.make(2, [[((0, 0), 0), ((1, 0), 0)],
+                                                                [((0, 0), 1), ((1, 1), 1)]])):
+        core = rectangle((0, 0), 2, 2)
+        dilated = dilate(core, 1)
+        points = list(core) + [(9, 9)]          # a point off the lattice is ignored
+        symbols = np.array([[rng.randrange(spec.alphabet_size) for _ in points]
+                            for _ in range(20)])
+        exists = counting._profile_sweep(dilated, spec, False, (points, symbols))
+        for row, answer in zip(symbols.tolist(), exists.tolist()):
+            pinned = count_bruteforce(dilated, spec, fixed=dict(zip(points, row))).value
+            assert answer == (pinned > 0)
+
+
+def far_clusters(rnd, cells: int) -> FiniteLattice:
+    """Holey clusters, the second moved 10**6 columns further off."""
+    lat = holey_clusters(rnd, cells)
+    if len(lat) < 2:
+        return lat
+    split = sorted(int(x) for x in lat.coords[:, 0])[len(lat) // 2]
+    return FiniteLattice([(x + 10**6 if x >= split else x, y) for x, y in lat.coords.tolist()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(box3_specs(), st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_pinned_sweep_matches_pinned_bruteforce(spec, rnd, far, vertical):
+    # per query, a pinned sweep finds an extension exactly when brute force
+    # with those cells fixed counts one; pins off the lattice are ignored,
+    # and queries swept in chunks under a small budget answer alike
+    lat = (far_clusters if far else holey_clusters)(rnd, 10 if spec.alphabet_size == 2 else 7)
+    if vertical:
+        lat, spec = lat.transpose(), spec.transpose()
+    near = sorted({(x + dx, y + dy) for x, y in lat.coords.tolist()     # cells, holes, rims
+                   for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))})
+    points = rnd.sample(near, min(len(near), rnd.randint(0, 4)))
+    rows = [[rnd.randrange(spec.alphabet_size) for _ in points] for _ in range(rnd.randint(1, 12))]
+    symbols = np.array(rows, dtype=np.uint8).reshape(len(rows), len(points))
+    exists = counting._profile_sweep(lat, spec, False, (points, symbols))
+    assert exists.dtype == bool and len(exists) == len(symbols)
+    for row, answer in zip(symbols.tolist(), exists.tolist()):
+        assert answer == (count_bruteforce(lat, spec, fixed=dict(zip(points, row))).value > 0)
+    for budget in (16, 32, 64):
+        chunks, start = [], 0
+        try:
+            while start < len(symbols):     # each sweep the leading queries that fit
+                chunks.append(counting._profile_sweep(lat, spec, False,
+                                                      (points, symbols[start:]), budget))
+                start += len(chunks[-1])
+        except BudgetExceeded:      # a single query does not fit
+            continue
+        assert np.array_equal(np.concatenate(chunks), exists)
+        with patch.object(counting, "_CELL_SEARCH_WEIGHTS", math.inf):    # sweeps only
+            swept = list(counting._extensions(lat, spec, points, symbols, budget))
+        assert [len(c) for c in swept] == [len(c) for c in chunks]
+        assert np.array_equal(np.concatenate(swept), exists)
+
+
+def test_pinned_sweep_chunks_the_queries_that_fit(monkeypatch):
+    # no-equal-neighbours along x on a 3 x 2 strip: each step holds at most
+    # 3 states, so a budget of 3 * 3 * (1 + 2) words admits 2 queries a
+    # sweep and one of 3 * 3 * (1 + 1) admits 1.  Past a smaller budget, or
+    # where a sweep costs more than a search, each query is one search
+    spec = SftSpec.make(3, [[((0, 0), a), ((1, 0), a)] for a in range(3)])
+    lat = rectangle((0, 0), 3, 2)
+    points = [(0, 0), (1, 0), (2, 1)]
+    symbols = np.array(list(product(range(3), repeat=3)), dtype=np.uint8)
+    expected = [count_bruteforce(lat, spec, fixed=dict(zip(points, row))).value > 0
+                for row in symbols.tolist()]
+    assert len(counting._profile_sweep(lat, spec, False, (points, symbols), 3 * 3 * 3)) == 2
+    assert len(counting._profile_sweep(lat, spec, False, (points, symbols), 3 * 3 * 2)) == 1
+    with pytest.raises(BudgetExceeded, match=r"\+ 1 query\) exceed budget 17"):
+        counting._profile_sweep(lat, spec, False, (points, symbols), 17)
+    # `work` is per query answered: the steps at cells meet 16 states, so
+    # all 27 queries cost 16 * 3 * (200 + 27) query weights
+    cost = 16 * 3 * (counting._CANDIDATE_WEIGHTS + 27)
+    assert counting._profile_sweep(lat, spec, False, (points, symbols), work=cost / 27).tolist() \
+        == expected
+    assert counting._profile_sweep(lat, spec, False, (points, symbols), work=cost / 27 - 1) is None
+    # a search costs at least 6 cells * 1,000 query weights: a sweep of 27 or
+    # of 2 queries costs less per query, one of a single query more
+    sweep, swept = counting._profile_sweep, []
+
+    def sweeping(*args):
+        answers = sweep(*args)
+        swept.append(0 if answers is None else len(answers))
+        return answers
+    monkeypatch.setattr(counting, "_profile_sweep", sweeping)
+    for budget, sweeps in ((2**24, [27]), (3 * 3 * 3, [2] * 13 + [0]), (3 * 3 * 2, [0]),
+                           (17, [])):
+        swept.clear()
+        chunks = list(counting._extensions(lat, spec, points, symbols, budget))
+        assert swept == sweeps
+        assert [len(c) for c in chunks] == [w for w in sweeps if w] + [1] * (27 - sum(sweeps))
+        assert np.concatenate(chunks).tolist() == expected
+    monkeypatch.setattr(counting, "_CELL_SEARCH_WEIGHTS", 0)     # every sweep stops
+    searched = counting._extensions(lat, spec, points, symbols)
+    assert [len(c) for c in searched] == [1] * 27
+    with pytest.raises(BudgetExceeded, match="search exceeds 2 cell assignments"):
+        list(counting._extensions(lat, spec, points, symbols, 2))
 
 
 def test_sweep_cache_bound_refuses_nothing_the_step_budget_admits(monkeypatch):
@@ -1044,6 +1158,37 @@ def test_extendable_golden_mean_equals_local():
     assert count_extendable(rectangle((0, 0), 2, 2), GM_H, 15).value == 9
 
 
+def test_searches_past_the_budget_hand_the_queries_left_to_sweeps(monkeypatch):
+    # every sweep costs more than a search here, so the queries are
+    # searched; where the fifth search runs past its budget, the queries
+    # left go to sweeps at any cost, and where those refuse too, the
+    # search's refusal stands
+    spec = SftSpec.make(3, [[((0, 0), a), ((1, 0), a)] for a in range(3)])
+    lat = rectangle((0, 0), 3, 2)
+    points = [(0, 0), (1, 0), (2, 1)]
+    symbols = np.array(list(product(range(3), repeat=3)), dtype=np.uint8)
+    expected = [count_bruteforce(lat, spec, fixed=dict(zip(points, row))).value > 0
+                for row in symbols.tolist()]
+    oracle = counting._extension_oracle
+
+    def refusing(*args):
+        exists, asked = oracle(*args), []
+
+        def refuse_fifth(row):
+            asked.append(row)
+            if len(asked) == 5:
+                raise BudgetExceeded("search exceeds its budget")
+            return exists(row)
+        return refuse_fifth
+    monkeypatch.setattr(counting, "_CELL_SEARCH_WEIGHTS", 0)
+    monkeypatch.setattr(counting, "_extension_oracle", refusing)
+    chunks = list(counting._extensions(lat, spec, points, symbols))
+    assert [len(c) for c in chunks] == [1] * 4 + [23]
+    assert np.concatenate(chunks).tolist() == expected
+    with pytest.raises(BudgetExceeded, match="search exceeds its budget"):
+        list(counting._extensions(lat, spec, points, symbols, 3 * 3 * 2 - 1))
+
+
 def test_extension_search_enforces_budget():
     square = rectangle((0, 0), 6, 6)
     with pytest.raises(BudgetExceeded):
@@ -1054,13 +1199,44 @@ def test_extension_search_enforces_budget():
 
 
 def test_extendable_count_refuses_before_the_dilation_table(monkeypatch):
-    # 2**900 core patterns: refused before the dilation's constraint table
-    # (the extension oracle's set-up) is built
-    def table(*args):
-        raise AssertionError("constraint table built before the budget check")
-    monkeypatch.setattr(counting, "_constraint_table", table)
+    # 2**900 core patterns: refused before any set-up, the core's constraint
+    # table or the dilation's sweep layout
+    def setup(*args):
+        raise AssertionError("set up before the budget check")
+    monkeypatch.setattr(counting, "_constraint_table", setup)
+    monkeypatch.setattr(counting, "_sweep_bans", setup)
     with pytest.raises(BudgetExceeded):
         count_extendable(rectangle((0, 0), 30, 30), period_forcing_horizontal(), 1)
+
+
+def test_extension_questions_go_to_searches_where_a_sweep_costs_more(monkeypatch):
+    # a loose ring of margin 3 has over a million frontier states, where a
+    # search finds each witness at once: its sweep stops and searches answer.
+    # The 1,296 pairs of a no-equal-neighbours gluing offset go to one sweep
+    routes = []
+    sweep, oracle = counting._profile_sweep, counting._extension_oracle
+
+    def swept(*args):
+        answers = sweep(*args)
+        routes.append("sweep" if answers is not None else "stop")
+        return answers
+
+    def searched(*args):
+        routes.append("search")
+        return oracle(*args)
+    monkeypatch.setattr(counting, "_profile_sweep", swept)
+    monkeypatch.setattr(counting, "_extension_oracle", searched)
+    loose = SftSpec.make(3, [[((0, 0), 0), ((2, 0), 0), ((1, 1), 0)],
+                             [((0, 0), 0), ((2, 0), 0), ((2, 1), 2)],
+                             [((0, 0), 1), ((0, 1), 0), ((0, 2), 1)],
+                             [((1, 0), 1), ((0, 1), 1), ((2, 1), 1)]])
+    assert count_extendable(FiniteLattice([(0, 0)]), loose, 3).value == 3
+    assert routes == ["stop", "search"]
+    routes.clear()
+    no_equal_h = SftSpec.make(3, [[((0, 0), a), ((1, 0), a)] for a in range(3)])
+    verdict = verify_block_gluing(no_equal_h, 2, 2, 3, "horizontal")
+    assert verdict.verified and verdict.pairs_checked == 1296 * verdict.offsets_checked
+    assert routes == ["sweep"] * verdict.offsets_checked
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,16 +1,28 @@
 import math
+from functools import partial
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sftent import (
+    BudgetExceeded,
     SftSpec,
+    dilate,
+    enumerate_admissible,
     full_shift,
     golden_mean_horizontal,
     golden_mean_vertical,
     period_forcing_horizontal,
+    rectangle,
     replay_counterexample,
     verify_block_gluing,
 )
+from sftent import counting, gluing
+from sftent.counting import admissible_extension_exists
+from sftent.gluing import GluingCounterexample, GluingVerdict, rectangle_separation
+from sftent.sft import Pattern
 
 
 def test_golden_mean_glues_at_gap_one():
@@ -108,3 +120,68 @@ def test_gluing_verdicts_are_never_vacuous():
     assert verdict.offsets_checked == 0
     with pytest.raises(ValueError, match="extent"):
         verify_block_gluing(golden_mean_horizontal(), extent=0)
+
+
+WINDOW2 = [(x, y) for x in range(2) for y in range(2)]
+
+
+def per_pair_verdict(spec, gap, window, extent, variant):
+    """The verdict of asking one extension question per pair of windows."""
+    offsets = gluing._offsets(gap, window, extent, variant)
+    base = rectangle((0, 0), window, window)
+    admissible = [Pattern(base, syms) for syms in enumerate_admissible(base, spec)]
+    margin = max(1, spec.forbidden_diameter)
+    pairs_checked = 0
+    for offset in offsets:
+        shifted = base.translate(offset)
+        joint = dilate(base.union(shifted), margin)
+        for first in admissible:
+            for second in admissible:
+                pairs_checked += 1
+                fixed = {**dict(zip(base, first.symbols)), **dict(zip(shifted, second.symbols))}
+                if not admissible_extension_exists(joint, spec, fixed, budget=10**5):
+                    cex = GluingCounterexample(first, Pattern(shifted, second.symbols), offset,
+                                               rectangle_separation(offset, window))
+                    return GluingVerdict(spec.name, gap, window, extent, variant, False, cex,
+                                         "exhaustive-pairs", len(offsets), pairs_checked)
+    return GluingVerdict(spec.name, gap, window, extent, variant, True, None,
+                         "exhaustive-pairs", len(offsets), pairs_checked)
+
+
+@st.composite
+def no_safe_symbol_specs(draw):
+    """Specs on 1-3 cells of a 2x2 window, N in {2, 3}, that use every symbol."""
+    n = draw(st.sampled_from((2, 3)))
+    pattern = st.lists(st.tuples(st.sampled_from(WINDOW2), st.integers(0, n - 1)),
+                       min_size=1, max_size=3, unique_by=lambda cell: cell[0])
+    spec = SftSpec.make(n, draw(st.lists(pattern, min_size=1, max_size=4)))
+    assume(not spec.safe_symbols)
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(no_safe_symbol_specs(), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
+       st.sampled_from(("full", "horizontal", "vertical")))
+def test_gluing_sweep_matches_per_pair_searches(spec, gap, window, variant):
+    # whole verdicts, counterexample and counts included, equal those of one
+    # search per pair in (first, second) order, also when small budgets
+    # split an offset's pairs into blocks of first windows and each block
+    # into several sweeps, and when every sweep stops for the searches
+    assume(window == 1 or spec.alphabet_size == 2)
+    extent = window + 1       # reaches gap 2
+    try:
+        expected = per_pair_verdict(spec, gap, window, extent, variant)
+    except BudgetExceeded:      # the reference search gave up
+        assume(False)
+    assert verify_block_gluing(spec, gap, window, extent, variant) == expected
+    with patch.object(counting, "_CELL_SEARCH_WEIGHTS", 0):
+        assert verify_block_gluing(spec, gap, window, extent, variant) == expected
+    for budget in (64, 256, 1024):
+        with patch.object(gluing, "_extensions", partial(counting._extensions, budget=budget)), \
+                patch.object(counting, "_CELL_SEARCH_WEIGHTS", math.inf), \
+                patch.object(gluing, "DEFAULT_BUDGET", 16):     # N ** window**2 <= 16 here
+            try:
+                verdict = verify_block_gluing(spec, gap, window, extent, variant)
+            except BudgetExceeded:      # neither a single pair's sweep nor its search fits
+                continue
+        assert verdict == expected

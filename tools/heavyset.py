@@ -13,8 +13,15 @@ times are reported, not checked: the exit code is 1 only when a case fails.
 Cases: hard squares exact on 16x16 and 20x20, hard-square ``log_count`` on
 20x400, on the mirrored wedge ``omega_q(2, 11)`` (as log count per cell) and
 on the n = 24 member of ``stick_system((0, 1), 0.5)``, the 3-symbol ``r3``
-spec exact on 10x10, and exact on 10x10 the 2-symbol spec forbidding all 1s
-on each of the 97 four-cell shapes of the 3x3 box.
+spec exact on 10x10, exact on 10x10 the 2-symbol spec forbidding all 1s
+on each of the 97 four-cell shapes of the 3x3 box, and three extendable
+counts without a safe symbol, each core pattern an extension question of
+the dilation: with margin 1 on 5x3 of the 3-symbol spec forbidding equal
+horizontal neighbours (110,592 core patterns, one sweep), and two whose
+rings have too many frontier states for a sweep to beat the searches:
+with margin 3 on one cell of a 3-symbol spec of four 3-cell patterns, and
+with margin 2 on six spread cells of the 3-symbol spec forbidding one
+3-cell pattern (729 core patterns).
 """
 
 from __future__ import annotations
@@ -35,8 +42,13 @@ R3 = [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
 # four 1s on four cells of the 3x3 box: 126 patterns, 97 up to translation
 BOX3 = [(x, y) for x in range(3) for y in range(3)]
 QUADS = [[(c, 1) for c in cells] for cells in combinations(BOX3, 4)]
+NO_EQUAL_H = [[((0, 0), a), ((1, 0), a)] for a in range(3)]
+LOOSE = [[((0, 0), 0), ((2, 0), 0), ((1, 1), 0)], [((0, 0), 0), ((2, 0), 0), ((2, 1), 2)],
+         [((0, 0), 1), ((0, 1), 0), ((0, 2), 1)], [((1, 0), 1), ((0, 1), 1), ((2, 1), 1)]]
+SPREAD = [(0, 0), (1, 0), (6, 0), (7, 0), (8, 0), (5, 1)]
 
-# name -> (alphabet size, forbidden patterns, lattice, route)
+# name -> (alphabet size, forbidden patterns, lattice, route); the route
+# "extendable:M" is the extendable count with margin M
 CASES = {
     "hard-square-16x16-exact": (2, HARD_SQUARE, ("rectangle", 16, 16), "count"),
     "hard-square-20x20-exact": (2, HARD_SQUARE, ("rectangle", 20, 20), "count"),
@@ -45,6 +57,10 @@ CASES = {
     "hard-square-stick:0,1,0.5@24-log": (2, HARD_SQUARE, ("stick", (0, 1), 0.5, 24), "log"),
     "r3-10x10-exact": (3, R3, ("rectangle", 10, 10), "count"),
     "quads-10x10-exact": (2, QUADS, ("rectangle", 10, 10), "count"),
+    "no-equal-h-5x3-ext:1": (3, NO_EQUAL_H, ("rectangle", 5, 3), "extendable:1"),
+    "loose-cell-ext:3": (3, LOOSE, ("cells", [(0, 0)]), "extendable:3"),
+    "spread-cells-ext:2": (3, [[((2, 0), 0), ((0, 1), 2), ((2, 1), 1)]], ("cells", SPREAD),
+                           "extendable:2"),
 }
 
 
@@ -58,13 +74,18 @@ def run_case(name: str) -> dict:
     t0 = time.perf_counter()
     if family == "rectangle":
         lat = sftent.rectangle((0, 0), *args)
+    elif family == "cells":
+        lat = sftent.FiniteLattice(*args)
     elif family == "omega_q":
         lat = sftent.omega_q(*args)
     else:
         v, a, size = args
         lat = sftent.stick_system(v, a).lattice(size)
+    route, _, margin = route.partition(":")
     if route == "count":
         result = str(sftent.count_profile_dp(lat, spec).value)
+    elif route == "extendable":
+        result = str(sftent.count_extendable(lat, spec, int(margin)).value)
     elif route == "log":
         result = repr(sftent.log_count(lat, spec))
     else:
