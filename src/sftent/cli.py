@@ -4,7 +4,7 @@ Subcommands: ``count``, ``entropy-rect``, ``entropy-omega``, ``projectional``
 and ``reproduce`` (the checks of :mod:`sftent.reproduce`, with pass/fail
 verdicts).  All real numbers print with 12 significant digits (natural
 logarithm throughout); exact counts print in full decimal.  Exit codes: 0 ok,
-1 reproduction failed, 2 usage/parse error, 3 budget exceeded.
+1 reproduction failed, 2 usage/parse error, 3 budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True, help="shorthand (rect:3,2), inline JSON or a file")
     p.add_argument("--mode", default="local", help="local (default) or ext:M")
     p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
-                   help="cap on N**cells for enumeration routes")
+                   help="cap on N**cells of brute force and enumeration; with ext:M also on "
+                        "a question set's pins, a pinned sweep step's words and a search's cells")
     add_common(p, "text", "csv", "json")
     p.set_defaults(func=_cmd_count)
 
@@ -227,8 +228,8 @@ def main(argv=None) -> int:
         if limit:
             sys.set_int_max_str_digits(0)
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:
+        print(f"budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (FormatError, SftentError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

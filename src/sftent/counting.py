@@ -20,7 +20,7 @@ lattice:
   multiplicative brute force.  "Does an extension exist" runs elsewhere:
   ``_search`` steps one symbol at a time, depth first, and stops at the
   first witness, within its per-symbol budget.  It answers a single
-  question (``admissible_extension_exists``), and the questions of a batch
+  question (``admissible_extension_exists``), and the questions of a set
   that the pinned sweep below leaves.
 * ``count_profile_dp`` -- a frontier dynamic program for any finite forbidden
   set.  When each forbidden pattern is one cell or two adjacent cells along
@@ -54,14 +54,15 @@ lattice:
   BudgetExceeded, when its positions, or a step's live states times N,
   times the 64-bit words of one code pass ``DEFAULT_BUDGET`` (which also
   bounds the cache's words).  A pinned sweep answers many extension
-  questions at once (``_extensions``): each query fixes the symbols of the
-  same cells, the weights are one bool per state and query, and a pinned
-  cell masks the successors by their newest digit.  Its codes and plans are
-  those of the unpinned sweep.  Extendable counts ask one query per core
-  pattern, the gluing verifier one per pair of windows.  A sweep that
-  would cost more per query than a search that never backtracks, or that
-  cannot fit a single query, leaves the queries to ``_search``, one at a
-  time; a search past its budget hands them back to sweeps at any cost.
+  questions at once: each query fixes the symbols of the same cells, the
+  weights are one bool per state and query, and a pinned cell masks the
+  successors by their newest digit.  Its codes and plans are those of the
+  unpinned sweep.  ``_extensions`` alone gathers a stream of questions (an
+  extendable count's core patterns, a gluing offset's window pairs) into
+  sets of about `budget` pinned symbols.  Per set, a sweep that would cost
+  more per query than a search that never backtracks, or that cannot fit a
+  single query, leaves the queries to ``_search``, one at a time; a search
+  past its budget hands them back to sweeps at any cost.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -83,7 +84,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BudgetExceeded, SymbolOutOfRange
-from .lattice import FiniteLattice, _cells, _integer, _run_lengths, dilate, rectangle
+from .lattice import FiniteLattice, _cells, _check_dilation, _integer, _run_lengths, dilate, rectangle
 from .sft import CountResult, SftSpec, _placement_runs, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
@@ -295,36 +296,18 @@ def count_bruteforce(
     return CountResult(_count_blocks(*_domains(lat, spec, fixed)), len(lat))
 
 
-def _admissible_rows(lat: FiniteLattice, spec: SftSpec):
+def _admissible_rows(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
     """Yield the admissible assignments of `lat` in lexicographic order, as
-    blocks of rows in canonical cell order."""
-    if len(lat) == 0:
-        yield np.zeros((1, 0), dtype=np.uint8)
-        return
+    blocks of rows in canonical cell order, once N ** |lat| is within `budget`."""
+    _check_budget(spec.alphabet_size, len(lat), budget)     # before any set-up
     for block, leaves in _block_search(*_domains(lat, spec, None)):
-        yield _extend(block, len(lat) - 1, leaves)
+        yield _extend(block, len(lat) - 1, leaves) if len(lat) else block
 
 
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
     """Yield every admissible assignment as a symbol tuple in canonical order."""
-    _check_budget(spec.alphabet_size, len(lat), budget)
-    for rows in _admissible_rows(lat, spec):
+    for rows in _admissible_rows(lat, spec, budget):
         yield from map(tuple, rows.tolist())
-
-
-def _admissible_batches(lat: FiniteLattice, spec: SftSpec, budget: int):
-    """Yield the admissible assignments of `lat` in lexicographic order, one
-    row each, in arrays of about `budget` symbols (past it by less than one
-    block of the block search): as question sets, their pins are charged a
-    word a symbol, as a pinned sweep charges a word a query."""
-    batch, size = [np.zeros((0, len(lat)), dtype=np.uint8)], 0
-    for rows in _admissible_rows(lat, spec):
-        batch.append(rows)
-        size += rows.size
-        if size >= budget:
-            yield np.concatenate(batch)
-            batch, size = batch[:1], 0
-    yield np.concatenate(batch)
 
 
 def admissible_extension_exists(
@@ -764,39 +747,55 @@ def _sweeps(lat: FiniteLattice, spec: SftSpec, points, symbols, budget: int, wor
         yield answers
 
 
-def _extensions(lat: FiniteLattice, spec: SftSpec, points, symbols, budget: int = DEFAULT_BUDGET):
-    """Yield, in order, per query (row of `symbols`) whether an admissible
-    assignment on `lat` puts ``symbols[q, k]`` at ``points[k]`` (points off
-    `lat` are ignored), one bool array at a time.
+def _question_sets(questions, budget: int):
+    """The arrays of `questions`, in order, gathered into arrays of at least
+    `budget` symbols, past it by less than one array (the last may be short):
+    a pinned symbol is charged a word, as a pinned sweep charges a query."""
+    batch, size = [], 0
+    for rows in questions:
+        batch.append(rows)
+        size += rows.size
+        if size >= budget:
+            yield np.concatenate(batch)
+            batch, size = [], 0
+    if batch:
+        yield np.concatenate(batch)
 
-    Pinned sweeps answer the queries while a sweep costs no more per query
+
+def _extensions(lat: FiniteLattice, spec: SftSpec, points, questions, budget: int = DEFAULT_BUDGET):
+    """Whether an admissible assignment on `lat` puts ``symbols[q, k]`` at
+    ``points[k]`` (points off `lat` are ignored), per row q of each
+    ``(k, len(points))`` array `symbols` that `questions` streams, as bool
+    arrays in question order.  The arrays are asked in sets (``_question_sets``).
+
+    Per set, pinned sweeps answer while a sweep costs no more per question
     than a search that never backtracks (``_CELL_SEARCH_WEIGHTS`` a cell).
-    Where one would cost more, or a single query does not fit `budget`, the
-    queries left are searched one at a time (``_extension_oracle``), each
-    assigning at most `budget` cells.  A search past `budget` hands the
-    queries left to sweeps at any cost, and its refusal stands only where
-    one of those refuses too."""
-    start = 0
-    try:
-        for answers in _sweeps(lat, spec, points, symbols, budget, _CELL_SEARCH_WEIGHTS * len(lat)):
-            start += len(answers)
-            yield answers
-    except BudgetExceeded:
-        pass
-    if start == len(symbols):
-        return
-    exists = _extension_oracle(lat, spec, points, budget)
-    for row in symbols[start:].tolist():
+    Where one would cost more, or a single question does not fit `budget`,
+    the rest are searched one at a time (``_extension_oracle``), each within
+    `budget` cells; a search past it hands the set's rest to sweeps at any
+    cost, and its refusal stands only where one of those refuses too."""
+    for symbols in _question_sets(questions, budget):
+        start = 0
         try:
-            answer = exists(row)
-        except BudgetExceeded as refusal:
+            for answers in _sweeps(lat, spec, points, symbols, budget, _CELL_SEARCH_WEIGHTS * len(lat)):
+                start += len(answers)
+                yield answers
+        except BudgetExceeded:
+            pass
+        if start == len(symbols):
+            continue
+        exists = _extension_oracle(lat, spec, points, budget)
+        for row in symbols[start:].tolist():
             try:
-                yield from _sweeps(lat, spec, points, symbols[start:], budget, math.inf)
-            except BudgetExceeded:
-                raise refusal from None
-            return
-        start += 1
-        yield np.array([answer])
+                answer = exists(row)
+            except BudgetExceeded as refusal:
+                try:
+                    yield from _sweeps(lat, spec, points, symbols[start:], budget, math.inf)
+                except BudgetExceeded:
+                    raise refusal from None
+                break
+            start += 1
+            yield np.array([answer])
 
 
 def _local_route(spec: SftSpec):
@@ -829,22 +828,18 @@ def count_extendable(
 
     That is the local count when margin = 0 or a safe symbol pads the ring.
     Otherwise the admissible patterns on `lat` (budgeted at N ** |lat|) are
-    the questions of ``_extensions`` on the dilation, in sets of about
-    `budget` pinned symbols: a pinned sweep, each step within `budget`, and
-    searches for what it leaves, each assigning at most `budget` cells.
-    Those that extend are kept.
+    the questions of ``_extensions`` on the dilation; those that extend are
+    kept.  Either way a dilation past the coordinate range raises ValueError.
     """
     margin = _integer(margin)
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    dilated = dilate(lat, margin)     # raises ValueError past the coordinate range
+    _check_dilation(lat, margin)
     if margin == 0 or spec.safe_symbols:
         return CountResult(count(lat, spec, budget=budget).value, len(lat), margin=margin)
-    _check_budget(spec.alphabet_size, len(lat), budget)     # before any set-up
-    kept = sum(int(np.count_nonzero(answers))
-               for patterns in _admissible_batches(lat, spec, budget)
-               for answers in _extensions(dilated, spec, list(lat), patterns, budget))
-    return CountResult(kept, len(lat), margin=margin)
+    patterns = _admissible_rows(lat, spec, budget)
+    answers = _extensions(dilate(lat, margin), spec, list(lat), patterns, budget)
+    return CountResult(sum(int(np.count_nonzero(a)) for a in answers), len(lat), margin=margin)
 
 
 # ---------------------------------------------------------------------------

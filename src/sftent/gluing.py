@@ -10,10 +10,10 @@ is therefore certified only up to the window and extent used.
 When some alphabet symbol occurs in no forbidden pattern, padding any pair
 with that symbol is always admissible, which proves every pair extends without
 enumerating them; the verdict records which method settled it.  Otherwise
-each offset asks its extension questions, one per (first, second) pair of
-admissible windows in that order, of a pinned profile sweep of the dilated
-joint box, and searches for what it leaves (``counting._extensions``); the
-first pair with no extension is the counterexample.
+each offset streams its extension questions on the dilated joint box to
+``counting._extensions``, which sets, sweeps and searches them: one array
+per first window of its pairs with every second window, in (first, second)
+order.  The first pair with no extension is the counterexample.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (DEFAULT_BUDGET, _admissible_rows, _check_budget, _extensions,
-                       count_bruteforce)
+from .counting import _admissible_rows, _extensions, count_bruteforce
 from .lattice import Point, _integer, _real, dilate, rectangle
 from .sft import Pattern, SftSpec
 
@@ -69,6 +68,15 @@ def _offsets(gap: float, window: int, extent: int, variant: str) -> list[Point]:
     return [p for p in points if 0 < rectangle_separation(p, window) >= gap]
 
 
+def _pairs(windows):
+    """One array of (first, second) window pairs per first window, in order."""
+    rows = np.concatenate([windows, windows], axis=1)
+    for first in windows:
+        rows = rows.copy()
+        rows[:, :windows.shape[1]] = first
+        yield rows
+
+
 def verify_block_gluing(
     spec: SftSpec,
     gap: float = 1,
@@ -105,34 +113,24 @@ def verify_block_gluing(
     if not offsets:
         raise ValueError(f"no {variant} offset within extent {extent} reaches gap {gap}")
     base = rectangle((0, 0), window, window)
-    _check_budget(spec.alphabet_size, len(base), DEFAULT_BUDGET)
     windows = np.concatenate([np.zeros((0, len(base)), dtype=np.uint8),
                               *_admissible_rows(base, spec)])
     m = len(windows)
-    # the pairs go to `_extensions` in blocks of first windows, their pins
-    # (a word a symbol, as a pinned sweep charges a word a query) within
-    # DEFAULT_BUDGET where one first window's pairs fit
-    block = max(1, DEFAULT_BUDGET // (m * 2 * len(base) or 1))
     margin = max(1, spec.forbidden_diameter)
-    pairs_checked = 0
-    for offset in offsets:
+    for i, offset in enumerate(offsets):
         shifted = base.translate(offset)
         joint = dilate(base.union(shifted), margin)
         checked = 0        # this offset's pairs, in (first, second) order
-        for lo in range(0, m, block):
-            firsts = windows[lo:lo + block]
-            pairs = np.concatenate(
-                [np.repeat(firsts, m, axis=0), np.tile(windows, (len(firsts), 1))], axis=1)
-            for answers in _extensions(joint, spec, [*base, *shifted], pairs):
-                if not answers.all():     # the first pair with no extension
-                    first, second = divmod(checked + int(answers.argmin()), m)
-                    cex = GluingCounterexample(Pattern(base, windows[first].tolist()),
-                                               Pattern(shifted, windows[second].tolist()),
-                                               offset, rectangle_separation(offset, window))
-                    return verdict("exhaustive-pairs", pairs_checked + first * m + second + 1, cex)
-                checked += len(answers)
-        pairs_checked += checked
-    return verdict("exhaustive-pairs", pairs_checked)
+        for answers in _extensions(joint, spec, [*base, *shifted], _pairs(windows)):
+            if not answers.all():     # the first pair with no extension
+                checked += int(answers.argmin())
+                first, second = divmod(checked, m)
+                cex = GluingCounterexample(Pattern(base, windows[first].tolist()),
+                                           Pattern(shifted, windows[second].tolist()),
+                                           offset, rectangle_separation(offset, window))
+                return verdict("exhaustive-pairs", i * m * m + checked + 1, cex)
+            checked += len(answers)
+    return verdict("exhaustive-pairs", len(offsets) * m * m)
 
 
 def replay_counterexample(spec: SftSpec, cex: GluingCounterexample) -> int:

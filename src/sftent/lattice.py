@@ -285,6 +285,12 @@ def rectangle(origin, m: int, n: int) -> FiniteLattice:
     return FiniteLattice._from_runs(_band(oy, n, ox, ox + m), _band(ox, m, oy, oy + n))
 
 
+def _check_dilation(lat: FiniteLattice, radius: int) -> None:
+    """``_check_coords`` of `lat` dilated by `radius` >= 0."""
+    (ox, oy), w, h = lat.bbox
+    _check_coords(min(ox, oy) - radius, max(ox + w, oy + h) - 1 + radius)
+
+
 def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
     """All points within Chebyshev distance `radius` of the lattice."""
     radius = _integer(radius)
@@ -292,8 +298,7 @@ def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return lat
-    (ox, oy), w, h = lat.bbox
-    _check_coords(min(ox, oy) - radius, max(ox + w, oy + h) - 1 + radius)
+    _check_dilation(lat, radius)
     wide = lat._runs + np.array([0, -radius, radius], dtype=np.int64)
     return FiniteLattice._from_runs(
         _cover(lambda c: c >= 1, *[(wide, dy, 1) for dy in range(-radius, radius + 1)])

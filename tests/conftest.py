@@ -10,6 +10,26 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 
+def cap_address_space() -> None:
+    """Lower the soft RLIMIT_AS to the address space now plus 2 GiB, so a
+    runaway test (a shrinking property test, say) fails with MemoryError
+    instead of taking the host's memory.  A lower limit stays; where the
+    platform has no ``resource`` module or no /proc, nothing changes."""
+    try:
+        import resource
+        with open("/proc/self/status") as fh:
+            size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+    except (ImportError, OSError, StopIteration):
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + 2 * 2**30 if hard == resource.RLIM_INFINITY else min(size + 2 * 2**30, hard)
+    if soft == resource.RLIM_INFINITY or cap < soft:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+cap_address_space()
+
+
 def random_connected_lattice(rng: random.Random, max_cells: int) -> FiniteLattice:
     """Grow a connected 4-neighbour set from the origin (test corpus helper)."""
     target = rng.randint(1, max_cells)

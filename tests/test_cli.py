@@ -277,6 +277,43 @@ def test_extendable_count_with_a_safe_symbol_skips_the_search(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_extendable_count_builds_no_dilation_for_a_safe_symbol(capsys):
+    # a margin of 10**9 would dilate 2 * 10**9 + 1 shifted copies of the runs;
+    # past the coordinate range it is still a usage error
+    start = time.perf_counter()
+    assert run_cli(capsys, "count", "--spec", "golden-mean-h", "--lattice", "rect:2,2",
+                   "--mode", f"ext:{10**9}") == (0, "9 extendable 4\n", "")
+    assert time.perf_counter() - start < 10
+    assert run_cli(capsys, "count", "--spec", "golden-mean-h", "--lattice", "rect:2,2",
+                   "--mode", f"ext:{2**63 - 2}") == (
+        2, "", "error: lattice coordinates must lie in [-2**63, 2**63 - 1), "
+               "got -9223372036854775806..9223372036854775807\n")
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["reproduce", "eq1_7", "--n", "40"], "reproduce"),
+    (["entropy-omega", "--spec", "golden-mean-h", "--system", "omega_q:2", "--n-range", "40:40"],
+     "system_entropy"),
+    (["count", "--spec", "golden-mean-h", "--lattice", "omega_q:2,45"], "resolve_lattice"),
+])
+def test_out_of_memory_exit_code(capsys, monkeypatch, argv, builder):
+    # an allocation past the machine's memory (4 TiB, 4 TiB and 128 TiB here)
+    # is exit 3, not a traceback; the builder raises without allocating
+    from sftent import cli
+    message = ["Unable to allocate 4.00 TiB for an array"]
+
+    def allocate(*args, **kwargs):
+        raise MemoryError(*message)
+    if builder == "reproduce":
+        monkeypatch.setitem(cli.REPRODUCERS, "eq1_7", allocate)
+    else:
+        monkeypatch.setattr(cli.entropy if builder == "system_entropy" else cli, builder, allocate)
+    assert run_cli(capsys, *argv) == (
+        3, "", "budget exceeded: Unable to allocate 4.00 TiB for an array\n")
+    message.clear()      # a bare MemoryError
+    assert run_cli(capsys, *argv) == (3, "", "budget exceeded: out of memory\n")
+
+
 def test_json_integers_are_integers(capsys, tmp_path):
     # floats, bools and strings where JSON input wants an integer are usage
     # errors, not values cut to an int

@@ -158,10 +158,11 @@ def test_block_search_matches_oracles(spec, rnd, block, compare, n, q):
         counting._constraint_table.cache_clear()      # tables built under the patch
         try:
             assert list(enumerate_admissible(lat, spec)) == admissible
-            batches = list(counting._admissible_batches(lat, spec, 3 * len(lat)))   # 3 rows
-            assert [tuple(row) for b in batches for row in b.tolist()] == admissible
-            most = max(rows.size for rows in counting._admissible_rows(lat, spec))
-            assert all(3 * len(lat) <= b.size < 3 * len(lat) + most for b in batches[:-1])
+            sets = list(counting._question_sets(counting._admissible_rows(lat, spec),
+                                                3 * len(lat)))     # 3 rows
+            assert [tuple(row) for b in sets for row in b.tolist()] == admissible
+            most = max((rows.size for rows in counting._admissible_rows(lat, spec)), default=0)
+            assert all(3 * len(lat) <= b.size < 3 * len(lat) + most for b in sets[:-1])
             assert count_bruteforce(lat, spec).value == len(admissible)
             assert count_bruteforce(lat, spec, fixed=fixed).value == len(pinned)
             assert count_multiplicative_bruteforce(n, q) == count_multiplicative(n, q)
@@ -859,12 +860,9 @@ def far_clusters(rnd, cells: int) -> FiniteLattice:
     return FiniteLattice([(x + 10**6 if x >= split else x, y) for x, y in lat.coords.tolist()])
 
 
-@settings(max_examples=60, deadline=None)
-@given(box3_specs(), st.randoms(use_true_random=False), st.booleans(), st.booleans())
-def test_pinned_sweep_matches_pinned_bruteforce(spec, rnd, far, vertical):
-    # per query, a pinned sweep finds an extension exactly when brute force
-    # with those cells fixed counts one; pins off the lattice are ignored,
-    # and queries swept in chunks under a small budget answer alike
+def pinned_questions(spec, rnd, far: bool, vertical: bool):
+    """A lattice of clusters, the spec (both transposed if `vertical`), 0-4
+    points among the cells, holes and rims, and 1-12 rows of their symbols."""
     lat = (far_clusters if far else holey_clusters)(rnd, 10 if spec.alphabet_size == 2 else 7)
     if vertical:
         lat, spec = lat.transpose(), spec.transpose()
@@ -872,7 +870,16 @@ def test_pinned_sweep_matches_pinned_bruteforce(spec, rnd, far, vertical):
                    for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))})
     points = rnd.sample(near, min(len(near), rnd.randint(0, 4)))
     rows = [[rnd.randrange(spec.alphabet_size) for _ in points] for _ in range(rnd.randint(1, 12))]
-    symbols = np.array(rows, dtype=np.uint8).reshape(len(rows), len(points))
+    return lat, spec, points, np.array(rows, dtype=np.uint8).reshape(len(rows), len(points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(box3_specs(), st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_pinned_sweep_matches_pinned_bruteforce(spec, rnd, far, vertical):
+    # per query, a pinned sweep finds an extension exactly when brute force
+    # with those cells fixed counts one; pins off the lattice are ignored,
+    # and queries swept in chunks under a small budget answer alike
+    lat, spec, points, symbols = pinned_questions(spec, rnd, far, vertical)
     exists = counting._profile_sweep(lat, spec, False, (points, symbols))
     assert exists.dtype == bool and len(exists) == len(symbols)
     for row, answer in zip(symbols.tolist(), exists.tolist()):
@@ -888,9 +895,32 @@ def test_pinned_sweep_matches_pinned_bruteforce(spec, rnd, far, vertical):
             continue
         assert np.array_equal(np.concatenate(chunks), exists)
         with patch.object(counting, "_CELL_SEARCH_WEIGHTS", math.inf):    # sweeps only
-            swept = list(counting._extensions(lat, spec, points, symbols, budget))
+            swept = list(counting._extensions(lat, spec, points, [symbols], budget))
         assert [len(c) for c in swept] == [len(c) for c in chunks]
         assert np.array_equal(np.concatenate(swept), exists)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box3_specs(), st.randoms(use_true_random=False), st.booleans(), st.booleans(),
+       st.integers(16, 1024))
+def test_question_stream_answers_as_one_array(spec, rnd, far, vertical, budget):
+    # the same questions split into 1-5 arrays, some of them empty, get the
+    # answers of one array, or its refusal; an empty stream gets none
+    lat, spec, points, symbols = pinned_questions(spec, rnd, far, vertical)
+    pieces = np.split(symbols, sorted(rnd.randint(0, len(symbols)) for _ in range(rnd.randint(0, 4))))
+
+    def answers(questions):
+        try:
+            return [a for chunk in counting._extensions(lat, spec, points, questions, budget)
+                    for a in chunk.tolist()]
+        except BudgetExceeded as refusal:
+            return str(refusal)
+    whole = answers([symbols])
+    assert answers(pieces) == answers(iter(pieces)) == whole
+    assert answers(iter(())) == []
+    if not isinstance(whole, str):
+        assert whole == [count_bruteforce(lat, spec, fixed=dict(zip(points, row))).value > 0
+                         for row in symbols.tolist()]
 
 
 def test_pinned_sweep_chunks_the_queries_that_fit(monkeypatch):
@@ -926,15 +956,15 @@ def test_pinned_sweep_chunks_the_queries_that_fit(monkeypatch):
     for budget, sweeps in ((2**24, [27]), (3 * 3 * 3, [2] * 13 + [0]), (3 * 3 * 2, [0]),
                            (17, [])):
         swept.clear()
-        chunks = list(counting._extensions(lat, spec, points, symbols, budget))
+        chunks = list(counting._extensions(lat, spec, points, [symbols], budget))
         assert swept == sweeps
         assert [len(c) for c in chunks] == [w for w in sweeps if w] + [1] * (27 - sum(sweeps))
         assert np.concatenate(chunks).tolist() == expected
     monkeypatch.setattr(counting, "_CELL_SEARCH_WEIGHTS", 0)     # every sweep stops
-    searched = counting._extensions(lat, spec, points, symbols)
+    searched = counting._extensions(lat, spec, points, [symbols])
     assert [len(c) for c in searched] == [1] * 27
     with pytest.raises(BudgetExceeded, match="search exceeds 2 cell assignments"):
-        list(counting._extensions(lat, spec, points, symbols, 2))
+        list(counting._extensions(lat, spec, points, [symbols], 2))
 
 
 def test_sweep_cache_bound_refuses_nothing_the_step_budget_admits(monkeypatch):
@@ -1182,11 +1212,11 @@ def test_searches_past_the_budget_hand_the_queries_left_to_sweeps(monkeypatch):
         return refuse_fifth
     monkeypatch.setattr(counting, "_CELL_SEARCH_WEIGHTS", 0)
     monkeypatch.setattr(counting, "_extension_oracle", refusing)
-    chunks = list(counting._extensions(lat, spec, points, symbols))
+    chunks = list(counting._extensions(lat, spec, points, [symbols]))
     assert [len(c) for c in chunks] == [1] * 4 + [23]
     assert np.concatenate(chunks).tolist() == expected
     with pytest.raises(BudgetExceeded, match="search exceeds its budget"):
-        list(counting._extensions(lat, spec, points, symbols, 3 * 3 * 2 - 1))
+        list(counting._extensions(lat, spec, points, [symbols], 3 * 3 * 2 - 1))
 
 
 def test_extension_search_enforces_budget():
@@ -1207,6 +1237,24 @@ def test_extendable_count_refuses_before_the_dilation_table(monkeypatch):
     monkeypatch.setattr(counting, "_sweep_bans", setup)
     with pytest.raises(BudgetExceeded):
         count_extendable(rectangle((0, 0), 30, 30), period_forcing_horizontal(), 1)
+
+
+def test_extendable_count_with_a_safe_symbol_builds_no_dilation(monkeypatch):
+    # the local count, whatever the margin; a margin whose dilation leaves
+    # the coordinate range raises the same ValueError as the dilation
+    def build(*args):
+        raise AssertionError("dilation built")
+    square = rectangle((0, 0), 2, 2)
+    message = "lattice coordinates must lie in .* got -9223372036854775806..9223372036854775807"
+    with pytest.raises(ValueError, match=message):
+        dilate(square, 2**63 - 2)
+    monkeypatch.setattr(counting, "dilate", build)
+    result = count_extendable(square, GM_H, 10**9)
+    assert (result.value, result.mode, result.margin) == (9, "extendable", 10**9)
+    with pytest.raises(ValueError, match=message):
+        count_extendable(square, GM_H, 2**63 - 2)
+    with pytest.raises(ValueError, match=message):
+        count_extendable(square, period_forcing_horizontal(), 2**63 - 2)
 
 
 def test_extension_questions_go_to_searches_where_a_sweep_costs_more(monkeypatch):

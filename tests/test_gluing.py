@@ -3,7 +3,7 @@ from functools import partial
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sftent import (
@@ -159,29 +159,42 @@ def no_safe_symbol_specs(draw):
     return spec
 
 
-@settings(max_examples=60, deadline=None)
-@given(no_safe_symbol_specs(), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
-       st.sampled_from(("full", "horizontal", "vertical")))
-def test_gluing_sweep_matches_per_pair_searches(spec, gap, window, variant):
+def test_gluing_sweep_matches_per_pair_searches():
     # whole verdicts, counterexample and counts included, equal those of one
     # search per pair in (first, second) order, also when small budgets
-    # split an offset's pairs into blocks of first windows and each block
-    # into several sweeps, and when every sweep stops for the searches
-    assume(window == 1 or spec.alphabet_size == 2)
-    extent = window + 1       # reaches gap 2
-    try:
-        expected = per_pair_verdict(spec, gap, window, extent, variant)
-    except BudgetExceeded:      # the reference search gave up
-        assume(False)
-    assert verify_block_gluing(spec, gap, window, extent, variant) == expected
-    with patch.object(counting, "_CELL_SEARCH_WEIGHTS", 0):
+    # gather an offset's pairs into several sets of first windows and split
+    # each set into several sweeps, and when every sweep stops for the searches
+    gather, sets = counting._question_sets, []
+
+    def counted(questions, budget):
+        sets.append(0)
+        for symbols in gather(questions, budget):
+            sets[-1] += 1
+            yield symbols
+
+    @settings(max_examples=60, deadline=None)
+    @given(no_safe_symbol_specs(), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
+           st.sampled_from(("full", "horizontal", "vertical")))
+    # 9 windows: at budget 64 each first window's 72 pinned symbols make one set
+    @example(SftSpec.make(2, [[((0, 0), 0), ((0, 1), 1)]]), 1, 2, "full")
+    def check(spec, gap, window, variant):
+        assume(window == 1 or spec.alphabet_size == 2)
+        extent = window + 1       # reaches gap 2
+        try:
+            expected = per_pair_verdict(spec, gap, window, extent, variant)
+        except BudgetExceeded:      # the reference search gave up
+            assume(False)
         assert verify_block_gluing(spec, gap, window, extent, variant) == expected
-    for budget in (64, 256, 1024):
-        with patch.object(gluing, "_extensions", partial(counting._extensions, budget=budget)), \
-                patch.object(counting, "_CELL_SEARCH_WEIGHTS", math.inf), \
-                patch.object(gluing, "DEFAULT_BUDGET", 16):     # N ** window**2 <= 16 here
-            try:
-                verdict = verify_block_gluing(spec, gap, window, extent, variant)
-            except BudgetExceeded:      # neither a single pair's sweep nor its search fits
-                continue
-        assert verdict == expected
+        with patch.object(counting, "_CELL_SEARCH_WEIGHTS", 0):
+            assert verify_block_gluing(spec, gap, window, extent, variant) == expected
+        for budget in (64, 256, 1024):
+            with patch.object(gluing, "_extensions", partial(counting._extensions, budget=budget)), \
+                    patch.object(counting, "_CELL_SEARCH_WEIGHTS", math.inf), \
+                    patch.object(counting, "_question_sets", counted):
+                try:
+                    verdict = verify_block_gluing(spec, gap, window, extent, variant)
+                except BudgetExceeded:      # neither a single pair's sweep nor its search fits
+                    continue
+            assert verdict == expected
+    check()
+    assert max(sets) > 1      # some offset's pairs were swept in more than one set
