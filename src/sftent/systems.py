@@ -7,14 +7,18 @@ an attached one-dimensional stick), an expansion checker, and
 :func:`condition_report`, which tabulates the boundary / residue / run-length
 ratios that decide whether a family behaves two-dimensionally.
 
-The wedges are built from their row and column runs, so they cost time in
-the number of fibers, not of cells.  The report stacks many indices'
-lattices into bands of one run array and takes each statistic with one
-coverage-kernel call per stack (at most ``_CHUNK`` rows of runs plus
-transposed runs), rather than several small calls per index; only run
-lengths up to ``m_max`` are tallied.  The per-lattice functions of
-:mod:`sftent.lattice` (``boundary_size``, ``block_residue_size``,
-``run_census``) give the same numbers one lattice at a time.
+Every builtin family is built from its runs, so it costs time in the number
+of rows, not of cells.  Rectangles, wedges, L-shapes and staircases come
+with their column runs too, so their transposes cost nothing more; the one
+set operation is the union that joins a stick to its square.
+
+The report stacks many indices' lattices into bands of one run array and
+takes each statistic with one coverage-kernel call per stack (at most
+``_CHUNK`` rows of runs plus transposed runs), rather than several small
+calls per index; only run lengths up to ``m_max`` are tallied.  The
+per-lattice functions of :mod:`sftent.lattice` (``boundary_size``,
+``block_residue_size``, ``run_census``) give the same numbers one lattice
+at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import OverlapError
-from .lattice import (FiniteLattice, _full_blocks, _integer, _interior_runs, _pair, _require_primitive,
-                      _real, _run_lengths, is_tessellation, rectangle)
+from .lattice import (FiniteLattice, _band, _check_coords, _full_blocks, _integer, _interior_runs, _pair,
+                      _require_primitive, _real, _run_lengths, is_tessellation, rectangle)
 from .multiplicative import SeriesValue, _fiber_entropy_series, _fiber_lengths, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
@@ -182,20 +186,37 @@ def omega_q_entropy_series(q: int, terms: int) -> SeriesValue:
 
 
 def stick_augmented(n: int, v, b: int) -> FiniteLattice:
-    """The n x n square with a stick {s*v + (n, 0) : 0 <= s <= b} attached."""
+    """The n x n square with a stick {s*v + (n, 0) : 0 <= s <= b} attached.
+
+    The stick is built as runs: one run on row 0 when v is horizontal, else
+    one cell per row.  Its b + 1 cells meet the square exactly when the union
+    is smaller than n^2 + b + 1.
+    """
     n, b = _integer(n), _integer(b)
     if n < 1:
         raise ValueError("n must be >= 1")
     if b < 0:
         raise ValueError("b must be >= 0")
     vx, vy = _require_primitive(v)
-    square = rectangle((0, 0), n, n)
-    s = np.arange(b + 1, dtype=np.int64)
-    stick_coords = np.stack([s * vx + n, s * vy], axis=1)
-    stick = FiniteLattice(stick_coords)
-    if not square.isdisjoint(stick):
+    x_end, y_end = n + b * vx, b * vy
+    _check_coords(min(0, x_end, y_end), max(n - 1, x_end, y_end))
+    if vy == 0:
+        x0 = min(n, x_end)
+        runs = np.array([[0, x0, x0 + b + 1]], dtype=np.int64)
+    else:
+        # a size past the address space raises ValueError here, where
+        # np.arange would come out empty
+        runs = np.empty((b + 1, 3), dtype=np.int64)
+        s = np.arange(b + 1, dtype=np.int64)[::1 if vy > 0 else -1]
+        # the cells are in range, so the arithmetic mod 2**64 in int64 is exact
+        dx, dy, x0 = ((d + 2 ** 63) % 2 ** 64 - 2 ** 63 for d in (vx, vy, n))
+        runs[:, 0] = s * dy
+        runs[:, 1] = s * dx + x0
+        runs[:, 2] = runs[:, 1] + 1
+    lat = rectangle((0, 0), n, n).union(FiniteLattice._from_runs(runs))
+    if len(lat) != n * n + b + 1:
         raise OverlapError("stick intersects the square")
-    return square.union(stick)
+    return lat
 
 
 def stick_system(v, a_target: float) -> ExpandingSystem:
@@ -206,7 +227,10 @@ def stick_system(v, a_target: float) -> ExpandingSystem:
         raise ValueError("a_target must lie in (0, 1]")
 
     def b_of(n: int) -> int:
-        return max(0, round(n * n * (1 - a_target) / a_target) - 1)
+        try:
+            return max(0, round(n * n * (1 - a_target) / a_target) - 1)
+        except OverflowError:
+            raise ValueError(f"stick length at n={n} is past the float range") from None
 
     return ExpandingSystem(f"stick:{vx},{vy}:a={a_target:g}",
                            lambda n: stick_augmented(n, (vx, vy), b_of(n)))
@@ -221,11 +245,16 @@ def lshape(n: int) -> FiniteLattice:
     """Thick L: bottom n^2 x n slab united with the left n x n^2 column.
 
     Size 2n^3 - n^2 inside the n^2 x n^2 bounding square, whose complement is
-    the (n^2-n) x (n^2-n) top-right block.
+    the (n^2-n) x (n^2-n) top-right block.  Its rows are n of width n^2, then
+    n^2 - n of width n; the L is its own transpose, so its columns are the same.
     """
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return rectangle((0, 0), n * n, n).union(rectangle((0, 0), n, n * n))
+    _check_coords(0, n * n - 1)
+    runs = _band(0, n * n, 0, n)
+    runs[:n, 2] = n * n
+    return FiniteLattice._from_runs(runs, runs)
 
 
 def lshape_system() -> ExpandingSystem:
@@ -233,10 +262,18 @@ def lshape_system() -> ExpandingSystem:
 
 
 def staircase(n: int) -> FiniteLattice:
-    """Two stacked rectangles: n^2 x n at the bottom, n x n^2 on top of it."""
+    """Two stacked rectangles: n^2 x n at the bottom, n x n^2 on top of it.
+
+    Its rows are n of width n^2, then n^2 of width n; its columns are n of
+    height n^2 + n, then n^2 - n of height n.
+    """
+    n = _integer(n)
     if n < 2:
         raise ValueError("n must be >= 2")
-    return rectangle((0, 0), n * n, n).union(rectangle((0, n), n, n * n))
+    _check_coords(0, n * n + n - 1)
+    runs, truns = _band(0, n * n + n, 0, n), _band(0, n * n, 0, n)
+    runs[:n, 2], truns[:n, 2] = n * n, n * n + n
+    return FiniteLattice._from_runs(runs, truns)
 
 
 def staircase_system() -> ExpandingSystem:

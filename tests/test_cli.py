@@ -314,6 +314,25 @@ def test_out_of_memory_exit_code(capsys, monkeypatch, argv, builder):
     assert run_cli(capsys, *argv) == (3, "", "budget exceeded: out of memory\n")
 
 
+def test_stick_past_the_range_is_a_usage_error(capsys):
+    # past int64 the stick once came out empty, counting the bare 3 x 3 square
+    # with exit 0; neither stick is allocated
+    generator = '{"type":"generator","name":"stick","params":{"n":3,"v":%s,"b":%d}}'
+    code, out, err = run_cli(capsys, "count", "--spec", "golden-mean-h",
+                             "--lattice", generator % ("[1,0]", 2 ** 63))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lattice coordinates must lie in [-2**63, 2**63 - 1)")
+    code, out, err = run_cli(capsys, "count", "--spec", "golden-mean-h",
+                             "--lattice", generator % ("[0,1]", 2 ** 63 - 5))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    # a stick length past the float range: once an OverflowError traceback
+    n = str(10 ** 160)
+    code, out, err = run_cli(capsys, "entropy-omega", "--spec", "golden-mean-h",
+                             "--system", "stick:0,1,0.5", "--n-range", f"{n}:{n}")
+    assert (code, out) == (2, "")
+    assert err == f"error: stick length at n={n} is past the float range\n"
+
+
 def test_json_integers_are_integers(capsys, tmp_path):
     # floats, bools and strings where JSON input wants an integer are usage
     # errors, not values cut to an int

@@ -22,6 +22,7 @@ from sftent import (
     fibonacci,
     golden_mean_horizontal,
     log_count_multiplicative,
+    lshape,
     multiplicative_entropy_series,
     omega_q_entropy_series,
     omega_q_golden_mean_count,
@@ -31,6 +32,7 @@ from sftent import (
     rect_system,
     rectangle,
     squares,
+    staircase,
     stick_augmented,
     stick_system,
     strict_gap_check,
@@ -65,6 +67,8 @@ ENTRY_POINTS = {
     "stick direction": (lambda v: stick_augmented(2, (v, 1), 1), 3),
     "stick length": (lambda v: stick_augmented(2, (0, 1), v), 3),
     "stick system direction": (lambda v: stick_system((v, 1), 0.5).lattice(2), 3),
+    "lshape n": (lambda v: lshape(v), 3),
+    "staircase n": (lambda v: staircase(v), 3),
     "wedge q": (lambda v: omega_q_plus(v, 2), 3),
     "rect system side": (lambda v: rect_system(lambda n: v, lambda n: n).lattice(2), 3),
     "block size": (lambda v: condition_report(squares(), [2, 3], block_sizes=[(v, 1)]), 3),

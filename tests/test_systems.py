@@ -208,6 +208,56 @@ def test_stick_overlap_raises():
         stick_augmented(3, (-1, 0), 4)
 
 
+# every sign of each component, horizontal both ways, gapped steps; b = 0..11
+STICK_DIRECTIONS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
+                    (2, 1), (-2, 1), (2, -1), (-2, -1), (1, 2), (-1, 2), (1, -2), (-1, -2),
+                    (3, -1), (-3, 2)]
+
+
+def test_sticks_built_from_runs_match_set_algebra():
+    # the oracle: the stick's points, checked disjoint from the square, then united
+    outcomes = set()
+    for n in range(1, 9):
+        square = rectangle((0, 0), n, n)
+        for v in STICK_DIRECTIONS:
+            for b in range(12):
+                stick = FiniteLattice([(n + s * v[0], s * v[1]) for s in range(b + 1)])
+                outcomes.add(square.isdisjoint(stick))
+                if not square.isdisjoint(stick):
+                    with pytest.raises(OverlapError, match="^stick intersects the square$"):
+                        stick_augmented(n, v, b)
+                    continue
+                lat, ref = stick_augmented(n, v, b), square.union(stick)
+                assert lat == ref and lat.transpose() == ref.transpose(), (n, v, b)
+    assert outcomes == {True, False}
+
+
+def test_stick_past_the_coordinate_range_raises_before_allocating():
+    # np.arange past int64 comes out empty, which once left the bare 3 x 3 square
+    tracemalloc.start()
+    try:
+        for v, b in (((1, 0), 2 ** 63), ((0, 1), 2 ** 63 - 5), ((0, -1), 2 ** 63 - 5),
+                     ((1, 1), 2 ** 63 - 3)):
+            with pytest.raises(ValueError):
+                stick_augmented(3, v, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # a step past int64 is fine while the cells stay in range
+    far = stick_augmented(5, (-2 ** 63 - 4, 1), 1)
+    assert len(far) == 27 and (1 - 2 ** 63, 1) in far
+
+
+def test_stick_system_past_the_float_range_raises_value_error():
+    system = stick_system((0, 1), 0.5)
+    with pytest.raises(ValueError, match="past the float range"):
+        system.lattice(10 ** 160)
+    with pytest.raises(ValueError, match="past the float range"):
+        stick_system((0, 1), 1e-300).lattice(10 ** 10)
+    assert len(system.lattice(48)) == 2 * 48 * 48
+
+
 def test_stick_system_ratio_target():
     system = stick_system((0, 1), 0.5)
     for n in (4, 10, 48):
@@ -258,6 +308,24 @@ def test_lshape_metrics():
 def test_lshape_is_tessellation():
     for n in (1, 2, 3):
         assert is_tessellation(lshape(n)).status == "yes"
+
+
+def test_lshapes_and_staircases_built_from_runs_match_set_algebra():
+    for n in range(1, 41):
+        ref = rectangle((0, 0), n * n, n).union(rectangle((0, 0), n, n * n))
+        lat = lshape(n)
+        assert lat == ref and lat.transpose() == ref.transpose(), n
+    for n in range(2, 41):
+        ref = rectangle((0, 0), n * n, n).union(rectangle((0, n), n, n * n))
+        lat = staircase(n)
+        assert lat == ref and lat.transpose() == ref.transpose(), n
+
+
+def test_lshapes_and_staircases_run_no_coverage_kernel():
+    with patch("sftent.lattice._cover", side_effect=AssertionError("coverage kernel called")):
+        for lat in (lshape(1000), staircase(1000)):
+            assert len(lat.transpose()) == len(lat)
+    assert len(lshape(1000)) == 2 * 1000 ** 3 - 1000 ** 2
 
 
 def test_staircase_decomposes_into_two_bands():

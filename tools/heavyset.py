@@ -21,7 +21,10 @@ horizontal neighbours (110,592 core patterns, one sweep), and two whose
 rings have too many frontier states for a sweep to beat the searches:
 with margin 3 on one cell of a 3-symbol spec of four 3-cell patterns, and
 with margin 2 on six spread cells of the 3-symbol spec forbidding one
-3-cell pattern (729 core patterns).
+3-cell pattern (729 core patterns).  One case counts nothing: it builds
+``lshape(1000)`` and ``staircase(1000)`` (about 2·10^9 cells and 10^6 rows
+each) and reads their boundary size, 2x2 block residue and the run census
+of both axes.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ LOOSE = [[((0, 0), 0), ((2, 0), 0), ((1, 1), 0)], [((0, 0), 0), ((2, 0), 0), ((2
 SPREAD = [(0, 0), (1, 0), (6, 0), (7, 0), (8, 0), (5, 1)]
 
 # name -> (alphabet size, forbidden patterns, lattice, route); the route
-# "extendable:M" is the extendable count with margin M
+# "extendable:M" is the extendable count with margin M, and "geometry" reads
+# the statistics of each builtin family the lattice names, ignoring the spec
 CASES = {
+    "lshape-staircase-1000-geometry": (2, [], ("lshape+staircase", 1000), "geometry"),
     "hard-square-16x16-exact": (2, HARD_SQUARE, ("rectangle", 16, 16), "count"),
     "hard-square-20x20-exact": (2, HARD_SQUARE, ("rectangle", 20, 20), "count"),
     "hard-square-20x400-log": (2, HARD_SQUARE, ("rectangle", 20, 400), "log"),
@@ -78,11 +83,17 @@ def run_case(name: str) -> dict:
         lat = sftent.FiniteLattice(*args)
     elif family == "omega_q":
         lat = sftent.omega_q(*args)
-    else:
+    elif family == "stick":
         v, a, size = args
         lat = sftent.stick_system(v, a).lattice(size)
+    else:
+        lats = [getattr(sftent, part)(*args) for part in family.split("+")]
     route, _, margin = route.partition(":")
-    if route == "count":
+    if route == "geometry":
+        result = repr([(sftent.boundary_size(lat), sftent.block_residue_size(lat, 2, 2),
+                        sftent.run_census(lat, "horizontal"), sftent.run_census(lat, "vertical"))
+                       for lat in lats])
+    elif route == "count":
         result = str(sftent.count_profile_dp(lat, spec).value)
     elif route == "extendable":
         result = str(sftent.count_extendable(lat, spec, int(margin)).value)
