@@ -3,11 +3,14 @@
 A :class:`FiniteLattice` is an immutable finite point set stored as row runs:
 one int64 array of half-open intervals ``(y, x0, x1)``, sorted by ``(y, x0)``,
 with touching runs merged.  Points iterate in row-major order (by y, then x).
-Set algebra, interior and boundary, block residues, run-length censuses and
-the transpose all go through one coverage kernel over run endpoints
-(:func:`_cover`), so they cost time in the number of runs, not of cells: a
-rectangle with millions of cells has one run per row.  Point coordinates are
-built only on demand, and nothing is stored per cell of the bounding box.
+Set algebra, dilation and the transpose go through one coverage kernel over
+run endpoints (:func:`_cover`), so they cost time in the number of runs, not
+of cells: a rectangle with millions of cells has one run per row.  Interior
+and full blocks take the kernel only when some row holds several runs; with
+at most one run per row (rectangles, wedges, L-shapes, staircases) they are
+meets of neighbouring rows' runs, read off the run array with no sort.  Run
+censuses read run lengths directly.  Point coordinates are built only on
+demand, and nothing is stored per cell of the bounding box.
 Every integer argument must be a Python or numpy int, else ValueError (:func:`_integer`).
 """
 
@@ -310,10 +313,22 @@ def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
+def _one_run_per_row(ys: np.ndarray) -> bool:
+    """Whether canonical runs with row coordinates `ys` hold at most one run
+    per row: the rows strictly increase."""
+    return bool((ys[1:] > ys[:-1]).all())
+
+
 def _interior_runs(lat: FiniteLattice) -> np.ndarray:
     # keep (x, y) iff (x+1, y), (x, y+1), (x+1, y+1) are all present: each run
     # loses its last cell, then row y meets row y + 1
     runs = lat._runs
+    ys, x0, x1 = runs.T
+    if _one_run_per_row(ys):
+        # one run a row: the meet is of row y's run and the next, if it is row y + 1
+        lo, hi = np.maximum(x0[:-1], x0[1:]), np.minimum(x1[:-1], x1[1:]) - 1
+        keep = (ys[1:] == ys[:-1] + 1) & (lo < hi)
+        return np.column_stack([ys[:-1][keep], lo[keep], hi[keep]])
     shrunk = (runs - np.array([0, 0, 1], dtype=np.int64))[runs[:, 2] - runs[:, 1] > 1]
     return _cover(lambda c: c == 2, (shrunk, 0, 1), (shrunk, -1, 1))
 
@@ -366,28 +381,48 @@ class BlockDecomposition:
 def _full_blocks(lat: FiniteLattice, k: int, l: int) -> np.ndarray:
     """Runs (b, a0, a1) of the grid blocks [a*k, a*k + k) x [b*l, b*l + l)
     inside the lattice: the blocks each row's runs contain, met over the l
-    rows of band b."""
-    if k < 1 or l < 1:
-        raise ValueError("block sides must be >= 1")
+    rows of band b.  The sides are ints from :func:`_block_sides`."""
     ys, x0, x1 = lat._runs.T
-    a0, a1 = -(-x0 // k), x1 // k
-    rows = np.column_stack([ys // l, a0, a1])[a1 > a0]
+    a0, rem = np.divmod(x0, k)
+    a0 += rem != 0                      # ceil(x0 / k), even at x0 = -2**63
+    a1, bands = x1 // k, ys // l
+    if _one_run_per_row(ys):
+        # one run a row: a band's blocks are the meet of its rows', if it has all l
+        first = np.ones(ys.size, dtype=bool)
+        first[1:] = bands[1:] != bands[:-1]
+        starts = np.flatnonzero(first)
+        lo, hi = np.maximum.reduceat(a0, starts), np.minimum.reduceat(a1, starts)
+        keep = (np.diff(starts, append=ys.size) == l) & (lo < hi)
+        return np.column_stack([bands[starts][keep], lo[keep], hi[keep]])
+    rows = np.column_stack([bands, a0, a1])[a1 > a0]
     return _cover(lambda c: c == l, (rows, 0, 1))
+
+
+def _block_sides(k, l) -> tuple[int, int]:
+    """Block sides as ints in [1, 2**63 - 1], else ValueError."""
+    k, l = _integer(k), _integer(l)
+    if not (1 <= k < 2 ** 63 and 1 <= l < 2 ** 63):
+        raise ValueError(f"block sides must lie in [1, 2**63 - 1], got {k}x{l}")
+    return k, l
 
 
 def block_residue_size(lat: FiniteLattice, k: int, l: int) -> int:
     """Number of cells not covered by fully-contained grid-aligned blocks."""
+    k, l = _block_sides(k, l)
     return len(lat) - _size(_full_blocks(lat, k, l)) * k * l
 
 
 def block_decompose(lat: FiniteLattice, k: int, l: int) -> BlockDecomposition:
     """Decompose against the k x l grid anchored at the global origin."""
+    k, l = _block_sides(k, l)
     full = _full_blocks(lat, k, l)
     index_set = frozenset((a, b) for b, a0, a1 in full.tolist() for a in range(a0, a1))
     alpha = _size(full)
-    # the full blocks' bottom rows, repeated over the l rows of their band
-    bottom = full * np.array([l, k, k], dtype=np.int64)
-    covered = FiniteLattice._from_runs(_cover(lambda c: c >= 1, *[(bottom, j, 1) for j in range(l)]))
+    # the full blocks' bottom rows, repeated over the l rows of their band; a
+    # band's runs are blocks apart, so sorting them by row leaves them canonical
+    rows = np.repeat(full * np.array([l, k, k], dtype=np.int64), l, axis=0)
+    rows[:, 0] += np.arange(len(rows)) % l
+    covered = FiniteLattice._from_runs(rows[np.lexsort((rows[:, 1], rows[:, 0]))])
     residue = lat.difference(covered)
     assert len(lat) == alpha * k * l + len(residue)
     return BlockDecomposition(k, l, index_set, alpha, covered, residue, len(residue))
@@ -420,6 +455,7 @@ def run_census(lat: FiniteLattice, axis: str) -> dict[int, int]:
 def run_length_class(lat: FiniteLattice, axis: str, m: int) -> FiniteLattice:
     """Cells whose maximal axis-aligned run inside the lattice has length m."""
     runs = _axis_runs(lat, axis)
+    m = _integer(m)
     if m < 1:
         raise ValueError("run length must be >= 1")
     cls = FiniteLattice._from_runs(runs[runs[:, 2] - runs[:, 1] == m])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from sftent import FiniteLattice
 
@@ -46,6 +47,19 @@ def random_connected_lattice(rng: random.Random, max_cells: int) -> FiniteLattic
         cells.add(c)
         frontier.append(c)
     return FiniteLattice(cells)
+
+
+@st.composite
+def row_convex_point_sets(draw, min_rects: int = 0):
+    """Point sets with at most one run per row: up to 5 rectangles (single
+    cells among them) stacked upwards at random x offsets, with a gap of
+    empty rows between some of them."""
+    points, y = set(), draw(st.integers(-6, 6))
+    for _ in range(draw(st.integers(min_rects, 5))):
+        x, w, h = draw(st.integers(-6, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 5))
+        points |= {(x + i, y + j) for i in range(w) for j in range(h)}
+        y += h + draw(st.sampled_from((0, 0, 0, 1, 2)))
+    return points
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from sftent import (
     NonPrimitiveVector,
     Pattern,
     SftSpec,
+    block_decompose,
+    block_residue_size,
     condition_report,
     count_bruteforce,
     count_extendable,
@@ -31,6 +33,7 @@ from sftent import (
     rect_entropy_table,
     rect_system,
     rectangle,
+    run_length_class,
     squares,
     staircase,
     stick_augmented,
@@ -46,6 +49,7 @@ from sftent.lattice import _real, _require_primitive
 
 GM_H = golden_mean_horizontal()
 CELL = rectangle((0, 0), 1, 1)
+SQUARE = rectangle((0, 0), 7, 7)
 
 # entry point -> (call taking the integer under test, an integer it accepts)
 ENTRY_POINTS = {
@@ -72,6 +76,12 @@ ENTRY_POINTS = {
     "wedge q": (lambda v: omega_q_plus(v, 2), 3),
     "rect system side": (lambda v: rect_system(lambda n: v, lambda n: n).lattice(2), 3),
     "block size": (lambda v: condition_report(squares(), [2, 3], block_sizes=[(v, 1)]), 3),
+    "report m_max": (lambda v: condition_report(squares(), [2, 3], m_max=v), 3),
+    "block residue k": (lambda v: block_residue_size(SQUARE, v, 2), 3),
+    "block residue l": (lambda v: block_residue_size(SQUARE, 2, v), 3),
+    "block decomposition k": (lambda v: block_decompose(SQUARE, v, 2), 3),
+    "block decomposition l": (lambda v: block_decompose(SQUARE, 2, v), 3),
+    "run length class m": (lambda v: run_length_class(SQUARE, "vertical", v), 3),
     "multiplicative n": (lambda v: count_multiplicative(v, 2), 3),
     "multiplicative q": (lambda v: log_count_multiplicative(10, v), 3),
     "wedge count q": (lambda v: omega_q_golden_mean_count(v, 2), 3),
@@ -109,6 +119,17 @@ def test_non_integers_raise(entry, bad):
 def test_numpy_integers_pass(entry):
     call, good = ENTRY_POINTS[entry]
     assert call(np.int64(good)) == call(good)
+
+
+def test_block_sides_must_fit_int64():
+    for call in (lambda k, l: block_residue_size(CELL, k, l), lambda k, l: block_decompose(CELL, k, l),
+                 lambda k, l: condition_report(squares(), [2], block_sizes=[(k, l)])):
+        for k, l in ((2**63, 1), (1, 2**64), (0, 1)):
+            with pytest.raises(ValueError, match="block sides"):
+                call(k, l)
+    # the largest sides hold no block of a small lattice, and cost nothing
+    assert block_residue_size(SQUARE, 2**63 - 1, 2**63 - 1) == 49
+    assert block_decompose(SQUARE, 1, 2**63 - 1).beta == 49
 
 
 def test_float_point_array_raises():

@@ -2,11 +2,14 @@ import math
 import random
 import tracemalloc
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftent import (
+    ExpandingSystem,
     FiniteLattice,
     NotDecomposable,
     Point,
@@ -16,6 +19,7 @@ from sftent import (
     boundary,
     boundary_size,
     complement_in,
+    condition_report,
     decompose_bands,
     dilate,
     interior,
@@ -28,7 +32,7 @@ from sftent import (
     stick_augmented,
 )
 from sftent.lattice import _region_cover_exists, _torus_cover
-from conftest import random_connected_lattice
+from conftest import random_connected_lattice, row_convex_point_sets
 
 point_sets = st.sets(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=0, max_size=30
@@ -168,6 +172,7 @@ def test_empty_lattice_is_legal():
     assert boundary(empty) == empty
     bd = block_decompose(empty, 3, 2)
     assert bd.alpha == 0 and bd.beta == 0
+    assert boundary_size(empty) == block_residue_size(empty, 3, 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,39 @@ def test_block_identity_and_oracle(points, k, l):
     full, beta = block_oracle(points, k, l)
     assert bd.index_set == full and bd.beta == beta
     assert block_residue_size(lat, k, l) == beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_convex_point_sets(), st.sampled_from((0, 2**62, -2**62)),
+       st.sampled_from((0, 2**62, -2**62)), st.integers(1, 5), st.integers(1, 5))
+def test_one_run_per_row_skips_the_kernel_and_matches_the_oracles(points, dx, dy, k, l):
+    points = {(x + dx, y + dy) for x, y in points}
+    lat = FiniteLattice(points)
+    with patch("sftent.lattice._cover", side_effect=AssertionError("coverage kernel called")):
+        inner = interior(lat)
+        sizes = boundary_size(lat), block_residue_size(lat, k, l)
+    full, beta = block_oracle(points, k, l)
+    assert set(inner) == interior_oracle(points)
+    assert sizes == (len(points) - len(inner), beta)
+    assert block_decompose(lat, k, l).index_set == full
+
+
+def test_full_blocks_at_the_lowest_coordinate():
+    # ceil(x0 / k) once wrapped at x0 = -2**63: the 4x2 rectangle there
+    # counted 8 residue cells for 2x2 blocks
+    low = -2**63
+    rect = {(low + i, j) for i in range(4) for j in range(2)}
+    gapped = rect | {(low + 5, 0), (low + 5, 1)}       # two runs a row: the kernel's path
+    for points in (rect, gapped):
+        lat = FiniteLattice(points)
+        for k, l in ((2, 2), (3, 1), (1, 2), (4, 2), (3, 2)):
+            full, beta = block_oracle(points, k, l)
+            bd = block_decompose(lat, k, l)
+            assert block_residue_size(lat, k, l) == bd.beta == beta
+            assert bd.index_set == full
+            rep = condition_report(ExpandingSystem("low", lambda n: lat), [1], block_sizes=[(k, l)])
+            assert rep.rows[0].block_ratio == (beta / len(lat),)
+    assert block_residue_size(FiniteLattice(rect), 2, 2) == 0
 
 
 def test_block_alignment_is_global():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_lattice
+from conftest import random_connected_lattice, row_convex_point_sets
 from sftent import (
     ExpandingSystem,
     FiniteLattice,
@@ -328,6 +328,19 @@ def test_lshapes_and_staircases_run_no_coverage_kernel():
     assert len(lshape(1000)) == 2 * 1000 ** 3 - 1000 ** 2
 
 
+def test_row_convex_families_report_without_the_coverage_kernel():
+    # one run per row: the report's interior and blocks skip the kernel, and
+    # agree with the kernel's path, taken when every stack is told otherwise
+    blocks = [(2, 2), (3, 3), (5, 5), (2, 3)]
+    for system, n_range in ((squares(), range(1, 40)), (omega_q_system(2), range(1, 9)),
+                            (lshape_system(), range(1, 9)), (staircase_system(), range(2, 9))):
+        with patch("sftent.lattice._cover", side_effect=AssertionError("coverage kernel called")):
+            direct = condition_report(system, n_range, block_sizes=blocks)
+        with patch("sftent.lattice._one_run_per_row", return_value=False):
+            general = condition_report(system, n_range, block_sizes=blocks)
+        assert direct == general, system.name
+
+
 def test_staircase_decomposes_into_two_bands():
     for n in (2, 3, 4):
         assert len(decompose_bands(staircase(n), "horizontal")) == 2
@@ -472,13 +485,16 @@ def assert_rows_match_oracle(lats, m_max, blocks):
 
 @st.composite
 def lattice_families(draw):
-    """1-12 lattices: rectangles with holes and loose points, or connected
-    shapes; moved to negative coordinates or rows 10**6 apart, and at most one
-    moved to touch +-2**62."""
+    """1-12 lattices: rectangles with holes and loose points, connected
+    shapes, or shapes with one run per row; moved to negative coordinates or
+    rows 10**6 apart, and at most one moved to touch +-2**62."""
     lats = []
     for _ in range(draw(st.integers(1, 12))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(("connected", "one run per row", "boxes")))
+        if kind == "connected":
             lat = random_connected_lattice(random.Random(draw(st.integers(0, 2**32))), 40)
+        elif kind == "one run per row":
+            lat = FiniteLattice(draw(row_convex_point_sets(min_rects=1)))
         else:
             boxes = st.tuples(st.integers(-6, 6), st.integers(-4, 4), st.integers(1, 8), st.integers(1, 6))
             cells = st.tuples(st.integers(-8, 8), st.integers(-6, 6))
@@ -525,8 +541,8 @@ def test_stack_that_would_leave_int64_starts_anew():
 
 
 def test_condition_report_memory_is_bounded():
-    # the stack bound keeps the kernel's temporaries small: 0.8 MiB measured,
-    # 6.6 MiB with every square of the range in one stack
+    # the stack bound keeps the temporaries small: 0.4 MiB measured, 2.9 MiB
+    # with every square of the range in one stack
     tracemalloc.start()
     try:
         condition_report(squares(), range(1, 201), block_sizes=[(2, 2), (3, 3), (5, 5)])

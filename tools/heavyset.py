@@ -24,7 +24,9 @@ with margin 2 on six spread cells of the 3-symbol spec forbidding one
 3-cell pattern (729 core patterns).  One case counts nothing: it builds
 ``lshape(1000)`` and ``staircase(1000)`` (about 2·10^9 cells and 10^6 rows
 each) and reads their boundary size, 2x2 block residue and the run census
-of both axes.
+of both axes; another runs ``condition_report`` on the ``n^2 x n`` family
+for every n from 1 to 200 with 2x2, 3x3 and 5x5 blocks, and gives its
+verdicts as the result.
 """
 
 from __future__ import annotations
@@ -49,12 +51,15 @@ NO_EQUAL_H = [[((0, 0), a), ((1, 0), a)] for a in range(3)]
 LOOSE = [[((0, 0), 0), ((2, 0), 0), ((1, 1), 0)], [((0, 0), 0), ((2, 0), 0), ((2, 1), 2)],
          [((0, 0), 1), ((0, 1), 0), ((0, 2), 1)], [((1, 0), 1), ((0, 1), 1), ((2, 1), 1)]]
 SPREAD = [(0, 0), (1, 0), (6, 0), (7, 0), (8, 0), (5, 1)]
+N2XN = '{"system": "rect", "w": "n^2", "h": "n"}'
 
 # name -> (alphabet size, forbidden patterns, lattice, route); the route
-# "extendable:M" is the extendable count with margin M, and "geometry" reads
-# the statistics of each builtin family the lattice names, ignoring the spec
+# "extendable:M" is the extendable count with margin M, "geometry" reads
+# the statistics of each builtin family the lattice names, and "report" the
+# condition report of the family the "system" names; the last two ignore the spec
 CASES = {
     "lshape-staircase-1000-geometry": (2, [], ("lshape+staircase", 1000), "geometry"),
+    "report-n2xn-200-geometry": (2, [], ("system", N2XN, range(1, 201)), "report"),
     "hard-square-16x16-exact": (2, HARD_SQUARE, ("rectangle", 16, 16), "count"),
     "hard-square-20x20-exact": (2, HARD_SQUARE, ("rectangle", 20, 20), "count"),
     "hard-square-20x400-log": (2, HARD_SQUARE, ("rectangle", 20, 400), "log"),
@@ -73,6 +78,7 @@ def run_case(name: str) -> dict:
     """Run one case in this process and describe it."""
     sys.path.insert(0, str(SRC))
     import sftent
+    import sftent.formats
 
     n, forbidden, (family, *args), route = CASES[name]
     spec = sftent.SftSpec.make(n, forbidden)
@@ -86,10 +92,15 @@ def run_case(name: str) -> dict:
     elif family == "stick":
         v, a, size = args
         lat = sftent.stick_system(v, a).lattice(size)
+    elif family == "system":
+        system, n_range = sftent.formats.resolve_system(args[0]), args[1]
     else:
         lats = [getattr(sftent, part)(*args) for part in family.split("+")]
     route, _, margin = route.partition(":")
-    if route == "geometry":
+    if route == "report":
+        report = sftent.condition_report(system, n_range, block_sizes=[(2, 2), (3, 3), (5, 5)])
+        result = repr(report.verdicts)
+    elif route == "geometry":
         result = repr([(sftent.boundary_size(lat), sftent.block_residue_size(lat, 2, 2),
                         sftent.run_census(lat, "horizontal"), sftent.run_census(lat, "vertical"))
                        for lat in lats])
