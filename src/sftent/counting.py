@@ -48,21 +48,22 @@ lattice:
   per set of shapes.  Each step (``_sweep_step``) yields the successor
   codes and a plan that carries weights to them; where no ban reads the
   digit a step drops, the states that differ only there merge before they
-  extend.  The plans' indices are intp.  One column of steps is cached by
-  row, keyed exactly by step object, merging flag and incoming codes, each
-  array charged once (``_plan_words``).  The sweep's one refusal is
-  BudgetExceeded, when its positions, or a step's live states times N,
+  extend.  The plans' indices are intp.  Counts and pinned sweeps share
+  one run loop (``_sweep_run``): it alone steps, and caches one column of
+  steps by row, keyed exactly by step object, merging flag and incoming
+  codes, each array charged once (``_plan_words``).  A count refuses
+  (BudgetExceeded) when its positions, or a step's live states times N,
   times the 64-bit words of one code pass ``DEFAULT_BUDGET`` (which also
-  bounds the cache's words).  A pinned sweep answers many extension
-  questions at once: each query fixes the symbols of the same cells, the
-  weights are one bool per state and query, and a pinned cell masks the
-  successors by their newest digit.  Its codes and plans are those of the
-  unpinned sweep.  ``_extensions`` alone gathers a stream of questions (an
-  extendable count's core patterns, a gluing offset's window pairs) into
-  sets of about `budget` pinned symbols.  Per set, a sweep that would cost
-  more per query than a search that never backtracks, or that cannot fit a
-  single query, leaves the queries to ``_search``, one at a time; a search
-  past its budget hands them back to sweeps at any cost.
+  bounds the cache's words).  A pinned sweep (``_sweeps``) answers many
+  extension questions at once: each query fixes the symbols of the same
+  cells, the weights are one bool per state and query, and a pinned cell
+  masks the successors by their newest digit.  ``_extensions`` alone
+  gathers a stream of questions (an extendable count's core patterns, a
+  gluing offset's window pairs) into sets of about `budget` pinned symbols.
+  Per set, a sweep that would cost more per query than a search that never
+  backtracks, or that cannot fit a single query, leaves the queries to
+  ``_search``, one at a time; a search past its budget hands them back to
+  sweeps at any cost.
 * ``log_count`` -- natural log of the count through the same sweep, with
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
@@ -598,55 +599,14 @@ def _plan_words(dest, plan, words: int) -> int:
     return len(dest) * words + indices
 
 
-def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool, pins=None,
-                   budget: int = DEFAULT_BUDGET, work: float = math.inf):
-    """Run the broken-profile DP; returns the exact count or its natural log.
-
-    Given `pins`, ``(points, symbols)`` with one row of `symbols` per query
-    and one column per point, it answers per query whether an admissible
-    assignment puts ``symbols[q, k]`` at ``points[k]`` (points off `lat` are
-    ignored).  The weights are then a ``(states, queries)`` bool matrix, so
-    the plans sum them as OR, and a pinned cell masks each successor by its
-    newest digit.  Each step charges its candidate successors times (code
-    words + queries) against `budget`: where that passes it the trailing
-    queries are dropped, and it returns the answers of the leading queries
-    that fit every step, at least one, else it raises BudgetExceeded.  Its
-    steps at cells cost their candidate successors times
-    (``_CANDIDATE_WEIGHTS`` + queries) query weights, and it returns None
-    once they pass `work` per query it still answers."""
-    n = spec.alphabet_size
-    # a state is the last `depth` positions' symbols as one base-n code, the
-    # newest cell least significant, absent cells 0.  States stay sorted by
-    # code, each with one weight: an exact integer, or a renormalised float64.
-    # Exact weights are int64 until a step that adds could pass 2**63 - 1 (a
-    # successor sums at most n weights), then Python ints from there on
-    depth, dtype, words, steps, h, position = _sweep_bans(lat, spec)
-    top = n ** (depth - 1)
-    codes = np.zeros(1, dtype=dtype)
-    pinned = {}      # position -> the columns of `symbols` of its points
-    if pins is None:
-        weights = np.ones(1, dtype=np.float64 if log_domain else np.int64)
-        limit = None if log_domain else (2 ** 63 - 1) // n
-        width, cap = 0, DEFAULT_BUDGET
-    else:
-        points, symbols = pins
-        inside = [k for k, p in enumerate(points) if p in lat]
-        if inside:
-            cells = np.array([points[k] for k in inside], dtype=np.int64)
-            for k, t in zip(inside, position(cells).tolist()):
-                pinned.setdefault(t, []).append(k)
-        width, cap, limit = len(symbols), budget, None
-        weights = np.ones((1, width), dtype=bool)
-        spent = 0
-    log_scale = 0.0
-    # `high` bounds the weights from above, so they are scanned only once it
-    # passes a threshold: both decisions below fall at the steps a scan at
-    # every step would put them.  Exact: the largest weight, times
-    # len(terms) + 1 a step, the most sources a successor sums.  Log: the
-    # float sum, times n a step (a plan carries a weight to at most n
-    # successors) and a slack of 1.001, far above float rounding (a
-    # relative len(weights) * 2**-52 per sum)
-    high = 1
+def _sweep_run(layout: _SweepLayout, n: int, charge):
+    """Yield ``(t, codes, plan)`` per position t of `layout`, from the
+    all-zero state: the sorted successor codes and the ``_sweep_step`` plan
+    that carries weights to them.  Before a step at a cell ``charge(states)``
+    may raise BudgetExceeded; a true result ends the run, as does a step
+    that leaves no state, once yielded."""
+    depth, dtype, words, steps, h, _ = layout
+    top, codes = n ** (depth - 1), np.zeros(1, dtype=dtype)
     # one column of steps, by row: a step repeats the one a column back when
     # its step object, merging flag and incoming codes (compared exactly) do.
     # Each array the cache holds is charged once: an entry's key codes are the
@@ -655,20 +615,8 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool, pins=Non
     # words stay within the budget; past it a step is not stored
     cache, held, kept = [None] * h, 0, True
     for t, step in enumerate(steps):
-        # candidate successors times their words bound every array this step allocates
-        if step is not None and len(codes) * n * (words + width) > cap:
-            if not width:
-                raise BudgetExceeded(
-                    f"{len(codes)} states * {n} * {words} code words exceed budget {cap}")
-            fit = cap // (len(codes) * n) - words      # the queries this step admits
-            if fit < 1:
-                raise BudgetExceeded(f"{len(codes)} states * {n} * ({words} code words"
-                                     f" + 1 query) exceed budget {cap}")
-            weights, width = weights[:, :fit], fit
-        if width and step is not None:
-            spent += len(codes) * n * (_CANDIDATE_WEIGHTS + width)
-            if spent > work * width:
-                return None
+        if step is not None and charge(codes):
+            return
         merging = t >= depth and steps[t - depth] is not None
         entry = cache[t % h]
         if (entry is not None and entry[0] is step and entry[1] == merging
@@ -686,25 +634,55 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool, pins=Non
             kept = held + size <= DEFAULT_BUDGET
             if kept:
                 cache[t % h], held = (step, merging, codes, dest, plan, size), held + size
+        yield t, dest, plan
         if not len(dest):
-            if pins is not None:
-                return np.zeros(width, dtype=bool)
-            return float("-inf") if log_domain else 0
-        first, terms, after = plan
-        if terms and limit is not None:
+            return
+        codes = dest
+
+
+def _carry(weights, plan):
+    """The successors' weights (one row each) by a ``_sweep_step`` plan."""
+    first, terms, after = plan
+    merged = weights[first]
+    for at, src in terms:        # added one source at a time, in state order
+        merged[at] += weights[src]
+    return merged if after is None else merged[after]
+
+
+def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
+    """Run the broken-profile DP; returns the exact count or its natural log."""
+    n = spec.alphabet_size
+    # a state is the last `depth` positions' symbols as one base-n code, the
+    # newest cell least significant, absent cells 0.  States stay sorted by
+    # code, each with one weight: an exact integer, or a renormalised float64.
+    # Exact weights are int64 until a step that adds could pass 2**63 - 1 (a
+    # successor sums at most n weights), then Python ints from there on
+    layout = _sweep_bans(lat, spec)
+    weights = np.ones(1, dtype=np.float64 if log_domain else np.int64)
+    limit = None if log_domain else (2 ** 63 - 1) // n
+    log_scale = 0.0
+    # `high` bounds the weights from above, so they are scanned only once it
+    # passes a threshold: both decisions below fall at the steps a scan at
+    # every step would put them.  Exact: the largest weight, times
+    # len(terms) + 1 a step, the most sources a successor sums.  Log: the
+    # float sum, times n a step (a plan carries a weight to at most n
+    # successors) and a slack of 1.001, far above float rounding (a
+    # relative len(weights) * 2**-52 per sum)
+    high = 1
+
+    def charge(states):
+        # candidate successors times their words bound every array a step allocates
+        if len(states) * n * layout.words > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"{len(states)} states * {n} * {layout.words}"
+                                 f" code words exceed budget {DEFAULT_BUDGET}")
+    for _, _, plan in _sweep_run(layout, n, charge):
+        if plan[1] and limit is not None:
             if high > limit:
                 high = int(weights.max())
                 if high > limit:
                     weights, limit = weights.astype(object), None
-            high *= len(terms) + 1
-        merged = weights[first]
-        for at, src in terms:        # added one source at a time, in state order
-            merged[at] += weights[src]
-        codes, weights = dest, merged if after is None else merged[after]
-        if pinned and t in pinned:    # keep the successors whose newest digit is pinned
-            newest = (codes % n).astype(np.intp, copy=False)[:, None]
-            for k in pinned[t]:
-                weights &= newest == symbols[:width, k]
+            high *= len(plan[1]) + 1
+        weights = _carry(weights, plan)
         if log_domain:
             high *= n * 1.001
             # the pairwise sum is far within 0.1% of fsum: fsum runs only where it may pass 1e12
@@ -717,11 +695,9 @@ def _profile_sweep(lat: FiniteLattice, spec: SftSpec, log_domain: bool, pins=Non
                         log_scale += math.log(total)
                         high /= total
                 high *= 1.001
-    if pins is not None:
-        return weights.any(axis=0)
-    if log_domain:
-        return log_scale + math.log(math.fsum(weights.tolist()))
-    return sum(weights.tolist())
+    if not log_domain:
+        return sum(weights.tolist())
+    return log_scale + math.log(math.fsum(weights.tolist())) if len(weights) else float("-inf")
 
 
 # what a pinned sweep and a search cost, in query weights of a pinned step
@@ -735,16 +711,50 @@ _CELL_SEARCH_WEIGHTS = 1000
 
 
 def _sweeps(lat: FiniteLattice, spec: SftSpec, points, symbols, budget: int, work: float):
-    """Yield the answers of pinned sweeps (``_profile_sweep``) of the queries
-    in order, each of the leading ones that fit `budget`, until one stops
-    past `work`."""
+    """Yield whether an admissible assignment on `lat` puts ``symbols[q, k]``
+    at ``points[k]`` (points off `lat` are ignored), per query q, as the bool
+    answers of pinned sweeps of the queries in order, until one stops.  A
+    pinned sweep is the counts' run (``_sweep_run``) with a ``(states,
+    queries)`` bool matrix of weights, summed as OR; a pinned cell masks the
+    successors by their newest digit.  Each step charges its candidate
+    successors times (code words + queries) against `budget`, dropping the
+    trailing queries past it: a sweep answers the leading queries that fit
+    every step, at least one, else it raises BudgetExceeded.  It stops once
+    its steps at cells cost past `work` query weights per query it answers,
+    candidate successors times (``_CANDIDATE_WEIGHTS`` + queries) each."""
+    if not len(symbols):     # no layout to build
+        return
+    n, layout = spec.alphabet_size, _sweep_bans(lat, spec)
+    inside = [k for k, p in enumerate(points) if p in lat]
+    pinned = {}      # position -> the columns of `symbols` of its points
+    cells = np.array([points[k] for k in inside], dtype=np.int64).reshape(-1, 2)
+    for k, t in zip(inside, layout.position(cells).tolist()):
+        pinned.setdefault(t, []).append(k)
     start = 0
     while start < len(symbols):
-        answers = _profile_sweep(lat, spec, False, (points, symbols[start:]), budget, work)
-        if answers is None:
+        rows = symbols[start:]
+        weights, width, spent = np.ones((1, len(rows)), dtype=bool), len(rows), 0
+
+        def charge(states):
+            nonlocal weights, width, spent
+            if len(states) * n * (layout.words + width) > budget:
+                fit = budget // (len(states) * n) - layout.words     # the queries this step admits
+                if fit < 1:
+                    raise BudgetExceeded(f"{len(states)} states * {n} * ({layout.words} code words"
+                                         f" + 1 query) exceed budget {budget}")
+                weights, width = weights[:, :fit], fit
+            spent += len(states) * n * (_CANDIDATE_WEIGHTS + width)
+            return spent > work * width
+        for t, codes, plan in _sweep_run(layout, n, charge):
+            weights = _carry(weights, plan)
+            if pinned and t in pinned:    # keep the successors whose newest digit is pinned
+                newest = (codes % n).astype(np.intp, copy=False)[:, None]
+                for k in pinned[t]:
+                    weights &= newest == rows[:width, k]
+        if spent > work * width:      # the run stopped
             return
-        start += len(answers)
-        yield answers
+        start += width
+        yield weights.any(axis=0)
 
 
 def _question_sets(questions, budget: int):

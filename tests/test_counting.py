@@ -820,6 +820,27 @@ def test_sweep_merge_first_steps_keep_every_value(monkeypatch):
             assert any(first)
 
 
+@settings(max_examples=40, deadline=None)
+@given(box3_specs(), st.integers(1, 4), st.integers(1, 6), st.booleans())
+def test_sweep_run_counts_each_prefix_of_lines(spec, m, height, vertical):
+    # Python-int weights carried through the run's plans total, after the
+    # first k lines along the sweep's major axis (k * h positions), the count
+    # on those lines alone: each ban is read at its last cell
+    lat = rectangle((0, 0), m, height)
+    if vertical:
+        lat, spec = lat.transpose(), spec.transpose()
+    layout = _sweep_bans(lat, spec)
+    totals, weights = {}, np.ones(1, dtype=object)
+    for t, _, plan in counting._sweep_run(layout, spec.alphabet_size, lambda states: False):
+        weights = counting._carry(weights, plan)
+        if (t + 1) % layout.h == 0:
+            totals[(t + 1) // layout.h] = sum(weights.tolist())
+    position = layout.position(lat.coords)
+    for k in range(1, len(layout.steps) // layout.h + 1):     # past a run with no state left, 0
+        lines = FiniteLattice(lat.coords[position < k * layout.h].tolist())
+        assert totals.get(k, 0) == count_profile_dp(lines, spec).value
+
+
 def test_extension_oracle_agrees_with_pinned_bruteforce(rng):
     # one constraint table for many calls: an extension exists exactly when
     # brute force with those cells pinned counts one
@@ -845,7 +866,8 @@ def test_pinned_sweep_agrees_with_pinned_bruteforce(rng):
         points = list(core) + [(9, 9)]          # a point off the lattice is ignored
         symbols = np.array([[rng.randrange(spec.alphabet_size) for _ in points]
                             for _ in range(20)])
-        exists = counting._profile_sweep(dilated, spec, False, (points, symbols))
+        exists, = counting._sweeps(dilated, spec, points, symbols,      # one sweep
+                                   counting.DEFAULT_BUDGET, math.inf)
         for row, answer in zip(symbols.tolist(), exists.tolist()):
             pinned = count_bruteforce(dilated, spec, fixed=dict(zip(points, row))).value
             assert answer == (pinned > 0)
@@ -880,17 +902,13 @@ def test_pinned_sweep_matches_pinned_bruteforce(spec, rnd, far, vertical):
     # with those cells fixed counts one; pins off the lattice are ignored,
     # and queries swept in chunks under a small budget answer alike
     lat, spec, points, symbols = pinned_questions(spec, rnd, far, vertical)
-    exists = counting._profile_sweep(lat, spec, False, (points, symbols))
+    exists, = counting._sweeps(lat, spec, points, symbols, counting.DEFAULT_BUDGET, math.inf)
     assert exists.dtype == bool and len(exists) == len(symbols)
     for row, answer in zip(symbols.tolist(), exists.tolist()):
         assert answer == (count_bruteforce(lat, spec, fixed=dict(zip(points, row))).value > 0)
     for budget in (16, 32, 64):
-        chunks, start = [], 0
-        try:
-            while start < len(symbols):     # each sweep the leading queries that fit
-                chunks.append(counting._profile_sweep(lat, spec, False,
-                                                      (points, symbols[start:]), budget))
-                start += len(chunks[-1])
+        try:        # each sweep the leading queries that fit
+            chunks = list(counting._sweeps(lat, spec, points, symbols, budget, math.inf))
         except BudgetExceeded:      # a single query does not fit
             continue
         assert np.array_equal(np.concatenate(chunks), exists)
@@ -923,6 +941,22 @@ def test_question_stream_answers_as_one_array(spec, rnd, far, vertical, budget):
                          for row in symbols.tolist()]
 
 
+def recording_sweeps(record):
+    """``counting._sweeps``, calling ``record(len(answers))`` per sweep, and
+    ``record(0)`` where the sweeps stop before their last query."""
+    sweeps = counting._sweeps
+
+    def recorded(lat, spec, points, symbols, *args):
+        answered = 0
+        for answers in sweeps(lat, spec, points, symbols, *args):
+            record(len(answers))
+            answered += len(answers)
+            yield answers
+        if answered < len(symbols):
+            record(0)
+    return recorded
+
+
 def test_pinned_sweep_chunks_the_queries_that_fit(monkeypatch):
     # no-equal-neighbours along x on a 3 x 2 strip: each step holds at most
     # 3 states, so a budget of 3 * 3 * (1 + 2) words admits 2 queries a
@@ -934,25 +968,33 @@ def test_pinned_sweep_chunks_the_queries_that_fit(monkeypatch):
     symbols = np.array(list(product(range(3), repeat=3)), dtype=np.uint8)
     expected = [count_bruteforce(lat, spec, fixed=dict(zip(points, row))).value > 0
                 for row in symbols.tolist()]
-    assert len(counting._profile_sweep(lat, spec, False, (points, symbols), 3 * 3 * 3)) == 2
-    assert len(counting._profile_sweep(lat, spec, False, (points, symbols), 3 * 3 * 2)) == 1
+
+    def sweeps(budget, work=math.inf):
+        return counting._sweeps(lat, spec, points, symbols, budget, work)
+    assert len(next(sweeps(3 * 3 * 3))) == 2
+    assert len(next(sweeps(3 * 3 * 2))) == 1
     with pytest.raises(BudgetExceeded, match=r"\+ 1 query\) exceed budget 17"):
-        counting._profile_sweep(lat, spec, False, (points, symbols), 17)
+        next(sweeps(17))
     # `work` is per query answered: the steps at cells meet 16 states, so
     # all 27 queries cost 16 * 3 * (200 + 27) query weights
     cost = 16 * 3 * (counting._CANDIDATE_WEIGHTS + 27)
-    assert counting._profile_sweep(lat, spec, False, (points, symbols), work=cost / 27).tolist() \
-        == expected
-    assert counting._profile_sweep(lat, spec, False, (points, symbols), work=cost / 27 - 1) is None
-    # a search costs at least 6 cells * 1,000 query weights: a sweep of 27 or
-    # of 2 queries costs less per query, one of a single query more
-    sweep, swept = counting._profile_sweep, []
+    assert [a.tolist() for a in sweeps(counting.DEFAULT_BUDGET, cost / 27)] == [expected]
+    assert list(sweeps(counting.DEFAULT_BUDGET, cost / 27 - 1)) == []
+    # one layout for all the sweeps of a call: 27 queries in 14 sweeps
+    layouts = []
 
-    def sweeping(*args):
-        answers = sweep(*args)
-        swept.append(0 if answers is None else len(answers))
-        return answers
-    monkeypatch.setattr(counting, "_profile_sweep", sweeping)
+    def layout(*args):
+        layouts.append(args)
+        return sweep_bans(*args)
+    sweep_bans = counting._sweep_bans
+    with patch.object(counting, "_sweep_bans", layout):
+        assert [len(a) for a in sweeps(3 * 3 * 3)] == [2] * 13 + [1]
+    assert len(layouts) == 1
+    # a search costs at least 6 cells * 1,000 query weights: a sweep of 27 or
+    # of 2 queries costs less per query, one of a single query more.  A 0
+    # marks sweeps that stop before their last query
+    swept = []
+    monkeypatch.setattr(counting, "_sweeps", recording_sweeps(swept.append))
     for budget, sweeps in ((2**24, [27]), (3 * 3 * 3, [2] * 13 + [0]), (3 * 3 * 2, [0]),
                            (17, [])):
         swept.clear()
@@ -1262,17 +1304,13 @@ def test_extension_questions_go_to_searches_where_a_sweep_costs_more(monkeypatch
     # search finds each witness at once: its sweep stops and searches answer.
     # The 1,296 pairs of a no-equal-neighbours gluing offset go to one sweep
     routes = []
-    sweep, oracle = counting._profile_sweep, counting._extension_oracle
-
-    def swept(*args):
-        answers = sweep(*args)
-        routes.append("sweep" if answers is not None else "stop")
-        return answers
+    oracle = counting._extension_oracle
 
     def searched(*args):
         routes.append("search")
         return oracle(*args)
-    monkeypatch.setattr(counting, "_profile_sweep", swept)
+    monkeypatch.setattr(counting, "_sweeps",
+                        recording_sweeps(lambda size: routes.append("sweep" if size else "stop")))
     monkeypatch.setattr(counting, "_extension_oracle", searched)
     loose = SftSpec.make(3, [[((0, 0), 0), ((2, 0), 0), ((1, 1), 0)],
                              [((0, 0), 0), ((2, 0), 0), ((2, 1), 2)],

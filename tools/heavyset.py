@@ -21,7 +21,11 @@ horizontal neighbours (110,592 core patterns, one sweep), and two whose
 rings have too many frontier states for a sweep to beat the searches:
 with margin 3 on one cell of a 3-symbol spec of four 3-cell patterns, and
 with margin 2 on six spread cells of the 3-symbol spec forbidding one
-3-cell pattern (729 core patterns).  One case counts nothing: it builds
+3-cell pattern (729 core patterns).  One case verifies vertical block
+gluing (gap 1, window 1, extent 2) of a 3-symbol spec of three patterns
+without a safe symbol: its router leaves the pairs to searches that
+backtrack for seconds, where one sweep per offset settles them in
+milliseconds.  One case counts nothing: it builds
 ``lshape(1000)`` and ``staircase(1000)`` (about 2·10^9 cells and 10^6 rows
 each) and reads their boundary size, 2x2 block residue and the run census
 of both axes; another runs ``condition_report`` on the ``n^2 x n`` family
@@ -51,12 +55,15 @@ NO_EQUAL_H = [[((0, 0), a), ((1, 0), a)] for a in range(3)]
 LOOSE = [[((0, 0), 0), ((2, 0), 0), ((1, 1), 0)], [((0, 0), 0), ((2, 0), 0), ((2, 1), 2)],
          [((0, 0), 1), ((0, 1), 0), ((0, 2), 1)], [((1, 0), 1), ((0, 1), 1), ((2, 1), 1)]]
 SPREAD = [(0, 0), (1, 0), (6, 0), (7, 0), (8, 0), (5, 1)]
+GLUING3 = [[((0, 0), 1), ((0, 1), 0)], [((2, 0), 1), ((0, 1), 0), ((0, 2), 0)],
+           [((2, 0), 1), ((1, 1), 2), ((0, 2), 0)]]
 N2XN = '{"system": "rect", "w": "n^2", "h": "n"}'
 
 # name -> (alphabet size, forbidden patterns, lattice, route); the route
 # "extendable:M" is the extendable count with margin M, "geometry" reads
 # the statistics of each builtin family the lattice names, and "report" the
-# condition report of the family the "system" names; the last two ignore the spec
+# condition report of the family the "system" names; the last two ignore the
+# spec.  "gluing" verifies block gluing at the (gap, window, extent, variant) given
 CASES = {
     "lshape-staircase-1000-geometry": (2, [], ("lshape+staircase", 1000), "geometry"),
     "report-n2xn-200-geometry": (2, [], ("system", N2XN, range(1, 201)), "report"),
@@ -71,6 +78,7 @@ CASES = {
     "loose-cell-ext:3": (3, LOOSE, ("cells", [(0, 0)]), "extendable:3"),
     "spread-cells-ext:2": (3, [[((2, 0), 0), ((0, 1), 2), ((2, 1), 1)]], ("cells", SPREAD),
                            "extendable:2"),
+    "gluing3-vertical-gap1": (3, GLUING3, ("gluing", 1, 1, 2, "vertical"), "gluing"),
 }
 
 
@@ -94,6 +102,8 @@ def run_case(name: str) -> dict:
         lat = sftent.stick_system(v, a).lattice(size)
     elif family == "system":
         system, n_range = sftent.formats.resolve_system(args[0]), args[1]
+    elif family == "gluing":
+        pass        # no lattice: the verifier builds its own
     else:
         lats = [getattr(sftent, part)(*args) for part in family.split("+")]
     route, _, margin = route.partition(":")
@@ -104,6 +114,8 @@ def run_case(name: str) -> dict:
         result = repr([(sftent.boundary_size(lat), sftent.block_residue_size(lat, 2, 2),
                         sftent.run_census(lat, "horizontal"), sftent.run_census(lat, "vertical"))
                        for lat in lats])
+    elif route == "gluing":
+        result = repr(sftent.verify_block_gluing(spec, *args))
     elif route == "count":
         result = str(sftent.count_profile_dp(lat, spec).value)
     elif route == "extendable":
