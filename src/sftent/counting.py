@@ -41,9 +41,11 @@ lattice:
   significant, sorted beside one column of weights: exact weights are int64
   until a step that adds could pass 2**63 - 1 (a successor sums at most N
   of them), then Python ints.  A position outside the lattice holds digit
-  0.  The layout (``_sweep_bans``) gives each position its step: None off
-  the lattice, else the bans of the shapes ending there compiled into one
-  table indexed by the base-N code of the digits they read
+  0.  The layout (``_sweep_bans``) reads each distinct shape's placements
+  once, from its offsets, and weighs both orientations per shape.  It gives
+  each position its step: None off the lattice, else the bans (built for
+  the winning orientation only) of the shapes ending there, compiled into
+  one table indexed by the base-N code of the digits they read
   (``_compile_bans``; one mask per ban past ``_DENSE`` entries), one object
   per set of shapes.  Each step (``_sweep_step``) yields the successor
   codes and a plan that carries weights to them; where no ban reads the
@@ -422,32 +424,32 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec) -> _SweepLayout:
     n = spec.alphabet_size
     # a shape is keyed by its canonical offsets: hashing a tuple is cheap
     keys = [tuple(p for p, _ in pat.cells) for pat in spec.forbidden]
-    runs = {}                 # shape -> placement runs
-    for key, pat in zip(keys, spec.forbidden):
-        if key not in runs:
-            runs[key] = _placement_runs(pat.shape, lat)
+    runs = {key: _placement_runs(key, lat) for key in dict.fromkeys(keys)}
     bit = {key: 1 << i for i, key in enumerate(k for k, r in runs.items() if len(r))}
-    placed = [(key, pat) for key, pat in zip(keys, spec.forbidden) if key in bit]
 
     def orient(major):
-        """Depth, frontier length, major axis, rows, last cell per shape and bans."""
+        """Depth, h, major axis, rows, and per placed shape (last cell, back distances)."""
         # the lattice's rows (sorted, with repeats); a gap no placed shape
         # spans closes to one row.  Differences are exact in uint64
         ys = (lat._runs if major == 0 else lat._truns)[:, 0]
-        reach = max([0] + [pat.extent[1 - major] for _, pat in placed])
+        reach = max([0] + [p[1 - major] for key in bit for p in key])
         gaps = np.diff(ys.view(np.uint64))
         rows = np.append(np.uint64(0), np.where(gaps > reach, 1, gaps).cumsum())
         h = int(rows[-1]) + 1
-        last, bans = {}, []
-        for key, pat in placed:
-            *others, (end, sym) = sorted(pat.cells, key=lambda c: (c[0][major], c[0][1 - major]))
-            last[key] = end
-            back = tuple(((end[major] - p[major]) * h + end[1 - major] - p[1 - major], s)
-                         for p, s in others)
-            bans.append((bit[key], sym, back))
-        return max([1] + [d for _, _, back in bans for d, _ in back]), h, major, (ys, rows), last, bans
+        last = {}
+        for key in bit:
+            *others, end = sorted(key, key=lambda p: (p[major], p[1 - major]))
+            last[key] = end, {p: (end[major] - p[major]) * h + end[1 - major] - p[1 - major]
+                              for p in others}
+        depth = max([1] + [d for _, dist in last.values() for d in dist.values()])
+        return depth, h, major, (ys, rows), last
 
-    depth, h, major, (ys, rows), last, bans = min(orient(0), orient(1), key=itemgetter(0, 1))
+    depth, h, major, (ys, rows), last = min(orient(0), orient(1), key=itemgetter(0, 1))
+    bans = []
+    for key, pat in zip(keys, spec.forbidden):
+        if key in bit:
+            (end, dist), sym = last[key], dict(pat.cells)
+            bans.append((bit[key], sym[end], tuple((d, sym[p]) for p, d in dist.items())))
     # int64 codes while n ** depth < 2**63 (depth < 63 keeps the power small)
     dtype = np.int64 if depth < 63 and n ** depth < 2 ** 63 else object
     words = 1 if dtype is np.int64 else -(-depth * (n - 1).bit_length() // 64)
@@ -469,8 +471,10 @@ def _sweep_bans(lat: FiniteLattice, spec: SftSpec) -> _SweepLayout:
     # while at most 63 shapes are placed, else Python ints
     shapes = np.full(positions, -1, dtype=np.int64 if len(bit) < 64 else object)
     shapes[position(lat.coords)] = 0
-    for shape, b in bit.items():     # cells, unlike runs, one shape at a time
-        shapes[position(np.column_stack(_cells(runs[shape])) + last[shape])] |= b
+    if bit:      # all placed shapes' last cells in one call; `at` ORs shapes ending at one position
+        ends = [np.column_stack(_cells(runs[key])) + last[key][0] for key in bit]
+        bits = np.repeat(np.array(list(bit.values()), dtype=shapes.dtype), [len(e) for e in ends])
+        np.bitwise_or.at(shapes, position(np.concatenate(ends)), bits)
     shapes = shapes.tolist()
     step = {code: _compile_bans([(sym, back) for b, sym, back in bans if code & b], n, depth)
             for code in set(shapes) - {-1}}     # codes in use

@@ -117,6 +117,17 @@ def _check_coords(lo: int, hi: int) -> None:
         raise ValueError(f"lattice coordinates must lie in [-2**63, 2**63 - 1), got {lo}..{hi}")
 
 
+def _point_array(points) -> np.ndarray:
+    """The (x, y) pairs `points` as an int64 (P, 2) array, checked by ``_check_coords``."""
+    try:
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:       # a coordinate beyond int64, which _check_coords rejects
+        _check_coords(min(map(min, points)), max(map(max, points)))
+    if pts.size:
+        _check_coords(int(pts.min()), int(pts.max()))
+    return pts
+
+
 def _moved_back(runs: np.ndarray, x: int, y: int) -> np.ndarray:
     """`runs` moved by (-x, -y), less the cells that would leave the coordinate
     range [-2**63, 2**63 - 1): no coordinate wraps."""
@@ -143,12 +154,7 @@ class FiniteLattice:
         if not (isinstance(points, np.ndarray) and points.dtype == np.int64
                 and points.shape[1:] == (2,)):
             points = [_pair(p) for p in points]
-        try:
-            pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:       # a coordinate beyond int64, which _check_coords rejects
-            _check_coords(min(map(min, points)), max(map(max, points)))
-        if pts.size:
-            _check_coords(int(pts.min()), int(pts.max()))
+        pts = _point_array(points)
         # sort by (y, x), drop repeats; consecutive x in one row join a run
         order = np.lexsort((pts[:, 0], pts[:, 1]))
         x, y = pts[order, 0], pts[order, 1]

@@ -1,5 +1,6 @@
 import math
 import time
+from contextlib import nullcontext
 import tracemalloc
 from itertools import combinations, product
 from unittest.mock import patch
@@ -396,18 +397,38 @@ def holey_clusters(rnd, cells: int) -> FiniteLattice:
     return FiniteLattice(rnd.sample(points, min(cells, len(points))))
 
 
+def row_convex_cells(rnd, cells: int) -> FiniteLattice:
+    """Up to 3 rectangles stacked upwards at random x offsets, some with a
+    gap of empty rows between them, cut to the first `cells` cells in (y, x)
+    order: every row keeps one run."""
+    points, y = [], 0
+    for _ in range(rnd.randint(1, 3)):
+        x, w, h = rnd.randint(-3, 3), rnd.randint(1, 4), rnd.randint(1, 3)
+        points += [(x + i, y + j) for j in range(h) for i in range(w)]
+        y += h + rnd.choice((0, 1, 2))
+    return FiniteLattice(points[:cells])
+
+
 @settings(max_examples=120, deadline=None)
 @given(box3_specs(), st.randoms(use_true_random=False))
 def test_sweep_matches_oracle_on_random_box3_specs(spec, rnd):
-    # shapes up to 3x3 reach back past the frontier: the state holds them
-    lat = holey_clusters(rnd, 12 if spec.alphabet_size == 2 else 8)
-    exact = count_bruteforce(lat, spec).value
-    assert count_profile_dp(lat, spec).value == exact
-    assert count_profile_dp(lat.transpose(), spec.transpose()).value == exact
-    if exact == 0:
-        assert log_count(lat, spec) == -math.inf
-    else:
-        assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
+    # shapes up to 3x3 reach back past the frontier: the state holds them.
+    # On a lattice with one run per row the sweep takes its placements from
+    # row meets alone, and the brute force, for an independent count, from
+    # the coverage kernel
+    cells = 12 if spec.alphabet_size == 2 else 8
+    for lat, convex in ((holey_clusters(rnd, cells), False), (row_convex_cells(rnd, cells), True)):
+        meet_off = patch("sftent.sft._one_run_per_row", return_value=False)
+        kernel_off = patch("sftent.sft._cover", side_effect=AssertionError("coverage kernel called"))
+        with meet_off if convex else nullcontext():
+            exact = count_bruteforce(lat, spec).value
+        with kernel_off if convex else nullcontext():
+            assert count_profile_dp(lat, spec).value == exact
+        assert count_profile_dp(lat.transpose(), spec.transpose()).value == exact
+        if exact == 0:
+            assert log_count(lat, spec) == -math.inf
+        else:
+            assert log_count(lat, spec) == pytest.approx(math.log(exact), rel=1e-12)
 
 
 def test_sweep_l_triomino_counts():

@@ -1,6 +1,8 @@
 import itertools
 import random
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ from sftent import (
     placements,
     rectangle,
 )
-from sftent.sft import forbidden_occurrences
+from sftent.lattice import _cover
+from sftent.sft import _placement_runs, forbidden_occurrences
 
 
 def admissible_count_oracle(lat, spec):
@@ -127,45 +130,91 @@ def random_points(rng):
     return points or {(ox, oy)}
 
 
+def row_convex_points(rng):
+    """A seeded point set with one run per row, as conftest's
+    `row_convex_point_sets` draws them: up to 5 rectangles stacked upwards at
+    random x offsets, with a gap of empty rows above some of them."""
+    points, y = set(), rng.randint(-6, 6)
+    for _ in range(rng.randint(1, 5)):
+        x, w, h = rng.randint(-6, 6), rng.randint(1, 8), rng.randint(1, 5)
+        points |= {(x + i, y + j) for i in range(w) for j in range(h)}
+        y += h + rng.choice((0, 1, 2))
+    return points
+
+
+def one_run_per_row(points) -> bool:
+    rows = {}
+    for x, y in points:
+        rows.setdefault(y, []).append(x)
+    return all(max(xs) - min(xs) + 1 == len(xs) for xs in rows.values())
+
+
+def meet_fits(offsets, points) -> bool:
+    """Whether the row meet of `offsets` over `points` keeps its arithmetic
+    in int64: the shape's lowest row is 0, and the lattice's coordinates
+    plus or minus the shape's extent stay in range."""
+    dxs, dys = [dx for dx, _ in offsets], [dy for _, dy in offsets]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    return (min(dys) == 0 and max(ys) + max(dys) < 2**63
+            and min(xs) - max(dxs) >= -2**63 and max(xs) + 1 - min(dxs) < 2**63)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_placements_exact_on_any_int64_coordinates(seed):
     # placements meet row runs, so they hold wherever a lattice lies: at the
     # origin, at 2**32, and touching -2**63 or 2**63 - 2, where moving a run
     # back by a shape cell must not wrap.  Vectors are coordinates too: one
-    # outside [-2**63, 2**63 - 1) (a shape clear of its own origin) is not listed
+    # outside [-2**63, 2**63 - 1) (a shape clear of its own origin) is not
+    # listed.  A lattice with one run per row, here with a copy 2**62 up and
+    # right, takes the row meet; where the meet's arithmetic could leave int64
+    # (the shape reaching that copy, near the range's ends) or the shape's
+    # lowest row is not 0, it falls back to the coverage kernel
     rng = random.Random(seed)
-    points = random_points(rng)
-    xs, ys = [x for x, _ in points], [y for _, y in points]
-    shapes = ORACLE_SHAPES + [[(0, 0), (-1, 0)], [(0, -1), (0, 0), (-1, 1)]]
-    for dx, dy in ((0, 0), (2**32, -2**32), (-2**63 - min(xs), 0), (0, -2**63 - min(ys)),
-                   (2**63 - 2 - max(xs), 2**63 - 2 - max(ys))):
-        moved = {(x + dx, y + dy) for x, y in points}
-        lat = FiniteLattice(moved)
-        for offsets in shapes:
-            expected = placements_reference(offsets, moved)
-            assert placements(FiniteLattice(offsets), lat) == [
-                v for v in expected if -2**63 <= min(v) and max(v) < 2**63 - 1]
+    shapes = ORACLE_SHAPES + [[(0, 0), (-1, 0)], [(0, -1), (0, 0), (-1, 1)], [(0, 0), (2**62, 2**62)]]
+    holey = random_points(rng)
+    convex = row_convex_points(rng)
+    for points in (holey, convex | {(x + 2**62, y + 2**62) for x, y in convex}):
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        for dx, dy in ((0, 0), (2**32, -2**32), (-2**63 - min(xs), 0), (0, -2**63 - min(ys)),
+                       (2**63 - 2 - max(xs), 2**63 - 2 - max(ys))):
+            moved = {(x + dx, y + dy) for x, y in points}
+            lat = FiniteLattice(moved)
+            for offsets in shapes:
+                expected = placements_reference(offsets, moved)
+                with patch("sftent.sft._cover", side_effect=_cover) as kernel:
+                    assert placements(FiniteLattice(offsets), lat) == [
+                        v for v in expected if -2**63 <= min(v) and max(v) < 2**63 - 1]
+                meet = one_run_per_row(moved) and meet_fits(offsets, moved)
+                assert kernel.called is not meet
+                if meet:     # the kernel's own canonical runs, dtype and order
+                    runs = _placement_runs(FiniteLattice(offsets).coords, lat)
+                    with patch("sftent.sft._one_run_per_row", return_value=False):
+                        reference = _placement_runs(FiniteLattice(offsets).coords, lat)
+                    assert runs.dtype == reference.dtype and np.array_equal(runs, reference)
     domino = FiniteLattice([(0, 0), (1, 0)])
     assert placements(domino, FiniteLattice([(-2**63, 0), (-2**63 + 1, 0)])) == [(-2**63, 0)]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_placements_and_occurrences_match_set_reference(seed):
+    # a holey point set, then one with one run per row, whose placements are
+    # row meets
     rng = random.Random(seed)
-    points = random_points(rng)
-    lat = FiniteLattice(points)
-    for offsets in ORACLE_SHAPES:
-        assert placements(FiniteLattice(offsets), lat) == placements_reference(offsets, points)
-    # occurrences: each pattern's placements, as indices into canonical order
-    spec = SftSpec.make(3, [[(c, rng.randrange(3)) for c in offsets] for offsets in ORACLE_SHAPES])
-    index = {p: i for i, p in enumerate(sorted(points, key=lambda p: (p[1], p[0])))}
-    expected = []
-    for pat in spec.forbidden:
-        offsets = [(c.x, c.y) for c, _ in pat.cells]
-        for vx, vy in placements_reference(offsets, points):
-            expected.append((tuple(index[(x + vx, y + vy)] for x, y in offsets),
-                             tuple(s for _, s in pat.cells)))
-    assert forbidden_occurrences(lat, spec) == expected
+    for draw in (random_points, row_convex_points):
+        points = draw(rng)
+        lat = FiniteLattice(points)
+        for offsets in ORACLE_SHAPES:
+            assert placements(FiniteLattice(offsets), lat) == placements_reference(offsets, points)
+        # occurrences: each pattern's placements, as indices into canonical order
+        spec = SftSpec.make(3, [[(c, rng.randrange(3)) for c in offsets] for offsets in ORACLE_SHAPES])
+        index = {p: i for i, p in enumerate(sorted(points, key=lambda p: (p[1], p[0])))}
+        expected = []
+        for pat in spec.forbidden:
+            offsets = [(c.x, c.y) for c, _ in pat.cells]
+            for vx, vy in placements_reference(offsets, points):
+                expected.append((tuple(index[(x + vx, y + vy)] for x, y in offsets),
+                                 tuple(s for _, s in pat.cells)))
+        assert forbidden_occurrences(lat, spec) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -10,27 +10,28 @@ the case, its wall seconds (import excluded), the process's max RSS in MB
 and the result (an exact count, a log count or a per-cell ratio).  The
 times are reported, not checked: the exit code is 1 only when a case fails.
 
-Cases: hard squares exact on 16x16 and 20x20, hard-square ``log_count`` on
-20x400, on the mirrored wedge ``omega_q(2, 11)`` (as log count per cell) and
-on the n = 24 member of ``stick_system((0, 1), 0.5)``, the 3-symbol ``r3``
-spec exact on 10x10, exact on 10x10 the 2-symbol spec forbidding all 1s
-on each of the 97 four-cell shapes of the 3x3 box, and three extendable
-counts without a safe symbol, each core pattern an extension question of
-the dilation: with margin 1 on 5x3 of the 3-symbol spec forbidding equal
-horizontal neighbours (110,592 core patterns, one sweep), and two whose
-rings have too many frontier states for a sweep to beat the searches:
-with margin 3 on one cell of a 3-symbol spec of four 3-cell patterns, and
-with margin 2 on six spread cells of the 3-symbol spec forbidding one
-3-cell pattern (729 core patterns).  One case verifies vertical block
-gluing (gap 1, window 1, extent 2) of a 3-symbol spec of three patterns
-without a safe symbol: its router leaves the pairs to searches that
-backtrack for seconds, where one sweep per offset settles them in
-milliseconds.  One case counts nothing: it builds
-``lshape(1000)`` and ``staircase(1000)`` (about 2·10^9 cells and 10^6 rows
-each) and reads their boundary size, 2x2 block residue and the run census
-of both axes; another runs ``condition_report`` on the ``n^2 x n`` family
-for every n from 1 to 200 with 2x2, 3x3 and 5x5 blocks, and gives its
-verdicts as the result.
+Cases: hard squares exact on 16x16 and 20x20, the hard-square rectangle
+table up to 12x12 (``rect_entropy_table``: 144 small sweeps, whose fixed
+set-up per sweep shows; its h_r estimate is the result), hard-square
+``log_count`` on 20x400, on the mirrored wedge ``omega_q(2, 11)`` (as log
+count per cell) and on the n = 24 member of ``stick_system((0, 1), 0.5)``,
+the 3-symbol ``r3`` spec exact on 10x10, exact on 10x10 the 2-symbol spec
+forbidding all 1s on each of the 97 four-cell shapes of the 3x3 box, and
+three extendable counts without a safe symbol, each core pattern an
+extension question of the dilation: with margin 1 on 5x3 of the 3-symbol
+spec forbidding equal horizontal neighbours (110,592 core patterns, one
+sweep), and two whose rings have too many frontier states for a sweep to
+beat the searches: with margin 3 on one cell of a 3-symbol spec of four
+3-cell patterns, and with margin 2 on six spread cells of the 3-symbol spec
+forbidding one 3-cell pattern (729 core patterns).  One case verifies
+vertical block gluing (gap 1, window 1, extent 2) of a 3-symbol spec of
+three patterns without a safe symbol: its router leaves the pairs to
+searches that backtrack for seconds, where one sweep per offset settles them
+in milliseconds.  One case counts nothing: it builds ``lshape(1000)`` and
+``staircase(1000)`` (about 2·10^9 cells and 10^6 rows each) and reads their
+boundary size, 2x2 block residue and the run census of both axes; another
+runs ``condition_report`` on the ``n^2 x n`` family for every n from 1 to
+200 with 2x2, 3x3 and 5x5 blocks, and gives its verdicts as the result.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ GLUING3 = [[((0, 0), 1), ((0, 1), 0)], [((2, 0), 1), ((0, 1), 0), ((0, 2), 0)],
 N2XN = '{"system": "rect", "w": "n^2", "h": "n"}'
 
 # name -> (alphabet size, forbidden patterns, lattice, route); the route
-# "extendable:M" is the extendable count with margin M, "geometry" reads
+# "extendable:M" is the extendable count with margin M, "table" the h_r
+# estimate of the rectangle table up to the sides given, "geometry" reads
 # the statistics of each builtin family the lattice names, and "report" the
 # condition report of the family the "system" names; the last two ignore the
 # spec.  "gluing" verifies block gluing at the (gap, window, extent, variant) given
@@ -69,6 +71,7 @@ CASES = {
     "report-n2xn-200-geometry": (2, [], ("system", N2XN, range(1, 201)), "report"),
     "hard-square-16x16-exact": (2, HARD_SQUARE, ("rectangle", 16, 16), "count"),
     "hard-square-20x20-exact": (2, HARD_SQUARE, ("rectangle", 20, 20), "count"),
+    "hard-square-table-12x12": (2, HARD_SQUARE, ("table", 12, 12), "table"),
     "hard-square-20x400-log": (2, HARD_SQUARE, ("rectangle", 20, 400), "log"),
     "hard-square-omega_q:2,11-ratio": (2, HARD_SQUARE, ("omega_q", 2, 11), "ratio"),
     "hard-square-stick:0,1,0.5@24-log": (2, HARD_SQUARE, ("stick", (0, 1), 0.5, 24), "log"),
@@ -102,8 +105,8 @@ def run_case(name: str) -> dict:
         lat = sftent.stick_system(v, a).lattice(size)
     elif family == "system":
         system, n_range = sftent.formats.resolve_system(args[0]), args[1]
-    elif family == "gluing":
-        pass        # no lattice: the verifier builds its own
+    elif family in ("gluing", "table"):
+        pass        # no lattice: the verifier or the table builds its own
     else:
         lats = [getattr(sftent, part)(*args) for part in family.split("+")]
     route, _, margin = route.partition(":")
@@ -116,6 +119,8 @@ def run_case(name: str) -> dict:
                        for lat in lats])
     elif route == "gluing":
         result = repr(sftent.verify_block_gluing(spec, *args))
+    elif route == "table":
+        result = repr(sftent.rect_entropy_table(spec, *args).h_r_estimate)
     elif route == "count":
         result = str(sftent.count_profile_dp(lat, spec).value)
     elif route == "extendable":
