@@ -5,18 +5,22 @@ lattice:
 
 * ``count_bruteforce`` -- the exhaustive reference oracle, budgeted at
   ``N ** |free cells|``.  A block search (``_block_search``) holds up to
-  ``_BLOCK`` = 1,024 partial assignments as the rows of a numpy array, one
+  ``_BLOCK`` = 4,096 partial assignments as the rows of a numpy array, one
   column per cell in canonical order, and extends a whole block by one cell
   per step: each forbidden occurrence is checked at its last cell, with one
   table lookup per tuple of other cells (a comparison with each banned key
   past ``_DENSE`` = 4,096 table rows).  The children, in (row, symbol)
-  order, are split into blocks pushed in reverse onto an explicit stack, so
-  the search runs depth-first in lexicographic order.  Each cell keeps at
-  most one split child of ``N * _BLOCK`` rows waiting, one byte per cell
-  (N <= 256), so memory stays under ``N * _BLOCK * |L| ** 2`` bytes
-  whatever the count.  The last cell is counted, never built, and block
-  counts are summed as Python ints.  The same blocks enumerate the
-  admissible patterns (``enumerate_admissible``) and back the
+  order, are split into blocks: the search goes on with the first and
+  pushes the rest in reverse onto an explicit stack, so it runs depth-first
+  in lexicographic order.  A cell that no check at a later cell reads (the
+  last one always) is counted, never built: each row carries a weight,
+  multiplied there by the row's number of allowed symbols (int64 while
+  ``N ** |L| < 2**63``, else Python ints), and block sums are added as
+  Python ints.  Each cell keeps at most ``N * _BLOCK`` rows alive, its
+  child or the blocks of it that wait, one byte per cell (N <= 256) plus an
+  8-byte weight, so memory stays under ``N * _BLOCK * |L| * (|L| + 8)``
+  bytes whatever the count.  The same search, with no cell counted, enumerates the
+  admissible patterns (``enumerate_admissible``), and it counts the
   multiplicative brute force.  "Does an extension exist" runs elsewhere:
   ``_search`` steps one symbol at a time, depth first, and stops at the
   first witness, within its per-symbol budget.  It answers a single
@@ -97,7 +101,7 @@ DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code 
 # exhaustive search
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1024     # rows of partial assignments the block search extends per step
+_BLOCK = 4096     # rows of partial assignments the block search extends per step
 _DENSE = 4096     # base-N codes a check's lookup table may cover
 
 
@@ -130,15 +134,18 @@ def _occurrence_checks(occurrences, n_cells: int):
 
 def _block_checks(occurrences, n_cells: int, n: int):
     """``_block_search`` arguments for `n` symbols: the free symbols, an
-    ``(n_cells, n)`` mask with one-cell bans cleared, and per cell one check
-    per tuple of other cells, mapping a block to its ``(rows, n)`` mask of
-    the symbols allowed there.  While the other cells have at most
-    ``_DENSE`` symbol combinations a check reads a table row by their base-N
-    code, else it compares them with each banned key."""
+    ``(n_cells, n)`` mask with one-cell bans cleared, per cell one check per
+    tuple of other cells, mapping a block to its ``(rows, n)`` mask of the
+    symbols allowed there, and `read`, one bool per cell: does a check at a
+    later cell read it?  While the other cells have at most ``_DENSE``
+    symbol combinations a check reads a table row by their base-N code, else
+    it compares them with each banned key."""
     free = np.ones((n_cells, n), dtype=bool)
+    read = np.zeros(n_cells, dtype=bool)
     checks: list[list] = [[] for _ in range(n_cells)]
     for cell, g in enumerate(_ban_groups(occurrences, n_cells)):
         for cells, banned in g.items():
+            read[list(cells)] = True
             if not cells:
                 free[cell, list(banned[()])] = False
             elif n ** len(cells) <= _DENSE:
@@ -152,7 +159,7 @@ def _block_checks(occurrences, n_cells: int, n: int):
                 for row, syms in enumerate(banned.values()):
                     bans[row, list(syms)] = True
                 checks[cell].append(partial(_compare, list(cells), keys, bans))
-    return free, checks
+    return free, checks, read
 
 
 def _lookup(cells, n: int, allow, block):
@@ -173,45 +180,63 @@ def _compare(cells, keys, bans, block):
     return ~((block[:, cells] == keys).all(2).T @ bans)
 
 
-def _extend(block, i: int, allowed):
-    """The rows of `block` with cell i set: each row once per symbol
-    `allowed` there, in (row, symbol) order."""
-    rows, syms = np.divmod(allowed.ravel().nonzero()[0], allowed.shape[1])
-    child = block.take(rows, axis=0)
-    child[:, i] = syms
-    return child
-
-
-def _block_search(free, checks):
-    """Yield ``(block, leaves)`` over the admissible assignments of all cells
-    but the last, in lexicographic order: `block` holds up to ``_BLOCK`` of
-    them as rows, one column per cell (the last one unset), and `leaves` the
-    last cell's allowed symbols per row (no cells: one leaf).  Cell i takes
-    the symbols of ``free[i]`` that every check in ``checks[i]`` allows.
-    Pending blocks wait on an explicit stack, each cell's from one child of
-    at most ``N * _BLOCK`` rows, so memory does not grow with the count."""
+def _block_search(free, checks, counted):
+    """Yield ``(block, weights)`` over the admissible assignments, in
+    lexicographic order of the built cells: `block` holds up to ``_BLOCK``
+    of them as rows, one column per cell, and `weights` per row the number
+    of ways to fill its `counted` cells (None before the first).  Cell i
+    takes the symbols of ``free[i]`` that every check in ``checks[i]``
+    allows.  A counted cell, which no check at a later cell may read, is not
+    built: each row's weight is multiplied by its number of allowed symbols
+    there, and the column stays unset; rows left with none are dropped
+    before the next cell (after the last they stay, at weight 0).  Any other
+    cell extends each row once per allowed symbol, in (row, symbol) order;
+    the search goes on with the child's first ``_BLOCK`` rows, and the rest
+    wait on an explicit stack in blocks of ``_BLOCK``, at most ``(N - 1) *
+    _BLOCK`` rows a cell, so memory does not grow with the count.  Weights
+    are int64 while ``N ** cells < 2**63``, which no weight and no block sum
+    can pass, else Python ints."""
     n_cells, n = free.shape
-    root = np.zeros((1, n_cells), dtype=np.min_scalar_type(n - 1))
-    if n_cells == 0:
-        yield root, np.ones((1, 1), dtype=bool)
-        return
-    stack = [(0, root)]
+    exact = object if n_cells >= 63 or n ** n_cells >= 2 ** 63 else np.int64
+    ones = np.ones(n, dtype=np.int64)      # mask @ ones counts a row's symbols, faster than a sum along it
+    stack = [(0, np.zeros((1, n_cells), dtype=np.min_scalar_type(n - 1)), None)]
     while stack:
-        i, block = stack.pop()
-        allowed = np.repeat(free[i:i + 1], len(block), axis=0)
-        for check in checks[i]:
-            allowed &= check(block)
-        if i == n_cells - 1:
-            yield block, allowed
-            continue
-        child = _extend(block, i, allowed)
-        stack.extend([(i + 1, child[k:k + _BLOCK])
-                      for k in range(0, len(child), _BLOCK)][::-1])
+        i, block, weights = stack.pop()
+        for i in range(i, n_cells):
+            allowed = np.repeat(free[i:i + 1], len(block), axis=0)
+            for check in checks[i]:
+                allowed &= check(block)
+            if counted[i]:
+                ways = allowed @ ones if exact is np.int64 else (allowed @ ones).astype(object)
+                weights = ways if weights is None else weights * ways
+                if i + 1 < n_cells and np.count_nonzero(ways) < len(ways):
+                    keep = ways.nonzero()[0]
+                    block, weights = block.take(keep, axis=0), weights.take(keep)
+            else:
+                rows, syms = np.divmod(allowed.ravel().nonzero()[0], n)     # in (row, symbol) order
+                block = block.take(rows, axis=0)
+                block[:, i] = syms
+                if weights is not None:
+                    weights = weights.take(rows)
+                del allowed, rows, syms     # freed before the next cell allocates
+                if len(block) > _BLOCK:
+                    # the other blocks wait as copies, the next on top, so
+                    # the child is freed once the first block moves on
+                    for k in reversed(range(_BLOCK, len(block), _BLOCK)):
+                        stack.append((i + 1, block[k:k + _BLOCK].copy(),
+                                      None if weights is None else weights[k:k + _BLOCK].copy()))
+                    block, weights = block[:_BLOCK], None if weights is None else weights[:_BLOCK]
+            if not len(block):
+                break
+        else:
+            yield block, weights
 
 
-def _count_blocks(free, checks) -> int:
-    """Number of admissible assignments, summed exactly over the blocks."""
-    return sum(int(np.count_nonzero(leaves)) for _, leaves in _block_search(free, checks))
+def _count_blocks(free, checks, read) -> int:
+    """Number of admissible assignments, summed exactly over the blocks;
+    every cell no later check reads is counted, never built."""
+    return sum(len(block) if weights is None else int(np.add.reduce(weights))
+               for block, weights in _block_search(free, checks, ~read))
 
 
 def _search(domains, checks, budget) -> bool:
@@ -254,7 +279,8 @@ def _search(domains, checks, budget) -> bool:
 @lru_cache(maxsize=8)
 def _constraint_table(lat: FiniteLattice, spec: SftSpec, blocks: bool):
     """Cell index by point, free domains and checks, of the block search
-    (`blocks`) or of ``_search``, built once per lattice and spec."""
+    (`blocks`, with its read cells) or of ``_search``, built once per
+    lattice and spec."""
     occurrences = forbidden_occurrences(lat, spec)
     index = {p: i for i, p in enumerate(lat)}
     if blocks:
@@ -275,16 +301,16 @@ def _symbol(s, n: int) -> int:
 
 
 def _domains(lat: FiniteLattice, spec: SftSpec, fixed):
-    """Free domains and checks of the block search for `lat`; a cell in
-    `fixed` keeps one symbol (see ``_symbol``)."""
-    index, free, checks = _constraint_table(lat, spec, blocks=True)
-    domains = free.copy()
+    """Free domains, checks and read cells (``_block_checks``) of the block
+    search for `lat`; a cell in `fixed` keeps one symbol (see ``_symbol``)."""
+    index, free, checks, read = _constraint_table(lat, spec, blocks=True)
+    domains = free.copy() if fixed else free      # the cached table stays as built
     for p, s in (fixed or {}).items():
         s = _symbol(s, spec.alphabet_size)
         i = index.get(p)          # Points, int pairs and numpy scalars hash alike
         if i is not None:
             domains[i] &= np.arange(spec.alphabet_size) == s
-    return domains, checks
+    return domains, checks, read
 
 
 def count_bruteforce(
@@ -303,8 +329,9 @@ def _admissible_rows(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BU
     """Yield the admissible assignments of `lat` in lexicographic order, as
     blocks of rows in canonical cell order, once N ** |lat| is within `budget`."""
     _check_budget(spec.alphabet_size, len(lat), budget)     # before any set-up
-    for block, leaves in _block_search(*_domains(lat, spec, None)):
-        yield _extend(block, len(lat) - 1, leaves) if len(lat) else block
+    domains, checks, _ = _domains(lat, spec, None)
+    for block, _ in _block_search(domains, checks, np.zeros(len(lat), dtype=bool)):
+        yield block
 
 
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):

@@ -1,10 +1,12 @@
 """Entropy estimators built on the exact counting engines.
 
 Rectangular entropy is approached through the full table of per-site log
-counts (its minimum is a certified upper bound, by the subadditive infimum
-characterisation); entropy along an expanding family is estimated by a
-tail-max proxy for the limsup; projectional entropy counts patterns on
-one-dimensional segments s*v, locally or, given a margin, extendably.
+counts (its minimum bounds h_r from above, by the subadditive infimum
+characterisation, up to the rounding of the float logs, which is not
+rounded outward: see item 2 of ROADMAP.md); entropy along an expanding
+family is estimated by a tail-max proxy for the limsup; projectional
+entropy counts patterns on one-dimensional segments s*v, locally or, given
+a margin, extendably.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ def _sequence(records: list[EntropyRecord], note: str = "") -> EntropySequence:
 class RectTable:
     """Per-site log counts r(m, n) = log(count on m x n) / (m n).
 
-    The minimum over the table is a certified upper bound on the rectangular
-    entropy; every entry is at least the estimate by construction.
+    The minimum over the table is an upper bound on the rectangular entropy
+    only up to the rounding of ``math.log``: the entries are float logs, not
+    rounded outward, so the bound is not certified (item 2 of ROADMAP.md).
+    Every entry is at least the estimate by construction.
     """
 
     max_width: int
@@ -181,10 +185,11 @@ class GapReport:
     log((1+sqrt(5))/2); for an unconstrained spec it is log N (the equality
     case, reported via `full_shift`); otherwise the table minimum itself is
     used and tagged accordingly.  `bracket` encloses the true rectangular
-    entropy: the upper end is the table minimum (certified by the infimum
-    property); the lower end pads each admissible block with a symbol free of
-    constraints and tiles the plane with it, when such a symbol exists
-    (-inf otherwise).  `min_margin` is the least margin, first reached at
+    entropy: the upper end is the table minimum (an upper bound by the
+    infimum property, up to the rounding of its float logs, which is not
+    rounded outward: item 2 of ROADMAP.md); the lower end pads each
+    admissible block with a symbol free of constraints and tiles the plane
+    with it, when such a symbol exists (-inf otherwise).  `min_margin` is the least margin, first reached at
     `argmin`; `all_strict` says it exceeds 1e-12.
     """
 

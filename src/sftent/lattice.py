@@ -300,18 +300,62 @@ def _check_dilation(lat: FiniteLattice, radius: int) -> None:
     _check_coords(min(ox, oy) - radius, max(ox + w, oy + h) - 1 + radius)
 
 
+# widened runs in the 2·radius + 1 row-shifted copies up to which, in
+# ``dilate``, the coverage kernel over the copies beats the slabs' fixed
+# cost (35-140 us against 100 us and up; numpy 2.4, Python 3.11)
+_DILATE_COPIES = 64
+
+
 def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
-    """All points within Chebyshev distance `radius` of the lattice."""
+    """All points within Chebyshev distance `radius` of the lattice.
+
+    Each row's runs widen by `radius` once.  Up to ``_DILATE_COPIES`` runs
+    in 2·radius + 1 row-shifted copies of them, the coverage kernel unites
+    the copies.  Past that, runs of one extent in consecutive rows join
+    into a rectangle, widened by `radius` along y too.  The rectangles' row
+    ends cut the rows into slabs, each covered by one set of rectangles: the
+    kernel unites each slab's runs once, and the union is repeated on every
+    row of the slab.  It takes each rectangle once per slab it spans, at
+    most as often as the shifted copies hold each of its runs."""
     radius = _integer(radius)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return lat
-    _check_dilation(lat, radius)
-    wide = lat._runs + np.array([0, -radius, radius], dtype=np.int64)
-    return FiniteLattice._from_runs(
-        _cover(lambda c: c >= 1, *[(wide, dy, 1) for dy in range(-radius, radius + 1)])
-    )
+    _check_dilation(lat, radius)      # so every sum below stays in int64
+    runs = lat._runs
+    if (2 * radius + 1) * len(runs) <= _DILATE_COPIES:
+        wide = runs + np.array([0, -radius, radius], dtype=np.int64)
+        return FiniteLattice._from_runs(
+            _cover(lambda c: c >= 1, *[(wide, dy, 1) for dy in range(-radius, radius + 1)]))
+    ys, x0, x1 = runs[np.lexsort((runs[:, 0], runs[:, 2], runs[:, 1]))].T     # (x0, x1, y) order
+    first = np.flatnonzero(np.concatenate(
+        ([True], (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (ys[1:] != ys[:-1] + 1))))
+    last = np.append(first[1:], len(ys)) - 1
+    # rectangle k covers rows [lo, hi) and columns [x0, x1), widened
+    lo, hi = ys[first] - radius, ys[last] + 1 + radius
+    x0, x1 = x0[first] - radius, x1[first] + radius
+    # slab s is rows [bounds[s], bounds[s + 1]).  Deduplicated by hand: a
+    # plain np.unique's first call in a process takes milliseconds (numpy 2.4)
+    bounds = np.sort(np.concatenate([lo, hi]))
+    bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
+    start = np.searchsorted(bounds, lo)
+    span = np.searchsorted(bounds, hi) - start
+    rect = np.repeat(np.arange(len(lo)), span)
+    slab = np.arange(len(rect)) - np.repeat(span.cumsum() - span - start, span)
+    union = _cover(lambda c: c >= 1, (np.column_stack([slab, x0[rect], x1[rect]]), 0, 1))
+    # per slab its runs on each of its rows, in (row, x) order; a slab's
+    # height is exact in uint64, and one holding no run may pass int64
+    per = np.bincount(union[:, 0], minlength=len(bounds) - 1)
+    heights = np.where(per > 0, np.diff(bounds.view(np.uint64)), 0)
+    total = sum(p * h for p, h in zip(per.tolist(), heights.tolist()))     # exact
+    if total * 3 * 8 >= 2 ** 63:     # its runs' bytes pass any address space
+        raise MemoryError(f"the dilation has {total} runs")
+    size = per * heights.astype(np.int64)
+    row, k = np.divmod(np.arange(total) - np.repeat(size.cumsum() - size, size), np.repeat(per, size))
+    runs = union[np.repeat(per.cumsum() - per, size) + k]
+    runs[:, 0] = np.repeat(bounds[:-1], size) + row
+    return FiniteLattice._from_runs(runs)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,9 @@ def log_count_multiplicative(n: int, q: int) -> float:
 
 
 def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Enumerate all binary strings and test the constraint directly."""
+    """The count by the block search, testing each pair (x_{k/q}, x_k)
+    directly: x_k for k > n // q is read by no later pair, so it is counted
+    (a factor per row), never built, and only the first n // q cells are."""
     n, q = _integer(n), _integer(q)
     if n < 1 or q < 2:
         raise ValueError("need n >= 1 and q >= 2")

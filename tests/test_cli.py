@@ -290,6 +290,18 @@ def test_extendable_count_builds_no_dilation_for_a_safe_symbol(capsys):
                "got -9223372036854775806..9223372036854775807\n")
 
 
+def test_extendable_count_near_the_coordinate_range_exits_cleanly(capsys):
+    # no safe symbol, so the dilation is built: within the range but too
+    # large to hold it is refused (exit 3), past the range a usage error
+    for margin in (2**62, 2**60 + 12345):
+        code, out, err = run_cli(capsys, "count", "--spec", "period-forcing-h",
+                                 "--lattice", "rect:2,2", "--mode", f"ext:{margin}")
+        assert (code, out) == (3, "") and err.startswith("budget exceeded: ")
+    code, out, err = run_cli(capsys, "count", "--spec", "period-forcing-h",
+                             "--lattice", "rect:2,2", "--mode", f"ext:{2**63 - 2}")
+    assert (code, out) == (2, "") and err.startswith("error: lattice coordinates must lie in")
+
+
 @pytest.mark.parametrize("argv, builder", [
     (["reproduce", "eq1_7", "--n", "40"], "reproduce"),
     (["entropy-omega", "--spec", "golden-mean-h", "--system", "omega_q:2", "--n-range", "40:40"],

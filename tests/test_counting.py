@@ -145,30 +145,44 @@ def product_oracle(lat, spec):
 @given(bruteforce_specs(), st.randoms(use_true_random=False), st.sampled_from((1, 2, 7)),
        st.booleans(), st.integers(1, 16), st.integers(2, 5))
 def test_block_search_matches_oracles(spec, rnd, block, compare, n, q):
-    # blocks of 1, 2 and 7 rows split every child; `compare` sends every
-    # check through the banned-key comparison instead of a lookup table
-    lat = FiniteLattice(rnd.sample(BRUTE_BOX, ORACLE_CELLS[spec.alphabet_size]))
-    points = list(lat)
-    fixed = {p: rnd.randrange(spec.alphabet_size)
-             for p in rnd.sample(points, rnd.randint(0, min(2, len(points))))}
-    admissible = product_oracle(lat, spec)
-    pinned = [syms for syms in admissible
-              if all(syms[points.index(p)] == s for p, s in fixed.items())]
-    with patch.object(counting, "_BLOCK", block), \
-            patch.object(counting, "_DENSE", 1 if compare else counting._DENSE):
-        counting._constraint_table.cache_clear()      # tables built under the patch
-        try:
-            assert list(enumerate_admissible(lat, spec)) == admissible
-            sets = list(counting._question_sets(counting._admissible_rows(lat, spec),
-                                                3 * len(lat)))     # 3 rows
-            assert [tuple(row) for b in sets for row in b.tolist()] == admissible
-            most = max((rows.size for rows in counting._admissible_rows(lat, spec)), default=0)
-            assert all(3 * len(lat) <= b.size < 3 * len(lat) + most for b in sets[:-1])
-            assert count_bruteforce(lat, spec).value == len(admissible)
-            assert count_bruteforce(lat, spec, fixed=fixed).value == len(pinned)
-            assert count_multiplicative_bruteforce(n, q) == count_multiplicative(n, q)
-        finally:
-            counting._constraint_table.cache_clear()
+    # blocks of 1, 2 and 7 rows split every child, and the weights with
+    # them; `compare` sends every check through the banned-key comparison
+    # instead of a lookup table.  The sparse lattice, spread over a 6x6 box,
+    # has cells that no later check reads between cells that are built
+    size = ORACLE_CELLS[spec.alphabet_size]
+    sparse = [(x, y) for x in range(6) for y in range(6)]
+    for lat in (FiniteLattice(rnd.sample(BRUTE_BOX, size)), FiniteLattice(rnd.sample(sparse, size))):
+        points = list(lat)
+        fixed = {p: rnd.randrange(spec.alphabet_size)
+                 for p in rnd.sample(points, rnd.randint(0, min(2, len(points))))}
+        admissible = product_oracle(lat, spec)
+        pinned = [syms for syms in admissible
+                  if all(syms[points.index(p)] == s for p, s in fixed.items())]
+        with patch.object(counting, "_BLOCK", block), \
+                patch.object(counting, "_DENSE", 1 if compare else counting._DENSE):
+            counting._constraint_table.cache_clear()      # tables built under the patch
+            try:
+                assert list(enumerate_admissible(lat, spec)) == admissible
+                sets = list(counting._question_sets(counting._admissible_rows(lat, spec),
+                                                    3 * len(lat)))     # 3 rows
+                assert [tuple(row) for b in sets for row in b.tolist()] == admissible
+                most = max((rows.size for rows in counting._admissible_rows(lat, spec)), default=0)
+                assert all(3 * len(lat) <= b.size < 3 * len(lat) + most for b in sets[:-1])
+                assert count_bruteforce(lat, spec).value == len(admissible)
+                assert count_bruteforce(lat, spec, fixed=fixed).value == len(pinned)
+                assert count_multiplicative_bruteforce(n, q) == count_multiplicative(n, q)
+            finally:
+                counting._constraint_table.cache_clear()
+
+
+def test_block_search_counts_unread_cells_exactly_beyond_int64():
+    # 70 isolated cells are all counted, none built: 2**70 fits no int64
+    # weight.  A 3x3 block (63 hard-square patterns) beside 64 isolated
+    # cells builds the block and counts the rest
+    apart = FiniteLattice([(2 * i, 0) for i in range(70)])
+    assert count_bruteforce(apart, HARD_SQUARE, budget=2**70).value == 2**70
+    mixed = rectangle((0, 0), 3, 3).union(FiniteLattice([(2 * i, 10) for i in range(64)]))
+    assert count_bruteforce(mixed, HARD_SQUARE, budget=2**73).value == 63 * 2**64
 
 
 def test_block_checks_compare_keys_past_the_lookup_table(rng):
@@ -202,6 +216,16 @@ def test_block_search_memory_is_bounded():
     tracemalloc.start()
     try:
         assert count_bruteforce(rectangle((0, 0), 4, 5), full_shift(2)).value == 2**20
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # every cell but the last is read and built: symbol 2 is banned alone,
+    # so its dominoes never bite and all 2**20 patterns over {0, 1} pass
+    spec = SftSpec.make(3, [[((0, 0), 2)], [((0, 0), 2), ((1, 0), 2)], [((0, 0), 2), ((0, 1), 2)]])
+    tracemalloc.start()
+    try:
+        assert count_bruteforce(rectangle((0, 0), 4, 5), spec, budget=3**20).value == 2**20
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

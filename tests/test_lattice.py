@@ -1,9 +1,11 @@
 import math
 import random
+import time
 import tracemalloc
 
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,8 @@ from sftent import (
     staircase,
     stick_augmented,
 )
-from sftent.lattice import _region_cover_exists, _torus_cover
+from sftent import lattice
+from sftent.lattice import _cover, _region_cover_exists, _torus_cover
 from conftest import random_connected_lattice, row_convex_point_sets
 
 point_sets = st.sets(
@@ -574,3 +577,43 @@ def test_dilate_singleton():
 def test_dilate_zero_is_identity():
     lat = FiniteLattice([(0, 0), (2, 2)])
     assert dilate(lat, 0) == lat
+
+
+@pytest.mark.parametrize("copies", [0, lattice._DILATE_COPIES])
+def test_dilate_unites_the_rows_of_its_window(copies):
+    # a running max/min of the widened runs would give row 2 the hull [-3, 104)
+    with patch.object(lattice, "_DILATE_COPIES", copies):
+        d = dilate(FiniteLattice([(0, 0), (100, 5)]), 3)
+    assert d._runs[d._runs[:, 0] == 2].tolist() == [[2, -3, 4], [2, 97, 104]]
+    assert len(d) == 2 * 49
+
+
+@pytest.mark.parametrize("copies", [0, lattice._DILATE_COPIES])
+def test_dilate_matches_shifted_copies_and_point_sets(copies):
+    # the union of 2 * radius + 1 row-shifted copies of the widened runs, and
+    # for small radii every point within Chebyshev distance radius; with no
+    # copies allowed every dilation takes the slabs
+    rng = random.Random(11)
+    with patch.object(lattice, "_DILATE_COPIES", copies):
+        for _ in range(120):
+            w, h, density = rng.randint(1, 12), rng.randint(1, 12), rng.random()
+            points = [(x, y) for x in range(w) for y in range(h) if rng.random() < density]
+            points += [(x + 40, y - 25) for x, y in points[:rng.randint(0, 5)]]
+            lat = FiniteLattice(points)
+            for radius in (1, 2, rng.randint(3, 20)):
+                wide = lat._runs + np.array([0, -radius, radius], dtype=np.int64)
+                shifted = _cover(lambda c: c >= 1, *[(wide, dy, 1) for dy in range(-radius, radius + 1)])
+                assert np.array_equal(dilate(lat, radius)._runs, shifted)
+                if radius <= 2:
+                    near = {(x + dx, y + dy) for x, y in points
+                            for dx in range(-radius, radius + 1) for dy in range(-radius, radius + 1)}
+                    assert dilate(lat, radius) == FiniteLattice(near)
+        assert dilate(FiniteLattice(), 5) == FiniteLattice()
+        assert dilate(FiniteLattice([(2**63 - 3, 0)]), 1) == rectangle((2**63 - 4, -1), 3, 3)
+
+
+def test_dilate_costs_its_result_not_its_radius():
+    start = time.perf_counter()
+    d = dilate(rectangle((0, 0), 2, 2), 10**5)
+    assert time.perf_counter() - start < 0.1
+    assert d == rectangle((-10**5, -10**5), 2 * 10**5 + 2, 2 * 10**5 + 2)

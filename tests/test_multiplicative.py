@@ -75,9 +75,10 @@ def test_count_rejects_bad_arguments(n, q):
 
 
 def test_count_equals_bruteforce():
-    for q in (2, 3, 4):
-        for n in range(1, 21):
-            assert count_multiplicative(n, q) == count_multiplicative_bruteforce(n, q)
+    # the cells past n // q are counted, not built, so n = 40 is in reach
+    for q in (2, 3, 4, 5):
+        for n in range(1, 41):
+            assert count_multiplicative(n, q) == count_multiplicative_bruteforce(n, q, budget=2**n)
     with pytest.raises(ValueError):
         count_multiplicative_bruteforce(5, 1)
 

@@ -32,6 +32,10 @@ in milliseconds.  One case counts nothing: it builds ``lshape(1000)`` and
 boundary size, 2x2 block residue and the run census of both axes; another
 runs ``condition_report`` on the ``n^2 x n`` family for every n from 1 to
 200 with 2x2, 3x3 and 5x5 blocks, and gives its verdicts as the result.
+Two cases run the block search, each at a budget of every assignment: on
+4x6, the 3-symbol spec that bans symbol 2 alone and in both dominoes (2**24
+patterns, every cell but the last read, so built), and the multiplicative
+brute force at n = 40, q = 2 (its unread cells counted, not built).
 """
 
 from __future__ import annotations
@@ -59,13 +63,17 @@ SPREAD = [(0, 0), (1, 0), (6, 0), (7, 0), (8, 0), (5, 1)]
 GLUING3 = [[((0, 0), 1), ((0, 1), 0)], [((2, 0), 1), ((0, 1), 0), ((0, 2), 0)],
            [((2, 0), 1), ((1, 1), 2), ((0, 2), 0)]]
 N2XN = '{"system": "rect", "w": "n^2", "h": "n"}'
+# symbol 2 banned alone, so its dominoes never bite, yet every cell is read
+ALL_READ = [[((0, 0), 2)], [((0, 0), 2), ((1, 0), 2)], [((0, 0), 2), ((0, 1), 2)]]
 
 # name -> (alphabet size, forbidden patterns, lattice, route); the route
 # "extendable:M" is the extendable count with margin M, "table" the h_r
 # estimate of the rectangle table up to the sides given, "geometry" reads
 # the statistics of each builtin family the lattice names, and "report" the
 # condition report of the family the "system" names; the last two ignore the
-# spec.  "gluing" verifies block gluing at the (gap, window, extent, variant) given
+# spec.  "gluing" verifies block gluing at the (gap, window, extent, variant) given,
+# and "bruteforce" runs the block search at a budget of N ** cells (for the
+# "multiplicative" family, at (n, q), 2 ** n)
 CASES = {
     "lshape-staircase-1000-geometry": (2, [], ("lshape+staircase", 1000), "geometry"),
     "report-n2xn-200-geometry": (2, [], ("system", N2XN, range(1, 201)), "report"),
@@ -82,6 +90,8 @@ CASES = {
     "spread-cells-ext:2": (3, [[((2, 0), 0), ((0, 1), 2), ((2, 1), 1)]], ("cells", SPREAD),
                            "extendable:2"),
     "gluing3-vertical-gap1": (3, GLUING3, ("gluing", 1, 1, 2, "vertical"), "gluing"),
+    "allread-4x6-bruteforce": (3, ALL_READ, ("rectangle", 4, 6), "bruteforce"),
+    "multiplicative-n40-q2-bruteforce": (2, [], ("multiplicative", 40, 2), "bruteforce"),
 }
 
 
@@ -105,8 +115,8 @@ def run_case(name: str) -> dict:
         lat = sftent.stick_system(v, a).lattice(size)
     elif family == "system":
         system, n_range = sftent.formats.resolve_system(args[0]), args[1]
-    elif family in ("gluing", "table"):
-        pass        # no lattice: the verifier or the table builds its own
+    elif family in ("gluing", "table", "multiplicative"):
+        pass        # no lattice: the verifier, the table or the fibers build their own
     else:
         lats = [getattr(sftent, part)(*args) for part in family.split("+")]
     route, _, margin = route.partition(":")
@@ -121,6 +131,10 @@ def run_case(name: str) -> dict:
         result = repr(sftent.verify_block_gluing(spec, *args))
     elif route == "table":
         result = repr(sftent.rect_entropy_table(spec, *args).h_r_estimate)
+    elif route == "bruteforce" and family == "multiplicative":
+        result = str(sftent.count_multiplicative_bruteforce(*args, budget=2 ** args[0]))
+    elif route == "bruteforce":
+        result = str(sftent.count_bruteforce(lat, spec, budget=n ** len(lat)).value)
     elif route == "count":
         result = str(sftent.count_profile_dp(lat, spec).value)
     elif route == "extendable":
