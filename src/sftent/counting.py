@@ -91,8 +91,9 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BudgetExceeded, SymbolOutOfRange
-from .lattice import FiniteLattice, _cells, _check_dilation, _integer, _run_lengths, dilate, rectangle
-from .sft import CountResult, SftSpec, _placement_runs, forbidden_occurrences
+from .lattice import (FiniteLattice, _cells, _check_dilation, _integer, _placement_runs, _run_lengths,
+                      dilate, rectangle)
+from .sft import CountResult, SftSpec, forbidden_occurrences
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
 

@@ -5,11 +5,11 @@ one int64 array of half-open intervals ``(y, x0, x1)``, sorted by ``(y, x0)``,
 with touching runs merged.  Points iterate in row-major order (by y, then x).
 Set algebra, dilation and the transpose go through one coverage kernel over
 run endpoints (:func:`_cover`), so they cost time in the number of runs, not
-of cells: a rectangle with millions of cells has one run per row.  Interior
-and full blocks take the kernel only when some row holds several runs; with
-at most one run per row (rectangles, wedges, L-shapes, staircases) they are
-meets of neighbouring rows' runs, read off the run array with no sort.  Run
-censuses read run lengths directly.  Point coordinates are built only on
+of cells: a rectangle with millions of cells has one run per row.  Placements
+(:func:`_placement_runs`; the interior is the 2x2 window's) and full blocks
+are meets of neighbouring rows' runs, with no sort, when each row holds one
+run (rectangles, wedges, L-shapes, staircases), and kernel calls otherwise.
+Run censuses read run lengths directly.  Point coordinates are built only on
 demand, and nothing is stored per cell of the bounding box.
 Every integer argument must be a Python or numpy int, else ValueError (:func:`_integer`).
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -128,14 +128,17 @@ def _point_array(points) -> np.ndarray:
     return pts
 
 
-def _moved_back(runs: np.ndarray, x: int, y: int) -> np.ndarray:
-    """`runs` moved by (-x, -y), less the cells that would leave the coordinate
-    range [-2**63, 2**63 - 1): no coordinate wraps."""
+def _moved_back(runs: np.ndarray, x: int, y: int, n: int) -> np.ndarray:
+    """As runs, the v that place cells (x, y) .. (x + n - 1, y) inside `runs` (sorted by
+    row), less any v outside [-2**63, 2**63 - 1): no coordinate wraps."""
     lo, hi = -2 ** 63, 2 ** 63 - 1
-    runs = runs[(runs[:, 0] >= lo + max(y, 0)) & (runs[:, 0] < hi + min(y, 0))]
-    # np.clip would page in about 0.4 MB more code on first use
-    ends = np.minimum(np.maximum(runs[:, 1:], lo + max(x, 0)), hi + min(x, 0))
-    return np.column_stack([runs[:, 0] - y, ends - x])[ends[:, 0] < ends[:, 1]]
+    runs = runs[runs[:, 2] - runs[:, 1] >= n] - np.array([0, 0, n - 1]) if n > 1 else runs
+    if x or len(runs) and (runs[0, 0] < lo + max(y, 0) or runs[-1, 0] >= hi + min(y, 0)):
+        runs = runs[(runs[:, 0] >= lo + max(y, 0)) & (runs[:, 0] < hi + min(y, 0))]
+        # np.clip would page in about 0.4 MB more code on first use
+        ends = np.minimum(np.maximum(runs[:, 1:], lo + max(x, 0)), hi + min(x, 0))
+        runs = np.column_stack([runs[:, 0], ends])[ends[:, 0] < ends[:, 1]]
+    return runs - np.array([y, x, x], dtype=np.int64) if x or y else runs
 
 
 def _band(g0: int, count: int, a: int, b: int) -> np.ndarray:
@@ -369,23 +372,54 @@ def _one_run_per_row(ys: np.ndarray) -> bool:
     return bool((ys[1:] > ys[:-1]).all())
 
 
-def _interior_runs(lat: FiniteLattice) -> np.ndarray:
-    # keep (x, y) iff (x+1, y), (x, y+1), (x+1, y+1) are all present: each run
-    # loses its last cell, then row y meets row y + 1
-    runs = lat._runs
-    ys, x0, x1 = runs.T
-    if _one_run_per_row(ys):
-        # one run a row: the meet is of row y's run and the next, if it is row y + 1
-        lo, hi = np.maximum(x0[:-1], x0[1:]), np.minimum(x1[:-1], x1[1:]) - 1
-        keep = (ys[1:] == ys[:-1] + 1) & (lo < hi)
-        return np.column_stack([ys[:-1][keep], lo[keep], hi[keep]])
-    shrunk = (runs - np.array([0, 0, 1], dtype=np.int64))[runs[:, 2] - runs[:, 1] > 1]
-    return _cover(lambda c: c == 2, (shrunk, 0, 1), (shrunk, -1, 1))
+_WINDOW = ((0, 0), (1, 0), (0, 1), (1, 1))     # the 2x2 window: it places at the interior cells
+
+
+@lru_cache(maxsize=256)
+def _shape_rows(offsets: tuple) -> tuple:
+    """The runs (dy, dx0, dx1) of the cells `offsets`; per row its dy, least and greatest dx less a
+    shared dx (given apart); a meet's reach below x0 and (negated) past x1; for rows 0..d, slices."""
+    runs = tuple(map(tuple, FiniteLattice(offsets)._runs.tolist()))     # checked as points are
+    los, his = {y: x0 for y, x0, _ in runs[::-1]}, {y: x1 - 1 for y, _, x1 in runs}
+    dys, lo, hi = tuple(his), [los[y] for y in his], list(his.values())
+    lo0, hi0 = (lo[0] if len(set(lo)) == 1 else 0), (hi[0] if len(set(hi)) == 1 else 0)
+    at = tuple(slice(y, y - dys[-1] or None) for y in dys) if dys == tuple(range(len(dys))) else None
+    return (runs, dys, lo0, tuple(x - lo0 for x in lo), hi0, tuple(x - hi0 for x in hi),
+            max(max(lo), max(hi) - 1), min(min(hi), min(lo) + 1), at)
+
+
+def _placement_runs(offsets: tuple, lat: FiniteLattice) -> np.ndarray:
+    """The anchors v with `offsets` + v inside `lat`, as row runs in (y, x)
+    order.  Where each row holds one run and the shape's lowest row is 0,
+    row y's are the meet over the shape's rows dy of ``[x0(y + dy) - min dx,
+    x1(y + dy) - max dx)``, kept where every row y + dy is present: for rows
+    0..d, rows y..y + d are runs i..i + d exactly when ``ys[i + d] == ys[i] +
+    d``, so slices meet; skipping a row, a shape finds its rows by searchsorted.
+    Where that could leave int64, or elsewhere, they are covered by the kernel
+    parts ``_moved_back(runs, dx, dy, n)`` of its runs of n cells at (dx, dy)."""
+    if not offsets or not lat._len:
+        return np.empty((0, 3), dtype=np.int64)
+    shape, dys, lo0, lo_dx, hi0, hi_dx, down, up, at = _shape_rows(offsets)
+    (ys, x0, x1), d = lat._runs.T, dys[-1]
+    if (dys[0] != 0 or not _one_run_per_row(ys) or int(ys[-1]) + d >= 2 ** 63
+            or down > 0 and int(x0.min()) - down < -2 ** 63 or up < 0 and int(x1.max()) - up >= 2 ** 63):
+        parts = [(_moved_back(lat._runs, a, y, b - a), 0, 1) for y, a, b in shape]
+        return _cover(lambda c: c == len(parts), *parts)
+    if at is None:
+        at = np.minimum(np.searchsorted(ys, want := ys + np.array(dys)[:, None]), len(ys) - 1)
+        keep = (ys[at] == want).all(0)
+    else:
+        keep = ys[at[-1]] == ys[at[0]] + d
+    lo = reduce(np.maximum, [x0[i] - dx if dx else x0[i] for i, dx in zip(at, lo_dx)])
+    hi = reduce(np.minimum, [x1[i] - dx if dx else x1[i] for i, dx in zip(at, hi_dx)])
+    lo, hi = lo - lo0 if lo0 else lo, hi - hi0 if hi0 else hi
+    keep &= lo < hi
+    return np.column_stack([ys[:len(keep)][keep], lo[keep], hi[keep]])
 
 
 def interior(lat: FiniteLattice) -> FiniteLattice:
     """Points whose +x, +y and +x+y neighbours also belong to the lattice."""
-    return FiniteLattice._from_runs(_interior_runs(lat))
+    return FiniteLattice._from_runs(_placement_runs(_WINDOW, lat))
 
 
 def boundary(lat: FiniteLattice) -> FiniteLattice:
@@ -395,7 +429,7 @@ def boundary(lat: FiniteLattice) -> FiniteLattice:
 
 def boundary_size(lat: FiniteLattice) -> int:
     """|boundary(lat)| without materialising the point set."""
-    return len(lat) - _size(_interior_runs(lat))
+    return len(lat) - _size(_placement_runs(_WINDOW, lat))
 
 
 def complement_in(inner: FiniteLattice, outer: FiniteLattice) -> FiniteLattice:

@@ -4,9 +4,8 @@ A spec is an alphabet size N plus a finite list of forbidden patterns, each a
 symbol assignment on a finite shape.  A pattern on a finite lattice is locally
 admissible when no forbidden pattern occurs at any placement of its shape that
 lies fully inside the pattern's support.  Placements are read from the
-lattice's row runs, as meets of the rows a shape spans where each row holds
-one run and else by the coverage kernel, so they hold for any coordinates in
-the lattice's range [-2**63, 2**63 - 1).
+lattice's row runs by :func:`sftent.lattice._placement_runs`, so they hold
+for any coordinates in the lattice's range [-2**63, 2**63 - 1).
 """
 
 from __future__ import annotations
@@ -15,11 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-import numpy as np
-
 from .errors import SymbolOutOfRange
-from .lattice import (FiniteLattice, Point, _cells, _cover, _integer, _moved_back, _one_run_per_row,
-                      _pair, _point_array)
+from .lattice import FiniteLattice, Point, _cells, _integer, _pair, _placement_runs
 
 
 @dataclass(frozen=True)
@@ -205,38 +201,10 @@ def period_forcing_horizontal() -> SftSpec:
 # ---------------------------------------------------------------------------
 
 
-def _placement_runs(offsets, lat: FiniteLattice) -> np.ndarray:
-    """`placements` as row runs for the shape of the distinct cell `offsets`,
-    in (y, x) order: the one test of what lies inside.  On a lattice with at
-    most one run per row and a shape whose lowest row is 0, the anchors in
-    row y are the meet, over the shape's rows dy, of ``[x0(y + dy) - min dx,
-    x1(y + dy) - max dx)`` where every row y + dy is present.  Elsewhere, or
-    where that arithmetic could leave int64, they are the cells covered by
-    every translate of `lat` by minus a shape cell (the coverage kernel)."""
-    off = _point_array(offsets)     # checked as a lattice's points are
-    if len(off) == 0 or len(lat) == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    ys, x0, x1 = lat._runs.T
-    rows = {}       # per shape row dy, [min dx, max dx]: the offsets are in (y, x) order
-    for x, y in off.tolist():
-        rows.setdefault(y, [x, x])[1] = x
-    dys, (lo_dx, hi_dx) = np.array(list(rows)), np.array(list(rows.values())).T
-    (ox, oy), w, h = lat.bbox
-    if (dys[0] != 0 or not _one_run_per_row(ys) or oy + h - 1 + int(dys[-1]) >= 2 ** 63
-            or ox - int(hi_dx.max()) < -2 ** 63 or ox + w - int(lo_dx.min()) >= 2 ** 63):
-        moved = [(_moved_back(lat._runs, x, y), 0, 1) for x, y in off.tolist()]
-        return _cover(lambda c: c == len(off), *moved)
-    want = ys[:, None] + dys
-    at = np.minimum(np.searchsorted(ys, want), len(ys) - 1)
-    lo, hi = (x0[at] - lo_dx).max(1), (x1[at] - hi_dx).min(1)
-    keep = (ys[at] == want).all(1) & (lo < hi)
-    return np.column_stack([ys[keep], lo[keep], hi[keep]])
-
-
 def placements(shape: FiniteLattice, lat: FiniteLattice) -> list[Point]:
     """Translation vectors v with shape + v fully inside lat, canonical order;
     like points, vectors lie in [-2**63, 2**63 - 1)."""
-    x, y = _cells(_placement_runs(shape.coords, lat))
+    x, y = _cells(_placement_runs(tuple(shape), lat))
     return [Point(*v) for v in zip(x.tolist(), y.tolist())]
 
 

@@ -15,13 +15,10 @@ set operation is the union that joins a stick to its square.
 The report stacks many indices' lattices into bands of one run array and
 takes each statistic with one pass per stack (at most ``_CHUNK`` rows of runs
 plus transposed runs), rather than several small calls per index; only run
-lengths up to ``m_max`` are tallied.  A pass is a coverage-kernel call when
-some row of the stack holds several runs; when every row holds one, as in
-rectangles, wedges, L-shapes and staircases, it reads neighbouring rows off
-the run array with no sort.  The
-per-lattice functions of :mod:`sftent.lattice` (``boundary_size``,
-``block_residue_size``, ``run_census``) give the same numbers one lattice
-at a time.
+lengths up to ``m_max`` are tallied.  The interior is the placements of the
+2x2 window (:func:`sftent.lattice._placement_runs`).  The per-lattice
+functions of :mod:`sftent.lattice` (``boundary_size``, ``block_residue_size``,
+``run_census``) give the same numbers one lattice at a time.
 """
 
 from __future__ import annotations
@@ -33,9 +30,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import OverlapError
-from .lattice import (FiniteLattice, _band, _block_sides, _check_coords, _full_blocks, _integer,
-                      _interior_runs, _pair, _require_primitive, _real, _run_lengths, is_tessellation,
-                      rectangle)
+from .lattice import (FiniteLattice, _WINDOW, _band, _block_sides, _check_coords, _full_blocks,
+                      _integer, _pair, _placement_runs, _require_primitive, _real, _run_lengths,
+                      is_tessellation, rectangle)
 from .multiplicative import SeriesValue, _fiber_entropy_series, _fiber_lengths, fibonacci
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
@@ -396,7 +393,7 @@ def _stack_rows(stack, m_max: int, bsizes) -> list[ConditionRow]:
     shifts = [(shift + 2 ** 63) % 2 ** 64 - 2 ** 63 for _, shift, _ in stack]
     runs[:, 0] += np.repeat(np.array(shifts, dtype=np.int64), counts)
     stacked = FiniteLattice._from_runs(runs)
-    interior = _band_sizes(_interior_runs(stacked), starts)
+    interior = _band_sizes(_placement_runs(_WINDOW, stacked), starts)
     # a full block of a band below ends by row start - 1, so below start // l
     full = [_band_sizes(_full_blocks(stacked, k, l), [s // l for s in starts])
             for k, l in bsizes]

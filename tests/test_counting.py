@@ -442,8 +442,9 @@ def test_sweep_matches_oracle_on_random_box3_specs(spec, rnd):
     # the coverage kernel
     cells = 12 if spec.alphabet_size == 2 else 8
     for lat, convex in ((holey_clusters(rnd, cells), False), (row_convex_cells(rnd, cells), True)):
-        meet_off = patch("sftent.sft._one_run_per_row", return_value=False)
-        kernel_off = patch("sftent.sft._cover", side_effect=AssertionError("coverage kernel called"))
+        lat._truns      # the sweep reads the transpose, which the kernel builds
+        meet_off = patch("sftent.lattice._one_run_per_row", return_value=False)
+        kernel_off = patch("sftent.lattice._cover", side_effect=AssertionError("coverage kernel called"))
         with meet_off if convex else nullcontext():
             exact = count_bruteforce(lat, spec).value
         with kernel_off if convex else nullcontext():

@@ -20,8 +20,8 @@ from sftent import (
     placements,
     rectangle,
 )
-from sftent.lattice import _cover
-from sftent.sft import _placement_runs, forbidden_occurrences
+from sftent.lattice import _cover, _placement_runs
+from sftent.sft import forbidden_occurrences
 
 
 def admissible_count_oracle(lat, spec):
@@ -108,6 +108,9 @@ WINDOW = [(0, 0), (1, 0), (0, 1), (1, 1)]
 # 1x3 runs both ways
 ORACLE_SHAPES = [[c for i, c in enumerate(WINDOW) if m >> i & 1] for m in range(1, 16)]
 ORACLE_SHAPES += [[(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1), (0, 2)]]
+# a skipped row (the searchsorted meet), a gap inside a row (one kernel part
+# per row run), and both
+ORACLE_SHAPES += [[(0, 0), (0, 2)], [(0, 0), (2, 0)], [(0, 0), (2, 0), (1, 2)]]
 
 
 def placements_reference(offsets, points):
@@ -151,12 +154,19 @@ def one_run_per_row(points) -> bool:
 
 def meet_fits(offsets, points) -> bool:
     """Whether the row meet of `offsets` over `points` keeps its arithmetic
-    in int64: the shape's lowest row is 0, and the lattice's coordinates
-    plus or minus the shape's extent stay in range."""
-    dxs, dys = [dx for dx, _ in offsets], [dy for _, dy in offsets]
+    in int64: the shape's lowest row is 0, the lattice's rows plus the
+    shape's height stay in range, and so do its run starts less each shape
+    row's least dx and its run ends less each row's greatest dx, bounded by
+    a start of at least min x and an end of at most max x + 1, one past a
+    start."""
+    rows = {}
+    for dx, dy in offsets:
+        rows.setdefault(dy, []).append(dx)
+    lo, hi = [min(r) for r in rows.values()], [max(r) for r in rows.values()]
     xs, ys = [x for x, _ in points], [y for _, y in points]
-    return (min(dys) == 0 and max(ys) + max(dys) < 2**63
-            and min(xs) - max(dxs) >= -2**63 and max(xs) + 1 - min(dxs) < 2**63)
+    return (min(rows) == 0 and max(ys) + max(rows) < 2**63
+            and min(xs) - max(max(lo), max(hi) - 1) >= -2**63
+            and max(xs) + 1 - min(min(hi), min(lo) + 1) < 2**63)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -170,7 +180,8 @@ def test_placements_exact_on_any_int64_coordinates(seed):
     # (the shape reaching that copy, near the range's ends) or the shape's
     # lowest row is not 0, it falls back to the coverage kernel
     rng = random.Random(seed)
-    shapes = ORACLE_SHAPES + [[(0, 0), (-1, 0)], [(0, -1), (0, 0), (-1, 1)], [(0, 0), (2**62, 2**62)]]
+    shapes = ORACLE_SHAPES + [[(0, 0), (-1, 0)], [(0, 0), (-2, 0)], [(0, -1), (0, 0), (-1, 1)],
+                              [(0, 0), (2**62, 2**62)]]
     holey = random_points(rng)
     convex = row_convex_points(rng)
     for points in (holey, convex | {(x + 2**62, y + 2**62) for x, y in convex}):
@@ -181,15 +192,15 @@ def test_placements_exact_on_any_int64_coordinates(seed):
             lat = FiniteLattice(moved)
             for offsets in shapes:
                 expected = placements_reference(offsets, moved)
-                with patch("sftent.sft._cover", side_effect=_cover) as kernel:
+                with patch("sftent.lattice._cover", side_effect=_cover) as kernel:
                     assert placements(FiniteLattice(offsets), lat) == [
                         v for v in expected if -2**63 <= min(v) and max(v) < 2**63 - 1]
                 meet = one_run_per_row(moved) and meet_fits(offsets, moved)
                 assert kernel.called is not meet
                 if meet:     # the kernel's own canonical runs, dtype and order
-                    runs = _placement_runs(FiniteLattice(offsets).coords, lat)
-                    with patch("sftent.sft._one_run_per_row", return_value=False):
-                        reference = _placement_runs(FiniteLattice(offsets).coords, lat)
+                    runs = _placement_runs(tuple(offsets), lat)
+                    with patch("sftent.lattice._one_run_per_row", return_value=False):
+                        reference = _placement_runs(tuple(offsets), lat)
                     assert runs.dtype == reference.dtype and np.array_equal(runs, reference)
     domino = FiniteLattice([(0, 0), (1, 0)])
     assert placements(domino, FiniteLattice([(-2**63, 0), (-2**63 + 1, 0)])) == [(-2**63, 0)]

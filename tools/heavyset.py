@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Time the heavy counting set, one fresh process per case.
+"""Time the heavy counting set, ``REPEATS`` fresh processes per case.
 
     python3 tools/heavyset.py [CASE ...]
 
 Run from the root of a source checkout; ``sftent`` is imported from
-``src/``.  Each case runs in its own interpreter, so its time and its
-maximum resident memory are its own; one JSON line per case goes to stdout:
-the case, its wall seconds (import excluded), the process's max RSS in MB
-and the result (an exact count, a log count or a per-cell ratio).  The
-times are reported, not checked: the exit code is 1 only when a case fails.
+``src/``.  Each run of a case has its own interpreter, so its time and its
+maximum resident memory are its own.  A case runs ``REPEATS`` times in a
+row, and one JSON line per case goes to stdout: the case, the median and
+the min-max range of its wall seconds (import excluded), the largest max
+RSS of its runs in MB and the result (an exact count, a log count or a
+per-cell ratio).  The times are reported, not checked: the exit code is 1
+only when a run fails or a case's result differs between its runs.
 
 Cases: hard squares exact on 16x16 and 20x20, the hard-square rectangle
 table up to 12x12 (``rect_entropy_table``: 144 small sweeps, whose fixed
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import json
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -49,6 +52,9 @@ from itertools import combinations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# fresh-process runs per case: one run cannot tell a few percent from the
+# host's noise on the millisecond cases
+REPEATS = 3
 
 HARD_SQUARE = [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]]
 R3 = [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
@@ -159,13 +165,26 @@ def main(argv: list[str]) -> int:
         return 2
     failed = False
     for name in argv or CASES:
-        proc = subprocess.run([sys.executable, __file__, "--case", name],
-                              capture_output=True, text=True)
-        if proc.returncode:
+        runs, error = [], None
+        for _ in range(REPEATS):
+            proc = subprocess.run([sys.executable, __file__, "--case", name],
+                                  capture_output=True, text=True)
+            if proc.returncode:
+                error = proc.stderr.strip().splitlines()[-1:]
+                break
+            runs.append(json.loads(proc.stdout))
+        results = sorted({run["result"] for run in runs})
+        if error is None and len(results) > 1:
+            error = ["results differ between runs", *results]
+        if error is not None:
             failed = True
-            print(json.dumps({"case": name, "error": proc.stderr.strip().splitlines()[-1:]}))
-        else:
-            print(proc.stdout.strip(), flush=True)
+            print(json.dumps({"case": name, "error": error}), flush=True)
+            continue
+        seconds = sorted(run["seconds"] for run in runs)
+        print(json.dumps({"case": name, "seconds": statistics.median(seconds),
+                          "range": [seconds[0], seconds[-1]],
+                          "max_rss_mb": max(run["max_rss_mb"] for run in runs),
+                          "result": runs[0]["result"]}), flush=True)
     return 1 if failed else 0
 
 
