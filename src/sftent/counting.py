@@ -7,25 +7,26 @@ lattice:
   ``N ** |free cells|``.  A block search (``_block_search``) holds up to
   ``_BLOCK`` = 4,096 partial assignments as the rows of a numpy array, one
   column per cell in canonical order, and extends a whole block by one cell
-  per step: each forbidden occurrence is checked at its last cell, with one
-  table lookup per tuple of other cells (a comparison with each banned key
-  past ``_DENSE`` = 4,096 table rows).  The children, in (row, symbol)
-  order, are split into blocks: the search goes on with the first and
-  pushes the rest in reverse onto an explicit stack, so it runs depth-first
-  in lexicographic order.  A cell that no check at a later cell reads (the
+  per step: a forbidden shape's placement is checked at its last cell by
+  one lookup in the shape's table (a comparison with each banned key past
+  ``_DENSE`` = 4,096 table rows).  The children, in (row, symbol) order,
+  are split into blocks: the search goes on with the first and pushes the
+  rest in reverse onto an explicit stack, so it runs depth-first in
+  lexicographic order.  A cell that no check at a later cell reads (the
   last one always) is counted, never built: each row carries a weight,
   multiplied there by the row's number of allowed symbols (int64 while
   ``N ** |L| < 2**63``, else Python ints), and block sums are added as
   Python ints.  Each cell keeps at most ``N * _BLOCK`` rows alive, its
   child or the blocks of it that wait, one byte per cell (N <= 256) plus an
   8-byte weight, so memory stays under ``N * _BLOCK * |L| * (|L| + 8)``
-  bytes whatever the count.  The same search, with no cell counted, enumerates the
-  admissible patterns (``enumerate_admissible``), and it counts the
-  multiplicative brute force.  "Does an extension exist" runs elsewhere:
-  ``_search`` steps one symbol at a time, depth first, and stops at the
-  first witness, within its per-symbol budget.  It answers a single
+  bytes whatever the count.  The same search, with no cell counted,
+  enumerates the admissible patterns (``enumerate_admissible``), and it
+  counts the multiplicative brute force.  "Does an extension exist" runs
+  elsewhere: ``_search`` steps one symbol at a time, depth first, and stops
+  at the first witness, within its per-symbol budget.  It answers a single
   question (``admissible_extension_exists``), and the questions of a set
-  that the pinned sweep below leaves.
+  that the pinned sweep below leaves.  Both searches compile each forbidden
+  shape once (``_constraint_table``), shared by all its placements.
 * ``count_profile_dp`` -- a frontier dynamic program for any finite forbidden
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
@@ -74,10 +75,11 @@ lattice:
   one float64 weight per state, renormalised once the total passes 1e12 so
   huge lattices never materialise huge integers.
 
-Counts are exact arbitrary-precision integers; ``count`` dispatches between
-the routes, falling back to brute force when the sweep refuses, and given a
-margin returns the extendable-count refinement (pinned sweeps of the
-dilation, one query per admissible core pattern).
+Counts are exact arbitrary-precision integers, and budgets integers
+(``lattice._integer``); ``count`` dispatches between the routes, falling
+back to brute force when the sweep refuses, and given a margin returns the
+extendable-count refinement (pinned sweeps of the dilation, one query per
+admissible core pattern).
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ import numpy as np
 from .errors import BudgetExceeded, SymbolOutOfRange
 from .lattice import (FiniteLattice, _cells, _check_dilation, _integer, _placement_runs, _run_lengths,
                       dilate, rectangle)
-from .sft import CountResult, SftSpec, forbidden_occurrences
+from .sft import CountResult, SftSpec
 
 DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
 
@@ -108,62 +110,52 @@ _DENSE = 4096     # base-N codes a check's lookup table may cover
 
 def _check_budget(alphabet_size: int, cells: int, budget: int) -> None:
     # N >= 2, so N**cells >= 2**cells > budget once cells >= budget.bit_length()
-    if cells >= int(budget).bit_length() or alphabet_size ** cells > budget:
+    if cells >= budget.bit_length() or alphabet_size ** cells > budget:
         raise BudgetExceeded(f"{alphabet_size}**{cells} assignments exceed budget {budget}")
 
 
-def _ban_groups(occurrences, n_cells: int):
-    """Forbidden (cells, symbols) occurrences, each attached to its last cell:
-    per cell, ``{other cells: {their symbols: banned symbols}}``."""
-    groups: list[dict] = [{} for _ in range(n_cells)]
-    for idx, syms in occurrences:
-        pairs = sorted(zip(idx, syms))
-        last, last_sym = pairs.pop()
-        cells, key = tuple(i for i, _ in pairs), tuple(s for _, s in pairs)
-        groups[last].setdefault(cells, {}).setdefault(key, set()).add(last_sym)
-    return groups
+def _occurrence_checks(placed, n_cells: int):
+    """``_search`` checks from `placed` (``_block_checks``): per cell, ``(read,
+    banned)`` per placement ending there, one `banned` dict per shape."""
+    checks: list[list] = [[] for _ in range(n_cells)]
+    for rows, bans in placed:
+        banned = {k[0] if len(k) == 1 else k: v for k, v in bans.items()}
+        for *others, last in rows:
+            checks[last].append((itemgetter(*others) if others else lambda _: (), banned))
+    return checks
 
 
-def _occurrence_checks(occurrences, n_cells: int):
-    """``_search`` checks: per cell, ``(read, banned)`` per tuple of other
-    cells, ``banned`` keyed by what ``read(assign)`` returns."""
-    return [tuple((itemgetter(*cells) if cells else lambda _: (),
-                   {k[0] if len(k) == 1 else k: v for k, v in banned.items()})
-                  for cells, banned in g.items())
-            for g in _ban_groups(occurrences, n_cells)]
-
-
-def _block_checks(occurrences, n_cells: int, n: int):
-    """``_block_search`` arguments for `n` symbols: the free symbols, an
-    ``(n_cells, n)`` mask with one-cell bans cleared, per cell one check per
-    tuple of other cells, mapping a block to its ``(rows, n)`` mask of the
-    symbols allowed there, and `read`, one bool per cell: does a check at a
-    later cell read it?  While the other cells have at most ``_DENSE``
-    symbol combinations a check reads a table row by their base-N code, else
-    it compares them with each banned key."""
+def _block_checks(placed, n_cells: int, n: int):
+    """``_block_search`` arguments for `n` symbols from `placed`, per shape
+    ``(rows, bans)``: its placements as rows of cell indices, the last the
+    cell checked, and ``{other cells' symbols: banned last symbols}``.  The
+    free symbols, an ``(n_cells, n)`` mask with one-cell bans cleared; per
+    cell one check per placement ending there, a block to its ``(rows, n)``
+    allowed mask by its shape's table (the other cells' base-N code, up to
+    ``_DENSE`` rows) or banned keys; `read`: does a later check read a cell?"""
     free = np.ones((n_cells, n), dtype=bool)
     read = np.zeros(n_cells, dtype=bool)
     checks: list[list] = [[] for _ in range(n_cells)]
-    for cell, g in enumerate(_ban_groups(occurrences, n_cells)):
-        for cells, banned in g.items():
-            read[list(cells)] = True
-            if not cells:
-                free[cell, list(banned[()])] = False
-            elif n ** len(cells) <= _DENSE:
-                allow = np.ones((n,) * len(cells) + (n,), dtype=bool)
-                for key, syms in banned.items():
-                    allow[key][list(syms)] = False
-                checks[cell].append(partial(_lookup, cells, n, allow.reshape(-1, n)))
-            else:
-                keys = np.array(list(banned), dtype=np.int64)[:, None, :]
-                bans = np.zeros((len(keys), n), dtype=bool)
-                for row, syms in enumerate(banned.values()):
-                    bans[row, list(syms)] = True
-                checks[cell].append(partial(_compare, list(cells), keys, bans))
+    for rows, bans in placed:
+        width = len(next(iter(bans)))     # other cells of each placement
+        read[[c for row in rows for c in row[:-1]]] = True
+        if not width:
+            free[np.ix_([row[0] for row in rows], list(bans[()]))] = False
+            continue
+        if n ** width <= _DENSE:
+            allow = np.ones((n,) * width + (n,), dtype=bool)
+            for key, syms in bans.items():
+                allow[key][list(syms)] = False
+            check = partial(_lookup, n, allow.reshape(-1, n))
+        else:
+            check = partial(_compare, np.array(list(bans), dtype=np.int64)[:, None, :],
+                            np.array([[s in syms for s in range(n)] for syms in bans.values()]))
+        for *others, last in rows:     # partials flatten: one positional call each
+            checks[last].append(partial(check, others))
     return free, checks, read
 
 
-def _lookup(cells, n: int, allow, block):
+def _lookup(n: int, allow, cells, block):
     """The rows of `allow` at the base-N code of `cells` in each row of
     `block`, the first cell most significant."""
     code = block[:, cells[0]]
@@ -175,7 +167,7 @@ def _lookup(cells, n: int, allow, block):
     return allow.take(code, axis=0)
 
 
-def _compare(cells, keys, bans, block):
+def _compare(keys, bans, cells, block):
     """Per row of `block`, the symbols that no key its `cells` hold bans;
     key j bans the symbols of row j of `bans`."""
     return ~((block[:, cells] == keys).all(2).T @ bans)
@@ -281,16 +273,25 @@ def _search(domains, checks, budget) -> bool:
 def _constraint_table(lat: FiniteLattice, spec: SftSpec, blocks: bool):
     """Cell index by point, free domains and checks, of the block search
     (`blocks`, with its read cells) or of ``_search``, built once per
-    lattice and spec."""
-    occurrences = forbidden_occurrences(lat, spec)
-    index = {p: i for i, p in enumerate(lat)}
+    lattice and spec.  A shape's canonical (y, x) offsets end at the last
+    cell of each of its placements, which are read once."""
+    index = dict(zip(map(tuple, lat.coords.tolist()), range(len(lat))))     # as Points hash
+    shapes: dict = {}     # offsets -> {other cells' symbols: banned last symbols}
+    for pat in spec.forbidden:
+        offsets, syms = zip(*pat.cells)
+        shapes.setdefault(offsets, {}).setdefault(syms[:-1], set()).add(syms[-1])
+    placed = []
+    for offsets, bans in shapes.items():
+        x, y = _cells(_placement_runs(offsets, lat))
+        placed.append(([[index[(px + vx, py + vy)] for px, py in offsets]
+                        for vx, vy in zip(x.tolist(), y.tolist())], bans))
     if blocks:
-        return index, *_block_checks(occurrences, len(lat), spec.alphabet_size)
+        return index, *_block_checks(placed, len(lat), spec.alphabet_size)
     # safe symbols first: no check bans one, so with one the search extends
     # admissible fixed cells without backtracking
     safe = spec.safe_symbols
     free = [safe + tuple(s for s in range(spec.alphabet_size) if s not in safe)] * len(lat)
-    return index, free, _occurrence_checks(occurrences, len(lat))
+    return index, free, _occurrence_checks(placed, len(lat))
 
 
 def _symbol(s, n: int) -> int:
@@ -322,7 +323,7 @@ def count_bruteforce(
 ) -> CountResult:
     """Exhaustive count of locally admissible assignments (reference oracle)."""
     free = len(lat) - sum(p in lat for p in fixed or ())
-    _check_budget(spec.alphabet_size, free, budget)
+    _check_budget(spec.alphabet_size, free, _integer(budget))
     return CountResult(_count_blocks(*_domains(lat, spec, fixed)), len(lat))
 
 
@@ -336,9 +337,8 @@ def _admissible_rows(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BU
 
 
 def enumerate_admissible(lat: FiniteLattice, spec: SftSpec, budget: int = DEFAULT_BUDGET):
-    """Yield every admissible assignment as a symbol tuple in canonical order."""
-    for rows in _admissible_rows(lat, spec, budget):
-        yield from map(tuple, rows.tolist())
+    """Every admissible assignment as a symbol tuple in canonical order, lazily."""
+    return (tuple(row) for rows in _admissible_rows(lat, spec, _integer(budget)) for row in rows.tolist())
 
 
 def admissible_extension_exists(
@@ -348,7 +348,7 @@ def admissible_extension_exists(
     ``_symbol``)?  The search may assign at most `budget` cells, else it
     raises BudgetExceeded."""
     symbols = [_symbol(s, spec.alphabet_size) for s in fixed.values()]
-    return _extension_oracle(lat, spec, list(fixed), budget)(symbols)
+    return _extension_oracle(lat, spec, list(fixed), _integer(budget))(symbols)
 
 
 def _extension_oracle(lat: FiniteLattice, spec: SftSpec, points, budget: int = DEFAULT_BUDGET):
@@ -873,7 +873,7 @@ def count_extendable(
     the questions of ``_extensions`` on the dilation; those that extend are
     kept.  Either way a dilation past the coordinate range raises ValueError.
     """
-    margin = _integer(margin)
+    margin, budget = _integer(margin), _integer(budget)
     if margin < 0:
         raise ValueError("margin must be >= 0")
     _check_dilation(lat, margin)
@@ -899,6 +899,7 @@ def count(
     refuses, the brute-force oracle; given an integer margin (0 included), the
     extendable count of :func:`count_extendable`.
     """
+    budget = _integer(budget)
     if margin is not None:
         return count_extendable(lat, spec, margin, budget=budget)
     try:      # the sweep refuses only past its budget

@@ -237,6 +237,11 @@ class FiniteLattice:
         return Point(ox, oy), int(x1.max()) - ox, int(ys[-1]) - oy + 1
 
     @cached_property
+    def _one_run_per_row(self) -> bool:
+        """Whether each row holds at most one run: the runs' rows strictly increase."""
+        return bool((self._runs[1:, 0] > self._runs[:-1, 0]).all())
+
+    @cached_property
     def _truns(self) -> np.ndarray:
         """Runs of the transpose, (x, y0, y1) per vertical run.
 
@@ -366,12 +371,6 @@ def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
-def _one_run_per_row(ys: np.ndarray) -> bool:
-    """Whether canonical runs with row coordinates `ys` hold at most one run
-    per row: the rows strictly increase."""
-    return bool((ys[1:] > ys[:-1]).all())
-
-
 _WINDOW = ((0, 0), (1, 0), (0, 1), (1, 1))     # the 2x2 window: it places at the interior cells
 
 
@@ -401,7 +400,7 @@ def _placement_runs(offsets: tuple, lat: FiniteLattice) -> np.ndarray:
         return np.empty((0, 3), dtype=np.int64)
     shape, dys, lo0, lo_dx, hi0, hi_dx, down, up, at = _shape_rows(offsets)
     (ys, x0, x1), d = lat._runs.T, dys[-1]
-    if (dys[0] != 0 or not _one_run_per_row(ys) or int(ys[-1]) + d >= 2 ** 63
+    if (dys[0] != 0 or not lat._one_run_per_row or int(ys[-1]) + d >= 2 ** 63
             or down > 0 and int(x0.min()) - down < -2 ** 63 or up < 0 and int(x1.max()) - up >= 2 ** 63):
         parts = [(_moved_back(lat._runs, a, y, b - a), 0, 1) for y, a, b in shape]
         return _cover(lambda c: c == len(parts), *parts)
@@ -470,7 +469,7 @@ def _full_blocks(lat: FiniteLattice, k: int, l: int) -> np.ndarray:
     a0, rem = np.divmod(x0, k)
     a0 += rem != 0                      # ceil(x0 / k), even at x0 = -2**63
     a1, bands = x1 // k, ys // l
-    if _one_run_per_row(ys):
+    if lat._one_run_per_row:
         # one run a row: a band's blocks are the meet of its rows', if it has all l
         first = np.ones(ys.size, dtype=bool)
         first[1:] = bands[1:] != bands[:-1]

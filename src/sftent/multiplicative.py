@@ -109,10 +109,10 @@ def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET
     n, q = _integer(n), _integer(q)
     if n < 1 or q < 2:
         raise ValueError("need n >= 1 and q >= 2")
-    _check_budget(2, n, budget)
-    # cell k - 1 holds x_k; the pair (x_{k/q}, x_k) may not be (1, 1)
-    pairs = [((k // q - 1, k - 1), (1, 1)) for k in range(q, n + 1, q)]
-    return _count_blocks(*_block_checks(pairs, n, 2))
+    _check_budget(2, n, _integer(budget))
+    # cell k - 1 holds x_k; the pairs (x_{k/q}, x_k), one shape, may not be (1, 1)
+    pairs = [(k // q - 1, k - 1) for k in range(q, n + 1, q)]
+    return _count_blocks(*_block_checks([(pairs, {(1,): {1}})], n, 2))
 
 
 def multiplicative_entropy_series(q: int, terms: int) -> SeriesValue:

@@ -212,8 +212,8 @@ def forbidden_occurrences(lat: FiniteLattice, spec: SftSpec):
     """Precompute, per forbidden pattern, the cell-index tuples of each placement.
 
     Returns (indices, symbols) pairs where `indices` point into the lattice's
-    canonical point order.  Shared by the brute-force counter and the
-    admissibility check.
+    canonical point order, for the admissibility check; the counting engines
+    compile their checks once per shape instead.
     """
     index_of = {(p.x, p.y): i for i, p in enumerate(lat)}
     out = []

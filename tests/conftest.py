@@ -1,4 +1,5 @@
 import random
+from unittest.mock import PropertyMock, patch
 
 import pytest
 from hypothesis import settings
@@ -47,6 +48,12 @@ def random_connected_lattice(rng: random.Random, max_cells: int) -> FiniteLattic
         cells.add(c)
         frontier.append(c)
     return FiniteLattice(cells)
+
+
+def meet_off():
+    """A patch telling every lattice that some row holds two runs, so
+    placements and full blocks take the coverage kernel's path."""
+    return patch.object(FiniteLattice, "_one_run_per_row", new_callable=PropertyMock, return_value=False)
 
 
 @st.composite

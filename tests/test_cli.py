@@ -479,6 +479,30 @@ def test_entropy_rect_deterministic_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_entropy_rect_json_and_plot_bytes(capsys):
+    # golden mean along x: the count on m x n is a_m ** n, a = 2, 3, 5
+    assert run_cli(capsys, "entropy-rect", "--spec", "golden-mean-h", "--table", "3x3",
+                   "--format", "json") == (0, (
+        '{"argmin":[3,3],"h_r_estimate":0.5364793041447,"log_counts":'
+        '[[0.6931471805599453,1.3862943611198906,2.0794415416798357],'
+        '[1.0986122886681098,2.1972245773362196,3.295836866004329],'
+        '[1.6094379124341003,3.2188758248682006,4.828313737302301]],'
+        '"max_height":3,"max_width":3}\n'), "")
+    assert run_cli(capsys, "entropy-rect", "--spec", "golden-mean-h", "--table", "3x3",
+                   "--format", "plot") == (0, "1 0.69314718056\n2 0.549306144334\n3 0.536479304145\n", "")
+
+
+def test_projectional_extendable_mode_bytes(capsys):
+    # period forcing keeps 2 patterns of each row segment that extend by 1
+    assert run_cli(capsys, "projectional", "--spec", "period-forcing-h", "--v", "1,0",
+                   "--n-max", "3", "--mode", "ext:1") == (0, (
+        "n,size,log_count,ratio\n"
+        "1,1,0.69314718056,0.69314718056\n"
+        "2,2,0.69314718056,0.34657359028\n"
+        "3,3,0.69314718056,0.231049060187\n"
+        "# estimate,0.231049060187,kind,limsup_tail_max\n"), "")
+
+
 def test_entropy_omega_plot_format(capsys):
     code, out, _ = run_cli(
         capsys, "entropy-omega", "--spec", "golden-mean-h", "--system", "omega_q:2",

@@ -36,10 +36,10 @@ from sftent import (
     stick_augmented,
     verify_block_gluing,
 )
-from sftent.sft import Pattern, is_locally_admissible, placements
+from sftent.sft import Pattern, forbidden_occurrences, is_locally_admissible, placements
 from sftent import counting
 from sftent.counting import _check_budget, _sweep_bans, admissible_extension_exists
-from conftest import random_connected_lattice
+from conftest import meet_off, random_connected_lattice
 
 
 def fib_a(k):
@@ -208,6 +208,64 @@ def test_block_checks_compare_keys_past_the_lookup_table(rng):
         finally:
             counting._constraint_table.cache_clear()
     assert count_bruteforce(*corpus[0]).value == count_profile_dp(*corpus[0]).value
+
+
+def test_block_checks_agree_with_the_forbidden_occurrences(rng):
+    # the admissibility oracle's occurrences, one per placement of each
+    # pattern: per cell one check per placement of two or more cells ending
+    # there, and together the free symbols and checks allow exactly what no
+    # occurrence ending there bans.  Shapes carry several patterns, and some
+    # are one cell; with _DENSE = 1 every check compares keys
+    box = [(x, y) for x in range(5) for y in range(4)]
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        shapes = [rng.sample(BRUTE_BOX, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        spec = SftSpec.make(n, [[(c, rng.randrange(n)) for c in shape]
+                                for shape in shapes for _ in range(rng.randint(1, 3))])
+        lat = FiniteLattice(rng.sample(box, 12))
+        occurrences = [sorted(zip(idx, syms)) for idx, syms in forbidden_occurrences(lat, spec)]
+        block = np.array([[rng.randrange(n) for _ in range(len(lat))] for _ in range(16)], dtype=np.uint8)
+        for dense in (counting._DENSE, 1):
+            with patch.object(counting, "_DENSE", dense):
+                counting._constraint_table.cache_clear()
+                try:
+                    _, free, checks, read = counting._constraint_table(lat, spec, True)
+                finally:
+                    counting._constraint_table.cache_clear()
+            for i in range(len(lat)):
+                ending = [occ for occ in occurrences if occ[-1][0] == i]
+                assert len(checks[i]) == len({tuple(c for c, _ in occ) for occ in ending if len(occ) > 1})
+                allowed = np.repeat(free[i:i + 1], len(block), axis=0)
+                for check in checks[i]:
+                    allowed &= check(block)
+                assert allowed.tolist() == [
+                    [not any(occ[-1][1] == s and all(row[c] == t for c, t in occ[:-1]) for occ in ending)
+                     for s in range(n)] for row in block.tolist()]
+            assert read.tolist() == [any(i == c for occ in occurrences for c, _ in occ[:-1])
+                                     for i in range(len(lat))]
+
+
+def test_constraint_table_compiles_each_shape_once():
+    # a 3-colouring on a holey rectangle: two shapes of three patterns each.
+    # All placements of a shape share one table (keys and bans past
+    # _DENSE), and the search's checks one banned dict
+    no_equal = SftSpec.make(3, [[((0, 0), a), (d, a)] for a in range(3) for d in ((1, 0), (0, 1))])
+    lat = rectangle((0, 0), 5, 4).difference(FiniteLattice([(2, 1)]))
+    pairs = sum(len(placements(FiniteLattice([(0, 0), d]), lat)) for d in ((1, 0), (0, 1)))
+    for dense, shared in ((counting._DENSE, lambda c: c.args[1:-1]), (1, lambda c: c.args[:-1])):
+        with patch.object(counting, "_DENSE", dense):
+            counting._constraint_table.cache_clear()
+            try:
+                _, _, checks, _ = counting._constraint_table(lat, no_equal, True)
+                _, _, searches = counting._constraint_table(lat, no_equal, False)
+            finally:
+                counting._constraint_table.cache_clear()
+        placed = [c for cs in checks for c in cs]
+        assert len(placed) == pairs and len(set(map(len, map(shared, placed)))) == 1
+        assert {c.func for c in placed} == {counting._lookup if dense > 1 else counting._compare}
+        assert len({id(obj) for c in placed for obj in shared(c)}) == 2 * len(shared(placed[0]))
+        assert sum(map(len, searches)) == pairs
+        assert len({id(banned) for cs in searches for _, banned in cs}) == 2
 
 
 def test_block_search_memory_is_bounded():
@@ -443,9 +501,9 @@ def test_sweep_matches_oracle_on_random_box3_specs(spec, rnd):
     cells = 12 if spec.alphabet_size == 2 else 8
     for lat, convex in ((holey_clusters(rnd, cells), False), (row_convex_cells(rnd, cells), True)):
         lat._truns      # the sweep reads the transpose, which the kernel builds
-        meet_off = patch("sftent.lattice._one_run_per_row", return_value=False)
+        no_meet = meet_off()
         kernel_off = patch("sftent.lattice._cover", side_effect=AssertionError("coverage kernel called"))
-        with meet_off if convex else nullcontext():
+        with no_meet if convex else nullcontext():
             exact = count_bruteforce(lat, spec).value
         with kernel_off if convex else nullcontext():
             assert count_profile_dp(lat, spec).value == exact

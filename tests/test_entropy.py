@@ -10,6 +10,8 @@ from sftent import (
     Point,
     RectTable,
     SftSpec,
+    count_bruteforce,
+    count_extendable,
     count_profile_dp,
     directional_entropy_max,
     full_shift,
@@ -17,6 +19,7 @@ from sftent import (
     golden_mean_vertical,
     log_count,
     omega_q_system,
+    period_forcing_horizontal,
     projectional_entropy,
     rect_entropy_table,
     rectangle,
@@ -30,6 +33,7 @@ from sftent.counting import _profile_sweep, _string_counts
 
 GM_H = golden_mean_horizontal()
 GM_V = golden_mean_vertical()
+HARD_SQUARE = SftSpec.make(2, [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]])
 LOG2 = math.log(2)
 
 
@@ -200,6 +204,24 @@ def test_projectional_diagonal_full_shift_flagged():
     assert "full-shift" in seq.note
 
 
+def test_projectional_extendable_counts_are_count_extendable():
+    # with a margin each record counts the segment's patterns that extend to
+    # its dilation: period forcing keeps 2 of them along a row, and every
+    # pattern of the diagonal, whose cells share no row
+    spec = period_forcing_horizontal()
+    for v, counts in (((1, 0), [2, 2, 2, 2]), ((1, 1), [2, 4, 8, 16])):
+        seq = projectional_entropy(spec, v, 4, margin=1)
+        assert [count_extendable(segment(v, n), spec, 1).value for n in range(1, 5)] == counts
+        assert [(r.n, r.size, r.log_count) for r in seq.records] == [
+            (n, n, math.log(c)) for n, c in enumerate(counts, 1)]
+
+
+def test_projectional_extendable_with_a_safe_symbol_is_local():
+    # 0 is safe for the golden mean, so every margin gives the local counts
+    for v in ((1, 0), (0, 1), (1, 1)):
+        assert projectional_entropy(GM_H, v, 6, margin=2) == projectional_entropy(GM_H, v, 6)
+
+
 def test_projectional_rejects_non_primitive():
     for v in [(0, 0), (2, 2), (0, 3)]:
         with pytest.raises(NonPrimitiveVector):
@@ -266,6 +288,24 @@ def test_strict_gap_golden_mean():
     )
     assert report.min_margin == pytest.approx(0.0131419, abs=1e-6)
     assert report.argmin[0] == 12
+
+
+def test_two_axis_rect_table_matches_brute_force_logs():
+    # hard squares constrain both axes: each entry is a sweep's log count
+    table = rect_entropy_table(HARD_SQUARE, 4, 4)
+    assert table.log_counts == tuple(
+        tuple(math.log(count_bruteforce(rectangle((0, 0), m, n), HARD_SQUARE).value) for n in range(1, 5))
+        for m in range(1, 5))
+
+
+def test_strict_gap_table_min_reference():
+    # no closed form for hard squares: the reference is the table minimum,
+    # reached with margin 0 at the table's argmin
+    report = strict_gap_check(HARD_SQUARE, 4, 4)
+    assert report.reference_kind == "table_min" and not report.full_shift
+    assert report.reference == report.table.h_r_estimate == min(e[3] for e in report.table.entries())
+    assert report.min_margin == 0.0 and report.argmin == report.table.argmin == (4, 4)
+    assert not report.all_strict and report.bracket[1] == report.reference
 
 
 def test_strict_gap_entry_1x1():

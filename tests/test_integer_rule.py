@@ -14,12 +14,14 @@ from sftent import (
     block_decompose,
     block_residue_size,
     condition_report,
+    count,
     count_bruteforce,
     count_extendable,
     count_multiplicative,
     count_multiplicative_bruteforce,
     dilate,
     directional_entropy_max,
+    enumerate_admissible,
     fiber_decomposition,
     fibonacci,
     golden_mean_horizontal,
@@ -66,6 +68,12 @@ ENTRY_POINTS = {
     "pattern symbol": (lambda v: Pattern(CELL, (v,)), 3),
     "fixed symbol, brute force": (lambda v: count_bruteforce(CELL, GM_H, fixed={(0, 0): v}), 1),
     "fixed symbol, extension": (lambda v: admissible_extension_exists(CELL, GM_H, {(0, 0): v}), 1),
+    "budget, count": (lambda v: count(CELL, GM_H, budget=v), 3),
+    "budget, brute force": (lambda v: count_bruteforce(CELL, GM_H, budget=v), 3),
+    "budget, extendable": (lambda v: count_extendable(CELL, GM_H, 1, budget=v), 3),
+    "budget, enumeration": (lambda v: list(enumerate_admissible(CELL, GM_H, budget=v)), 3),
+    "budget, extension": (lambda v: admissible_extension_exists(CELL, GM_H, {(0, 0): 1}, budget=v), 3),
+    "budget, multiplicative brute force": (lambda v: count_multiplicative_bruteforce(3, 2, budget=v), 8),
     "segment direction": (lambda v: segment((v, 1), 3), 3),
     "primitive direction": (lambda v: _require_primitive((v, 1)), 3),
     "stick direction": (lambda v: stick_augmented(2, (v, 1), 1), 3),
@@ -130,6 +138,15 @@ def test_block_sides_must_fit_int64():
     # the largest sides hold no block of a small lattice, and cost nothing
     assert block_residue_size(SQUARE, 2**63 - 1, 2**63 - 1) == 49
     assert block_decompose(SQUARE, 1, 2**63 - 1).beta == 49
+
+
+def test_budgets_are_integers():
+    # a float budget once passed as a number, and a string one raised TypeError
+    with pytest.raises(ValueError, match="expected an integer, got 1e\\+30"):
+        count_bruteforce(rectangle((0, 0), 3, 3), GM_H, budget=1e30)
+    with pytest.raises(ValueError, match="expected an integer, got '100'"):
+        admissible_extension_exists(SQUARE, GM_H, {(0, 0): 1}, budget="100")
+    assert count_bruteforce(rectangle((0, 0), 3, 3), GM_H, budget=2**9).value == 125
 
 
 def test_float_point_array_raises():

@@ -22,6 +22,7 @@ from sftent import (
 )
 from sftent.lattice import _cover, _placement_runs
 from sftent.sft import forbidden_occurrences
+from conftest import meet_off
 
 
 def admissible_count_oracle(lat, spec):
@@ -199,7 +200,7 @@ def test_placements_exact_on_any_int64_coordinates(seed):
                 assert kernel.called is not meet
                 if meet:     # the kernel's own canonical runs, dtype and order
                     runs = _placement_runs(tuple(offsets), lat)
-                    with patch("sftent.lattice._one_run_per_row", return_value=False):
+                    with meet_off():
                         reference = _placement_runs(tuple(offsets), lat)
                     assert runs.dtype == reference.dtype and np.array_equal(runs, reference)
     domino = FiniteLattice([(0, 0), (1, 0)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_lattice, row_convex_point_sets
+from conftest import meet_off, random_connected_lattice, row_convex_point_sets
 from sftent import (
     ExpandingSystem,
     FiniteLattice,
@@ -42,6 +42,7 @@ from sftent import (
     stick_system,
     systems,
 )
+from sftent import systems
 from sftent.systems import ConditionRow
 
 GM_H = golden_mean_horizontal()
@@ -336,9 +337,21 @@ def test_row_convex_families_report_without_the_coverage_kernel():
                             (lshape_system(), range(1, 9)), (staircase_system(), range(2, 9))):
         with patch("sftent.lattice._cover", side_effect=AssertionError("coverage kernel called")):
             direct = condition_report(system, n_range, block_sizes=blocks)
-        with patch("sftent.lattice._one_run_per_row", return_value=False):
+        with meet_off():
             general = condition_report(system, n_range, block_sizes=blocks)
         assert direct == general, system.name
+
+
+def test_condition_report_checks_one_run_per_row_once_per_stack(monkeypatch):
+    # each stack's interior and full blocks of every size read one cached
+    # fact; the check once ran on the same stacked runs four times a stack
+    fact, seen, stacks = FiniteLattice.__dict__["_one_run_per_row"], [], []
+    monkeypatch.setattr(fact, "func", lambda lat, check=fact.func: seen.append(lat) or check(lat))
+    monkeypatch.setattr(systems, "_stack_rows",
+                        lambda stack, *args, rows=systems._stack_rows: stacks.append(stack) or rows(stack, *args))
+    for system in (squares(), staircase_system()):
+        condition_report(system, range(2, 30), block_sizes=[(2, 2), (3, 3), (5, 5)])
+    assert len(seen) == len(stacks) > 1
 
 
 def test_staircase_decomposes_into_two_bands():

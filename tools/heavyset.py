@@ -37,7 +37,11 @@ runs ``condition_report`` on the ``n^2 x n`` family for every n from 1 to
 Two cases run the block search, each at a budget of every assignment: on
 4x6, the 3-symbol spec that bans symbol 2 alone and in both dominoes (2**24
 patterns, every cell but the last read, so built), and the multiplicative
-brute force at n = 40, q = 2 (its unread cells counted, not built).
+brute force at n = 40, q = 2 (its unread cells counted, not built).  One
+case asks a single extension question: does the 100x100 3-colouring (the
+3-symbol spec forbidding equal neighbours along both axes) extend symbol 0
+at the origin?  The search never backtracks, so its time is almost all the
+set-up of its constraint table.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ R3 = [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
 BOX3 = [(x, y) for x in range(3) for y in range(3)]
 QUADS = [[(c, 1) for c in cells] for cells in combinations(BOX3, 4)]
 NO_EQUAL_H = [[((0, 0), a), ((1, 0), a)] for a in range(3)]
+NO_EQUAL = NO_EQUAL_H + [[((0, 0), a), ((0, 1), a)] for a in range(3)]
 LOOSE = [[((0, 0), 0), ((2, 0), 0), ((1, 1), 0)], [((0, 0), 0), ((2, 0), 0), ((2, 1), 2)],
          [((0, 0), 1), ((0, 1), 0), ((0, 2), 1)], [((1, 0), 1), ((0, 1), 1), ((2, 1), 1)]]
 SPREAD = [(0, 0), (1, 0), (6, 0), (7, 0), (8, 0), (5, 1)]
@@ -79,7 +84,8 @@ ALL_READ = [[((0, 0), 2)], [((0, 0), 2), ((1, 0), 2)], [((0, 0), 2), ((0, 1), 2)
 # condition report of the family the "system" names; the last two ignore the
 # spec.  "gluing" verifies block gluing at the (gap, window, extent, variant) given,
 # and "bruteforce" runs the block search at a budget of N ** cells (for the
-# "multiplicative" family, at (n, q), 2 ** n)
+# "multiplicative" family, at (n, q), 2 ** n); "exists" asks whether the
+# lattice has an admissible pattern with symbol 0 at the origin
 CASES = {
     "lshape-staircase-1000-geometry": (2, [], ("lshape+staircase", 1000), "geometry"),
     "report-n2xn-200-geometry": (2, [], ("system", N2XN, range(1, 201)), "report"),
@@ -98,6 +104,7 @@ CASES = {
     "gluing3-vertical-gap1": (3, GLUING3, ("gluing", 1, 1, 2, "vertical"), "gluing"),
     "allread-4x6-bruteforce": (3, ALL_READ, ("rectangle", 4, 6), "bruteforce"),
     "multiplicative-n40-q2-bruteforce": (2, [], ("multiplicative", 40, 2), "bruteforce"),
+    "extension-3col-100x100-exists": (3, NO_EQUAL, ("rectangle", 100, 100), "exists"),
 }
 
 
@@ -137,6 +144,8 @@ def run_case(name: str) -> dict:
         result = repr(sftent.verify_block_gluing(spec, *args))
     elif route == "table":
         result = repr(sftent.rect_entropy_table(spec, *args).h_r_estimate)
+    elif route == "exists":
+        result = repr(sftent.counting.admissible_extension_exists(lat, spec, {(0, 0): 0}))
     elif route == "bruteforce" and family == "multiplicative":
         result = str(sftent.count_multiplicative_bruteforce(*args, budget=2 ** args[0]))
     elif route == "bruteforce":
