@@ -31,9 +31,17 @@ lattice:
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
   which keeps lattices with millions of cells exact.  The counts a_L of
-  admissible strings of length L come from one series (``_string_counts``),
-  and a rectangle table of such a spec (``_rect_logs``) reads it alone: the
-  count on m x n is a_m ** n along x, so the table builds no lattice.
+  admissible strings of length L come from one series (``_string_counts``)
+  per spec, whose prefix a_0..a_T, with the counts by last symbol at T, is
+  cached (``_transfer``): it grows by single steps, only while a_L < 2**63
+  and T <= ``_PREFIX`` = 4,096.  A longer length goes on from the nearest
+  known state by whichever costs fewer operations: steps, at N + pairs
+  each, or binary powering of the N x N transfer matrix on Python ints
+  (``_transfer_matrix``), at N**3 a squaring and N**2 a vector product,
+  counted twice; so a run of length L costs O(log L) matrix products.  A
+  rectangle table of such a spec (``_rect_logs``) and projectional local
+  counts read the series alone: the count on m x n is a_m ** n along x, so
+  neither builds a lattice.
   Otherwise a broken-profile sweep takes the bans from ``placements``, each
   attached to its last cell, and its state holds exactly what they read:
   ``depth`` positions, the longest back distance of a placed ban (at least
@@ -88,7 +96,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -373,29 +381,102 @@ def _extension_oracle(lat: FiniteLattice, spec: SftSpec, points, budget: int = D
 # ---------------------------------------------------------------------------
 
 
-def _string_counts(spec: SftSpec, lengths) -> list[int]:
-    """a_L, the number of admissible strings of length L along the spec's
-    axis, exactly, for each L of the ascending `lengths`."""
+_PREFIX = 4096     # the longest length a spec's cached string counts reach
+# a multiply-add of a matrix product costs about twice a step's operation on
+# few symbols (N = 2..4: 1.5-2.6x; N = 10: 1x; Python 3.11, on ints below
+# 2**63), so a powering's operations count double
+_POWER_WEIGHT = 2
+
+# a single-axis spec's unbanned symbols, the pairs (a, b) of their indices
+# with b barred after a, and a prefix of its string counts: `counts` holds
+# a_0..a_T and `ending` the counts by last symbol at T.  ``_string_counts``
+# alone grows the prefix, in place
+_Transfer = namedtuple("_Transfer", "symbols pairs counts ending")
+
+
+@lru_cache(maxsize=32)
+def _transfer(spec: SftSpec) -> _Transfer:
+    """The 1-D transfer data of a single-axis spec, its prefix at length 1
+    (a_0 = 1, a_1 = N, each unbanned symbol ending one string)."""
     banned, pairs = set(), set()
     for pat in spec.forbidden:     # one cell, or two along the axis, (0, 0) first
         if len(pat.cells) == 1:
             banned.add(pat.cells[0][1])
         else:
             pairs.add((pat.cells[0][1], pat.cells[1][1]))
-    symbols = [s for s in range(spec.alphabet_size) if s not in banned]
-    pairs = [(a, b) for a, b in pairs if a not in banned and b not in banned]
-    # admissible strings of the current length, their total and their count
-    # by last symbol (the empty string has none): a string grows by every
-    # symbol but those a pair bars after its last, O(N + pairs) a step
-    length, total, ending = 0, 1, dict.fromkeys(symbols, 0)
+    symbols = tuple(s for s in range(spec.alphabet_size) if s not in banned)
+    index = {s: i for i, s in enumerate(symbols)}
+    pairs = tuple(sorted((index[a], index[b]) for a, b in pairs if a in index and b in index))
+    return _Transfer(symbols, pairs, [1, len(symbols)], [1] * len(symbols))
+
+
+def _transfer_matrix(spec: SftSpec) -> list[list[int]]:
+    """The 0/1 transfer matrix of a single-axis spec on its unbanned symbols:
+    entry (a, b) is 0 exactly when a pair bars b after a, so a_L is the sum
+    of ``ones @ matrix ** (L - 1)`` for L >= 1."""
+    t = _transfer(spec)
+    matrix = [[1] * len(t.symbols) for _ in t.symbols]
+    for a, b in t.pairs:
+        matrix[a][b] = 0
+    return matrix
+
+
+def _steps(ending: list[int], total: int, pairs, k: int) -> tuple[list[int], int]:
+    """The counts by last symbol, and their total, `k` symbols on: a string
+    grows by every symbol but those a pair bars after its last."""
+    for _ in range(k):
+        grown = [total] * len(ending)
+        for a, b in pairs:
+            grown[b] -= ending[a]
+        ending, total = grown, sum(grown)
+    return ending, total
+
+
+def _times_power(ending: list[int], matrix, gap: int) -> list[int]:
+    """``ending @ matrix ** gap`` on Python ints, by binary powering."""
+    while True:
+        if gap & 1:
+            ending = [sum(map(mul, ending, col)) for col in zip(*matrix)]
+        gap >>= 1
+        if not gap:
+            return ending
+        cols = list(zip(*matrix))
+        matrix = [[sum(map(mul, row, col)) for col in cols] for row in matrix]
+
+
+def _string_counts(spec: SftSpec, lengths) -> list[int]:
+    """a_L, the number of admissible strings of length L along the spec's
+    axis, exactly, for each L of the ascending `lengths`.
+
+    A length within the spec's cached prefix (``_transfer``) is read there.
+    Past it, single steps extend the prefix first, while a_L < 2**63 and L
+    <= ``_PREFIX``: a spec pays for them once.  The count then goes on from
+    the nearest known state, the prefix's end or the previous length, by
+    whichever costs fewer operations: single steps, at N + pairs each, or
+    binary powering of the N x N transfer matrix, at N**3 a squaring and
+    N**2 a vector product, each counted ``_POWER_WEIGHT`` times."""
+    t = _transfer(spec)
+    n, pairs, prefix = len(t.symbols), t.pairs, t.counts
+    length, ending, total = len(prefix) - 1, t.ending, prefix[-1]
     counts = []
     for want in lengths:
-        while length < want:
-            grown = dict.fromkeys(symbols, total)
-            for a, b in pairs:
-                grown[b] -= ending[a]
-            ending, length = grown, length + 1
-            total = sum(ending.values())
+        if want < len(prefix):
+            counts.append(prefix[want])
+            continue
+        while length == len(prefix) - 1 < min(want, _PREFIX):     # steps from the prefix's end
+            ending, total = _steps(ending, total, pairs, 1)
+            length += 1
+            if total < 2 ** 63:
+                prefix.append(total)
+                t.ending[:] = ending
+        gap = want - length     # 0 when those steps reached `want`
+        power = max(gap.bit_length() - 1, 0) * n ** 3 + bin(gap).count("1") * n ** 2
+        if gap * (n + len(pairs)) <= _POWER_WEIGHT * power:
+            ending, total = _steps(ending, total, pairs, gap)
+        else:
+            ending = _times_power(ending, _transfer_matrix(spec), gap)
+            total = sum(ending)
+        length = want
         counts.append(total)
     return counts
 

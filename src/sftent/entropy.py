@@ -17,7 +17,7 @@ from functools import cached_property
 from math import ceil
 from operator import itemgetter
 
-from .counting import _rect_logs, count, log_count
+from .counting import _rect_logs, _string_counts, count, log_count
 from .lattice import FiniteLattice, Point, _integer, _pair, _require_primitive, rectangle
 from .sft import SftSpec, golden_mean_horizontal, golden_mean_vertical
 from .systems import ExpandingSystem
@@ -133,9 +133,11 @@ def projectional_entropy(
 
     Counts patterns on the n-point segments along v: local counts when
     `margin` is None, else extendable counts with that margin.  A local count
-    is the count on an n x 1 row under the spec restricted to v, so it takes
-    the profile DP at any n.  The note flags that no restricted
-    pattern fits the longest segment: the local counts are then N**n.
+    is the count on an n x 1 row under the spec restricted to v: a_n of its
+    string-count series when the restriction is single-axis, as
+    ``_rect_logs`` reads it (no lattice), else the profile DP, at any n.  The
+    note flags that no restricted pattern fits the longest segment: the local
+    counts are then N**n.
     """
     vp = _require_primitive(v)
     n_max = _integer(n_max)
@@ -143,12 +145,15 @@ def projectional_entropy(
         raise ValueError("n_max must be >= 1")
     line = _along(spec, vp)
     constrained = any(pat.extent[0] < n_max for pat in line.forbidden)
+    lengths = range(1, n_max + 1)
+    if margin is not None:
+        values = [count(segment(vp, n), spec, margin=margin).value for n in lengths]
+    elif line.pure_axis is not None:     # along x, as `_along` lays every pattern
+        values = _string_counts(line, lengths)
+    else:
+        values = [count(rectangle((0, 0), n, 1), line).value for n in lengths]
     records = []
-    for n in range(1, n_max + 1):
-        if margin is None:
-            value = count(rectangle((0, 0), n, 1), line).value
-        else:
-            value = count(segment(vp, n), spec, margin=margin).value
+    for n, value in zip(lengths, values):
         lc = math.log(value) if value else float("-inf")
         records.append(EntropyRecord(n, n, lc, lc / n))
     note = "" if constrained else "no forbidden shape fits the segment; full-shift counts"

@@ -13,10 +13,11 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .counting import DEFAULT_BUDGET, _block_checks, _check_budget, _count_blocks
+from .counting import DEFAULT_BUDGET, _block_checks, _check_budget, _count_blocks, _string_counts
 from .lattice import _integer
+from .sft import golden_mean_horizontal
 
-_fib_cache = [1, 2, 3]  # a_0 = 1 (empty string), a_1 = 2, a_2 = 3
+_GOLDEN_MEAN = golden_mean_horizontal()     # its string counts are the a_k
 
 
 def fibonacci(k: int) -> int:
@@ -24,9 +25,7 @@ def fibonacci(k: int) -> int:
     k = _integer(k)
     if k < 0:
         raise ValueError("index must be >= 0")
-    while len(_fib_cache) <= k:
-        _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-    return _fib_cache[k]
+    return _string_counts(_GOLDEN_MEAN, [k])[0]
 
 
 class Fiber(NamedTuple):
@@ -92,14 +91,22 @@ def _float_or_reject(value: int, what: str) -> float:
         raise ValueError(f"q is too large: {what} is beyond the float range") from None
 
 
+def _fiber_counts(n: int, q: int, s: int = 1):
+    """(a_{s L}, multiplicity) per fiber length L of {1..n}, longest first,
+    from one read of the golden-mean series."""
+    fibers = _fiber_lengths(n, q)
+    counts = _string_counts(_GOLDEN_MEAN, [s * length for length in reversed(fibers)])
+    return zip(reversed(counts), fibers.values())
+
+
 def count_multiplicative(n: int, q: int) -> int:
     """Exact number of binary strings x_1..x_n with x_k * x_{qk} = 0."""
-    return math.prod(fibonacci(length) ** mult for length, mult in _fiber_lengths(n, q).items())
+    return math.prod(a ** mult for a, mult in _fiber_counts(n, q))
 
 
 def log_count_multiplicative(n: int, q: int) -> float:
     """log of the count, summed over fiber lengths (no bigint materialisation)."""
-    return sum(mult * math.log(fibonacci(length)) for length, mult in _fiber_lengths(n, q).items())
+    return sum(mult * math.log(a) for a, mult in _fiber_counts(n, q))
 
 
 def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -136,8 +143,9 @@ def _fiber_entropy_series(q: int, terms: int, c: float, s: int) -> SeriesValue:
         raise ValueError("q must be >= 2")
     _float_or_reject(q ** 2, "q**2")      # the first term's divisor
     last = next((k for k in range(1, terms) if q ** (k + 2) > sys.float_info.max), terms)
+    counts = _string_counts(_GOLDEN_MEAN, range(s, s * last + 1, s))     # a_{s k}, k = 1..last
     value = c * (q - 1) ** 2 * math.fsum(
-        math.log(fibonacci(s * k)) / q ** (k + 1) for k in range(1, last + 1)
+        math.log(a) / q ** (k + 1) for k, a in enumerate(counts, 1)
     )
     x = 1.0 / q
     tail = (q - 1) ** 2 * math.log(2) * x ** (last + 2) * ((last + 1) - last * x) / (1 - x) ** 2

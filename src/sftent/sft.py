@@ -81,6 +81,14 @@ class SftSpec:
         unique = sorted(set(pats), key=lambda p: p.cells)
         return SftSpec(alphabet_size, tuple(unique), name)
 
+    def __hash__(self) -> int:
+        # the generated hash, computed once: the engines' caches key on specs
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alphabet_size, self.forbidden, self.name))
+
     # -- structural predicates for the counting engines ---------------------
 
     @cached_property

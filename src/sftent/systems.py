@@ -33,7 +33,7 @@ from .errors import OverlapError
 from .lattice import (FiniteLattice, _WINDOW, _band, _block_sides, _check_coords, _full_blocks,
                       _integer, _pair, _placement_runs, _require_primitive, _real, _run_lengths,
                       is_tessellation, rectangle)
-from .multiplicative import SeriesValue, _fiber_entropy_series, _fiber_lengths, fibonacci
+from .multiplicative import SeriesValue, _fiber_counts, _fiber_entropy_series
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
 DECAY_RATIO = 0.7        # or the per-third envelope maxima must shrink this fast
@@ -172,8 +172,7 @@ def omega_q_golden_mean_count(q: int, n: int) -> int:
     q, n = _integer(q), _integer(n)
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
-    return math.prod(fibonacci(2 * length) ** (2 * mult)
-                     for length, mult in _fiber_lengths(q ** n, q).items())
+    return math.prod(a ** (2 * mult) for a, mult in _fiber_counts(q ** n, q, 2))
 
 
 def omega_q_entropy_series(q: int, terms: int) -> SeriesValue:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from sftent import FiniteLattice
+from sftent import FiniteLattice, SftSpec, full_shift
 
 # every run draws the same examples, so a failing draw fails every run alike
 settings.register_profile("derandomized", derandomize=True)
@@ -67,6 +67,38 @@ def row_convex_point_sets(draw, min_rects: int = 0):
         points |= {(x + i, y + j) for i in range(w) for j in range(h)}
         y += h + draw(st.sampled_from((0, 0, 0, 1, 2)))
     return points
+
+
+@st.composite
+def axis_specs(draw):
+    """Single-axis specs, N in 2..6, along x or y: random forbidden pairs,
+    one-cell bans or both, full shifts, and specs whose strings die out (every
+    pair a, b with b <= a banned, so a string strictly increases)."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("pairs", "dying", "bans", "full")))
+    if kind == "full":
+        return full_shift(n)
+    symbol = st.integers(0, n - 1)
+    step = draw(st.sampled_from(((1, 0), (0, 1))))
+    pairs = set() if kind == "bans" else draw(st.sets(st.tuples(symbol, symbol),
+                                                      min_size=1, max_size=n * n))
+    if kind == "dying":
+        pairs |= {(a, b) for a in range(n) for b in range(a + 1)}
+    bans = draw(st.sets(symbol, min_size=kind == "bans", max_size=n))
+    return SftSpec.make(n, [[((0, 0), a), (step, b)] for a, b in pairs]
+                        + [[((0, 0), s)] for s in bans])
+
+
+def golden_count(k: int) -> int:
+    """a_k, the binary strings of length k with no two adjacent 1s, as the
+    Fibonacci number F(k + 2) by fast doubling: F(2m) = F(m) (2 F(m+1) -
+    F(m)) and F(2m+1) = F(m)**2 + F(m+1)**2."""
+    f, g = 0, 1     # F(m), F(m + 1) for m the leading bits of k + 2
+    for bit in bin(k + 2)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f
 
 
 @pytest.fixture

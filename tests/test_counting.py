@@ -2,7 +2,7 @@ import math
 import time
 from contextlib import nullcontext
 import tracemalloc
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from unittest.mock import patch
 
 import numpy as np
@@ -39,7 +39,8 @@ from sftent import (
 from sftent.sft import Pattern, forbidden_occurrences, is_locally_admissible, placements
 from sftent import counting
 from sftent.counting import _check_budget, _sweep_bans, admissible_extension_exists
-from conftest import meet_off, random_connected_lattice
+from sftent.lattice import _run_lengths
+from conftest import axis_specs, golden_count, meet_off, random_connected_lattice
 
 
 def fib_a(k):
@@ -1194,6 +1195,86 @@ def test_axis_product_large_alphabet():
     assert count(rectangle((0, 0), 3, 3), full_shift(4000)).value == 4000**9
     elapsed = time.perf_counter() - t0
     assert elapsed < 1, f"full:4000 on 3x3 took {elapsed:.1f}s"
+
+
+def plain_string_counts(spec, lengths):
+    """a_L for each L of the ascending `lengths`, stepping from length 0 one
+    symbol at a time: each unbanned symbol's count sums those of every
+    unbanned symbol it may follow (a reference for ``_string_counts``)."""
+    banned = {pat.cells[0][1] for pat in spec.forbidden if len(pat.cells) == 1}
+    barred = {(pat.cells[0][1], pat.cells[1][1]) for pat in spec.forbidden if len(pat.cells) == 2}
+    symbols = [s for s in range(spec.alphabet_size) if s not in banned]
+    ending, series = None, [1]
+    for _ in range(max(lengths, default=0)):
+        ending = {b: 1 if ending is None else sum(ending[a] for a in symbols if (a, b) not in barred)
+                  for b in symbols}
+        series.append(sum(ending.values()))
+    return [series[length] for length in lengths]
+
+
+# ascending lengths from 0..3 on, by gaps of 1..3 and of thousands
+MIXED_LENGTHS = st.tuples(st.integers(0, 3), st.lists(st.one_of(st.integers(1, 3), st.integers(1000, 2500)),
+                                                      max_size=5)
+                          ).map(lambda t: list(accumulate(t[1], initial=t[0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(axis_specs(), st.sampled_from([period_forcing_horizontal(), full_shift(2), GM_H, GM_V])),
+       MIXED_LENGTHS, MIXED_LENGTHS)
+def test_string_counts_match_plain_steps(spec, lengths, more):
+    # the cached prefix, its steps and the matrix powers give the same
+    # integers as plain steps, cold and warm, whatever was asked before
+    expected = plain_string_counts(spec, lengths)
+    counting._transfer.cache_clear()
+    assert counting._string_counts(spec, lengths) == expected
+    assert counting._string_counts(spec, lengths) == expected
+    counting._transfer.cache_clear()
+    counting._string_counts(spec, more)
+    assert counting._string_counts(spec, lengths) == expected
+
+
+AXIS_FAMILIES = [lshape(2), lshape(17), lshape(40), staircase(3), staircase(30), omega_q(2, 8), omega_q(3, 5)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(axis_specs(), st.sampled_from(AXIS_FAMILIES))
+def test_axis_log_count_sums_the_series_over_runs(spec, lat):
+    runs = _run_lengths(lat, spec.pure_axis)     # ascending
+    counts = plain_string_counts(spec, list(runs))
+    expected = (float("-inf") if 0 in counts
+                else sum((mult * math.log(a) for a, mult in zip(counts, runs.values())), 0.0))
+    assert repr(log_count(lat, spec)) == repr(expected)
+
+
+def test_golden_mean_long_row_powers_the_transfer_matrix():
+    # stepping to a_200000 one symbol at a time took 1.5-2.2 s (Python 3.11,
+    # 2 shared CPUs): quadratic in the run, each step adding integers as
+    # long as the run
+    counting._transfer.cache_clear()
+    row = rectangle((0, 0), 200_000, 1)
+    t0 = time.perf_counter()
+    value = count_profile_dp(row, GM_H).value
+    elapsed = time.perf_counter() - t0
+    assert value == golden_count(200_000)
+    assert repr(log_count(row, GM_H)) == repr(math.log(value))
+    assert elapsed < 1, f"golden mean on 1 x 200000 took {elapsed:.2f}s"
+
+
+def test_string_count_prefix_stays_small():
+    # a cached prefix holds at most a_0..a_4096 and the counts by last
+    # symbol at its end, each below 2**63, however long the runs counted
+    specs = (GM_H, period_forcing_horizontal(), full_shift(3))
+    counting._transfer.cache_clear()
+    for spec in specs:
+        for width in (200_000, 10_000):
+            count_profile_dp(rectangle((0, 0), width, 1), spec)
+        counting._string_counts(spec, range(5000))
+    for spec in specs:
+        t = counting._transfer(spec)
+        assert len(t.counts) <= 4097
+        assert max(t.counts + t.ending) < 2 ** 63
+    # a_L = 2 for period-forcing-h: its prefix reaches the bound
+    assert len(counting._transfer(period_forcing_horizontal()).counts) == 4097
 
 
 # ---------------------------------------------------------------------------

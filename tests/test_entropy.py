@@ -28,8 +28,9 @@ from sftent import (
     strict_gap_check,
     system_entropy,
 )
-from sftent import counting
+from sftent import counting, entropy
 from sftent.counting import _profile_sweep, _string_counts
+from conftest import axis_specs
 
 GM_H = golden_mean_horizontal()
 GM_V = golden_mean_vertical()
@@ -90,26 +91,6 @@ def test_rect_table_monotone_in_width_and_infimum_bound():
         assert all(b <= a + 1e-15 for a, b in zip(col, col[1:]))
     for _, _, _, ratio in table.entries():
         assert ratio >= table.h_r_estimate - 1e-15
-
-
-@st.composite
-def axis_specs(draw):
-    """Single-axis specs, N in 2..6, along x or y: random forbidden pairs,
-    one-cell bans or both, full shifts, and specs whose strings die out (every
-    pair a, b with b <= a banned, so a string strictly increases)."""
-    n = draw(st.integers(2, 6))
-    kind = draw(st.sampled_from(("pairs", "dying", "bans", "full")))
-    if kind == "full":
-        return full_shift(n)
-    symbol = st.integers(0, n - 1)
-    step = draw(st.sampled_from(((1, 0), (0, 1))))
-    pairs = set() if kind == "bans" else draw(st.sets(st.tuples(symbol, symbol),
-                                                      min_size=1, max_size=n * n))
-    if kind == "dying":
-        pairs |= {(a, b) for a in range(n) for b in range(a + 1)}
-    bans = draw(st.sets(symbol, min_size=kind == "bans", max_size=n))
-    return SftSpec.make(n, [[((0, 0), a), (step, b)] for a, b in pairs]
-                        + [[((0, 0), s)] for s in bans])
 
 
 @settings(max_examples=80, deadline=None)
@@ -220,6 +201,21 @@ def test_projectional_extendable_with_a_safe_symbol_is_local():
     # 0 is safe for the golden mean, so every margin gives the local counts
     for v in ((1, 0), (0, 1), (1, 1)):
         assert projectional_entropy(GM_H, v, 6, margin=2) == projectional_entropy(GM_H, v, 6)
+
+
+def test_projectional_local_counts_read_the_string_series(monkeypatch):
+    # a single-axis restriction's records read a_n of its series: equal to
+    # the count on each n x 1 row, and built with no lattice and no count
+    cases = [(spec, v) for spec in (HARD_SQUARE, period_forcing_horizontal(), GM_V)
+             for v in ((1, 0), (0, 1), (1, 1))]
+    rows = {(spec, v): [count_profile_dp(rectangle((0, 0), n, 1), entropy._along(spec, Point(*v))).value
+                        for n in range(1, 31)] for spec, v in cases}
+    monkeypatch.setattr(entropy, "count", None)
+    monkeypatch.setattr(entropy, "rectangle", None)
+    for (spec, v), values in rows.items():
+        seq = projectional_entropy(spec, v, 30)
+        assert [(r.n, r.size, repr(r.log_count)) for r in seq.records] == [
+            (n, n, repr(math.log(c) if c else float("-inf"))) for n, c in enumerate(values, 1)]
 
 
 def test_projectional_rejects_non_primitive():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,10 +17,24 @@ from sftent import (
     rectangle,
 )
 from sftent.multiplicative import _fiber_lengths
+from conftest import golden_count
 
 
 def test_fibonacci_convention():
     assert [fibonacci(k) for k in range(7)] == [1, 2, 3, 5, 8, 13, 21]
+
+
+def test_fibonacci_keeps_no_series():
+    # every a_j up to the largest k asked, once kept in a module list, took
+    # memory quadratic in k: about 70 MB after fibonacci(40000)
+    tracemalloc.start()
+    try:
+        value = fibonacci(40_000)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert value == golden_count(40_000)
+    assert retained < 2 ** 20
 
 
 def test_fibonacci_matches_strip_counts():

@@ -61,6 +61,15 @@ def test_spec_dedups_translates():
     assert len(spec.forbidden) == 1
 
 
+def test_spec_hash_is_the_field_hash():
+    # the hash is cached, and equal to the one of the fields as a tuple
+    spec = golden_mean_horizontal()
+    assert hash(spec) == hash(spec) == hash((2, spec.forbidden, "golden-mean-h"))
+    again = SftSpec.make(2, [[((3, 1), 1), ((4, 1), 1)]], name="golden-mean-h")
+    assert again == spec and hash(again) == hash(spec)
+    assert len({spec, again, SftSpec.make(2, spec.forbidden)}) == 2
+
+
 def test_spec_rejects_bad_symbols():
     with pytest.raises(SymbolOutOfRange):
         SftSpec.make(2, [[((0, 0), 2)]])

@@ -17,6 +17,8 @@ table up to 12x12 (``rect_entropy_table``: 144 small sweeps, whose fixed
 set-up per sweep shows; its h_r estimate is the result), hard-square
 ``log_count`` on 20x400, on the mirrored wedge ``omega_q(2, 11)`` (as log
 count per cell) and on the n = 24 member of ``stick_system((0, 1), 0.5)``,
+golden-mean ``log_count`` on ``lshape(1000)`` (runs of 1,000 and 10^6
+cells) and on a 1 x 200,000 row (the axis product's long runs),
 the 3-symbol ``r3`` spec exact on 10x10, exact on 10x10 the 2-symbol spec
 forbidding all 1s on each of the 97 four-cell shapes of the 3x3 box, and
 three extendable counts without a safe symbol, each core pattern an
@@ -61,6 +63,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 REPEATS = 3
 
 HARD_SQUARE = [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]]
+GOLDEN_MEAN = HARD_SQUARE[:1]
 R3 = [[((0, 0), 1), ((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)],
       [((0, 0), 2), ((0, 1), 2), ((1, 0), 1)], [((0, 0), 0), ((1, 0), 1)]]
 # four 1s on four cells of the 3x3 box: 126 patterns, 97 up to translation
@@ -95,6 +98,8 @@ CASES = {
     "hard-square-20x400-log": (2, HARD_SQUARE, ("rectangle", 20, 400), "log"),
     "hard-square-omega_q:2,11-ratio": (2, HARD_SQUARE, ("omega_q", 2, 11), "ratio"),
     "hard-square-stick:0,1,0.5@24-log": (2, HARD_SQUARE, ("stick", (0, 1), 0.5, 24), "log"),
+    "golden-mean-lshape:1000-log": (2, GOLDEN_MEAN, ("lshape", 1000), "log"),
+    "golden-mean-row:200000-log": (2, GOLDEN_MEAN, ("rectangle", 200000, 1), "log"),
     "r3-10x10-exact": (3, R3, ("rectangle", 10, 10), "count"),
     "quads-10x10-exact": (2, QUADS, ("rectangle", 10, 10), "count"),
     "no-equal-h-5x3-ext:1": (3, NO_EQUAL_H, ("rectangle", 5, 3), "extendable:1"),
@@ -121,8 +126,8 @@ def run_case(name: str) -> dict:
         lat = sftent.rectangle((0, 0), *args)
     elif family == "cells":
         lat = sftent.FiniteLattice(*args)
-    elif family == "omega_q":
-        lat = sftent.omega_q(*args)
+    elif family in ("omega_q", "lshape"):
+        lat = getattr(sftent, family)(*args)
     elif family == "stick":
         v, a, size = args
         lat = sftent.stick_system(v, a).lattice(size)
