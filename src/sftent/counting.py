@@ -30,18 +30,21 @@ lattice:
 * ``count_profile_dp`` -- a frontier dynamic program for any finite forbidden
   set.  When each forbidden pattern is one cell or two adjacent cells along
   one axis the count is a product of 1-D transfer counts over maximal runs,
-  which keeps lattices with millions of cells exact.  The counts a_L of
+  which keeps lattices with millions of cells exact; ``_census`` alone forms
+  such products a_L ** m over a census {L: m} (also the multiplicative
+  fibers and wedge rows), exactly or as a log.  The counts a_L of
   admissible strings of length L come from one series (``_string_counts``)
   per spec, whose prefix a_0..a_T, with the counts by last symbol at T, is
-  cached (``_transfer``): it grows by single steps, only while a_L < 2**63
-  and T <= ``_PREFIX`` = 4,096.  A longer length goes on from the nearest
+  cached (``_transfer``): it grows by single steps up to T = ``_PREFIX`` =
+  1,024, whatever their size.  A longer length goes on from the nearest
   known state by whichever costs fewer operations: steps, at N + pairs
   each, or binary powering of the N x N transfer matrix on Python ints
   (``_transfer_matrix``), at N**3 a squaring and N**2 a vector product,
   counted twice; so a run of length L costs O(log L) matrix products.  A
-  rectangle table of such a spec (``_rect_logs``) and projectional local
-  counts read the series alone: the count on m x n is a_m ** n along x, so
-  neither builds a lattice.
+  count or product that may pass ``DEFAULT_BUDGET`` words is refused
+  unformed.  A rectangle table of such a spec (``_rect_logs``) and
+  projectional local counts read the series alone: the count on m x n is
+  a_m ** n along x, so neither builds a lattice.
   Otherwise a broken-profile sweep takes the bans from ``placements``, each
   attached to its last cell, and its state holds exactly what they read:
   ``depth`` positions, the longest back distance of a placed ban (at least
@@ -105,7 +108,7 @@ from .lattice import (FiniteLattice, _cells, _check_dilation, _integer, _placeme
                       dilate, rectangle)
 from .sft import CountResult, SftSpec
 
-DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells| and on the sweep's code words
+DEFAULT_BUDGET = 2 ** 24     # cap on N ** |free cells|, on the sweep's code words and the 1-D counts' words
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +384,7 @@ def _extension_oracle(lat: FiniteLattice, spec: SftSpec, points, budget: int = D
 # ---------------------------------------------------------------------------
 
 
-_PREFIX = 4096     # the longest length a spec's cached string counts reach
+_PREFIX = 1024     # the longest length a spec's cached string counts reach
 # a multiply-add of a matrix product costs about twice a step's operation on
 # few symbols (N = 2..4: 1.5-2.6x; N = 10: 1x; Python 3.11, on ints below
 # 2**63), so a powering's operations count double
@@ -389,8 +392,8 @@ _POWER_WEIGHT = 2
 
 # a single-axis spec's unbanned symbols, the pairs (a, b) of their indices
 # with b barred after a, and a prefix of its string counts: `counts` holds
-# a_0..a_T and `ending` the counts by last symbol at T.  ``_string_counts``
-# alone grows the prefix, in place
+# a_0..a_T, T <= ``_PREFIX``, and `ending` the counts by last symbol at T.
+# ``_string_counts`` alone grows the prefix, in place
 _Transfer = namedtuple("_Transfer", "symbols pairs counts ending")
 
 
@@ -449,12 +452,13 @@ def _string_counts(spec: SftSpec, lengths) -> list[int]:
     axis, exactly, for each L of the ascending `lengths`.
 
     A length within the spec's cached prefix (``_transfer``) is read there.
-    Past it, single steps extend the prefix first, while a_L < 2**63 and L
-    <= ``_PREFIX``: a spec pays for them once.  The count then goes on from
-    the nearest known state, the prefix's end or the previous length, by
-    whichever costs fewer operations: single steps, at N + pairs each, or
-    binary powering of the N x N transfer matrix, at N**3 a squaring and
-    N**2 a vector product, each counted ``_POWER_WEIGHT`` times."""
+    Past it, single steps extend the prefix first, up to ``_PREFIX``: a spec
+    pays for them once.  The count then goes on from the nearest known
+    state, the prefix's end or the previous length, by whichever costs fewer
+    operations: single steps, at N + pairs each, or binary powering of the N
+    x N transfer matrix, at N**3 a squaring and N**2 a vector product, each
+    counted ``_POWER_WEIGHT`` times.  A length whose count may pass the
+    budget (a_L <= N**L) raises BudgetExceeded before any step to it."""
     t = _transfer(spec)
     n, pairs, prefix = len(t.symbols), t.pairs, t.counts
     length, ending, total = len(prefix) - 1, t.ending, prefix[-1]
@@ -463,12 +467,13 @@ def _string_counts(spec: SftSpec, lengths) -> list[int]:
         if want < len(prefix):
             counts.append(prefix[want])
             continue
+        if want * max(n - 1, 0).bit_length() > 64 * DEFAULT_BUDGET:
+            raise BudgetExceeded(f"a string count of length {want} may pass budget {DEFAULT_BUDGET} words")
         while length == len(prefix) - 1 < min(want, _PREFIX):     # steps from the prefix's end
             ending, total = _steps(ending, total, pairs, 1)
             length += 1
-            if total < 2 ** 63:
-                prefix.append(total)
-                t.ending[:] = ending
+            prefix.append(total)
+            t.ending[:] = ending
         gap = want - length     # 0 when those steps reached `want`
         power = max(gap.bit_length() - 1, 0) * n ** 3 + bin(gap).count("1") * n ** 2
         if gap * (n + len(pairs)) <= _POWER_WEIGHT * power:
@@ -481,16 +486,25 @@ def _string_counts(spec: SftSpec, lengths) -> list[int]:
     return counts
 
 
+def _census(spec: SftSpec, census: dict, log_domain: bool):
+    """The product of a_L ** m over a census {L: m}, from one series read:
+    exact (BudgetExceeded, unformed, past ``DEFAULT_BUDGET`` words), or its
+    log, the sum of m * log a_L in the census's own order (-inf if a_L = 0)."""
+    lengths = sorted(census)
+    counts = _string_counts(spec, lengths)
+    if log_domain:     # every m >= 1, so an a_L = 0 gives -inf
+        logs = dict(zip(lengths, [math.log(a) if a else float("-inf") for a in counts]))
+        return sum(map(mul, census.values(), map(logs.__getitem__, census)), 0.0)
+    mults = [census[length] for length in lengths]
+    if sum(map(mul, map(int.bit_length, counts), mults)) > 64 * DEFAULT_BUDGET:
+        raise BudgetExceeded(f"an exact product of string counts exceeds budget {DEFAULT_BUDGET} words")
+    return math.prod(map(pow, counts, mults))
+
+
 def _axis_product(lat: FiniteLattice, spec: SftSpec, log_domain: bool):
     """Product over the maximal runs along the spec's axis of the number of
     admissible strings of each run's length; returns it exactly or its log."""
-    runs = _run_lengths(lat, spec.pure_axis)     # ascending
-    counts = list(zip(_string_counts(spec, runs), runs.values()))
-    if not log_domain:
-        return math.prod(c ** mult for c, mult in counts)
-    if any(c == 0 for c, _ in counts):
-        return float("-inf")
-    return sum((mult * math.log(c) for c, mult in counts), 0.0)
+    return _census(spec, _run_lengths(lat, spec.pure_axis), log_domain)
 
 
 def _rect_logs(spec: SftSpec, width: int, height: int) -> tuple[tuple[float, ...], ...]:

@@ -319,30 +319,31 @@ def dilate(lat: FiniteLattice, radius: int) -> FiniteLattice:
 
     Each row's runs widen by `radius` once.  Up to ``_DILATE_COPIES`` runs
     in 2·radius + 1 row-shifted copies of them, the coverage kernel unites
-    the copies.  Past that, runs of one extent in consecutive rows join
-    into a rectangle, widened by `radius` along y too.  The rectangles' row
-    ends cut the rows into slabs, each covered by one set of rectangles: the
-    kernel unites each slab's runs once, and the union is repeated on every
-    row of the slab.  It takes each rectangle once per slab it spans, at
-    most as often as the shifted copies hold each of its runs."""
+    the copies.  Past that, the kernel unites each row's widened runs
+    first; runs of one extent in consecutive rows then join into a
+    rectangle, widened by `radius` along y.  The rectangles' row ends cut
+    the rows into slabs, each covered by one set of rectangles: the kernel
+    unites each slab's runs once, and the union is repeated on every row of
+    the slab.  It takes each rectangle once per slab it spans, at most as
+    often as the shifted copies hold each of its runs."""
     radius = _integer(radius)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return lat
     _check_dilation(lat, radius)      # so every sum below stays in int64
-    runs = lat._runs
-    if (2 * radius + 1) * len(runs) <= _DILATE_COPIES:
-        wide = runs + np.array([0, -radius, radius], dtype=np.int64)
+    wide = lat._runs + np.array([0, -radius, radius], dtype=np.int64)
+    if (2 * radius + 1) * len(wide) <= _DILATE_COPIES:
         return FiniteLattice._from_runs(
             _cover(lambda c: c >= 1, *[(wide, dy, 1) for dy in range(-radius, radius + 1)]))
-    ys, x0, x1 = runs[np.lexsort((runs[:, 0], runs[:, 2], runs[:, 1]))].T     # (x0, x1, y) order
+    wide = _cover(lambda c: c >= 1, (wide, 0, 1))
+    ys, x0, x1 = wide[np.lexsort((wide[:, 0], wide[:, 2], wide[:, 1]))].T     # (x0, x1, y) order
     first = np.flatnonzero(np.concatenate(
         ([True], (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (ys[1:] != ys[:-1] + 1))))
     last = np.append(first[1:], len(ys)) - 1
-    # rectangle k covers rows [lo, hi) and columns [x0, x1), widened
+    # rectangle k covers rows [lo, hi) and columns [x0, x1), widened along y
     lo, hi = ys[first] - radius, ys[last] + 1 + radius
-    x0, x1 = x0[first] - radius, x1[first] + radius
+    x0, x1 = x0[first], x1[first]
     # slab s is rows [bounds[s], bounds[s + 1]).  Deduplicated by hand: a
     # plain np.unique's first call in a process takes milliseconds (numpy 2.4)
     bounds = np.sort(np.concatenate([lo, hi]))

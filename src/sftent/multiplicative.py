@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .counting import DEFAULT_BUDGET, _block_checks, _check_budget, _count_blocks, _string_counts
+from .counting import DEFAULT_BUDGET, _block_checks, _census, _check_budget, _count_blocks, _string_counts
 from .lattice import _integer
 from .sft import golden_mean_horizontal
 
@@ -91,22 +91,14 @@ def _float_or_reject(value: int, what: str) -> float:
         raise ValueError(f"q is too large: {what} is beyond the float range") from None
 
 
-def _fiber_counts(n: int, q: int, s: int = 1):
-    """(a_{s L}, multiplicity) per fiber length L of {1..n}, longest first,
-    from one read of the golden-mean series."""
-    fibers = _fiber_lengths(n, q)
-    counts = _string_counts(_GOLDEN_MEAN, [s * length for length in reversed(fibers)])
-    return zip(reversed(counts), fibers.values())
-
-
 def count_multiplicative(n: int, q: int) -> int:
     """Exact number of binary strings x_1..x_n with x_k * x_{qk} = 0."""
-    return math.prod(a ** mult for a, mult in _fiber_counts(n, q))
+    return _census(_GOLDEN_MEAN, _fiber_lengths(n, q), log_domain=False)
 
 
 def log_count_multiplicative(n: int, q: int) -> float:
     """log of the count, summed over fiber lengths (no bigint materialisation)."""
-    return sum(mult * math.log(a) for a, mult in _fiber_counts(n, q))
+    return _census(_GOLDEN_MEAN, _fiber_lengths(n, q), log_domain=True)
 
 
 def count_multiplicative_bruteforce(n: int, q: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -33,7 +33,8 @@ from .errors import OverlapError
 from .lattice import (FiniteLattice, _WINDOW, _band, _block_sides, _check_coords, _full_blocks,
                       _integer, _pair, _placement_runs, _require_primitive, _real, _run_lengths,
                       is_tessellation, rectangle)
-from .multiplicative import SeriesValue, _fiber_counts, _fiber_entropy_series
+from .counting import _census
+from .multiplicative import _GOLDEN_MEAN, SeriesValue, _fiber_entropy_series, _fiber_lengths
 
 VANISH_FRACTION = 0.05   # tail max must drop below this fraction of the head max
 DECAY_RATIO = 0.7        # or the per-third envelope maxima must shrink this fast
@@ -122,6 +123,8 @@ def omega_q_plus(q: int, n: int) -> FiniteLattice:
     q, n = _integer(q), _integer(n)
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
+    if n >= 63 or q ** n >= 2 ** 63:      # q >= 2, so n >= 63 gives q**n >= 2**63
+        raise ValueError(f"the wedge of q = {q}, n = {n} has q**n cells, past the int64 range")
     rank = np.arange(q ** n - q ** (n - 1), dtype=np.int64)
     powers = np.array([q ** t for t in range(n + 1)], dtype=np.int64)
     fibers = n + 1 - np.searchsorted(powers, rank + rank // (q - 1) + 1)
@@ -172,7 +175,8 @@ def omega_q_golden_mean_count(q: int, n: int) -> int:
     q, n = _integer(q), _integer(n)
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
-    return math.prod(a ** (2 * mult) for a, mult in _fiber_counts(q ** n, q, 2))
+    rows = {2 * length: 2 * mult for length, mult in _fiber_lengths(q ** n, q).items()}
+    return _census(_GOLDEN_MEAN, rows, log_domain=False)
 
 
 def omega_q_entropy_series(q: int, terms: int) -> SeriesValue:

@@ -269,6 +269,34 @@ def test_count_two_axis_sweep_bound_by_its_states(capsys, tmp_path):
     assert code == 3 and out == "" and err.startswith("budget exceeded:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--spec", "golden-mean-h", "--lattice", "stick:3,1,0,100000000000"),
+    ("entropy-omega", "--spec", "golden-mean-h", "--system", "stick:1,0,0.000001", "--n-range", "100:100"),
+    ("reproduce", "eq1_10", "--n", "30"),
+    ("reproduce", "eq1_10", "--n", "64"),
+    ("count", "--spec", "golden-mean-h", "--lattice", "lshape:1000"),
+])
+def test_axis_counts_past_the_budget_exit_3(capsys, argv):
+    # a run whose count may pass the budget's words, or a product of run
+    # counts that does: each ran for minutes before either was checked
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "") and err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--spec", "golden-mean-h", "--lattice", "omega_q:2,64"),
+    ("count", "--spec", "golden-mean-h", "--lattice", "omega_q_plus:2,64"),
+    ("entropy-omega", "--spec", "golden-mean-h", "--system", "omega_q:2", "--n-range", "64:64"),
+    ("reproduce", "eq1_7", "--n", "64"),
+])
+def test_wedges_past_int64_are_usage_errors(capsys, argv):
+    # q**n = 2**64 cells: once an OverflowError traceback (exit 1)
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: the wedge of q = 2, n = 64 has q**n cells, past the int64 range\n")
+
+
 def test_extendable_count_with_a_safe_symbol_skips_the_search(capsys):
     # 3**14 core patterns: one extension search each took minutes
     start = time.perf_counter()

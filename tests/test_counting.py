@@ -38,7 +38,7 @@ from sftent import (
 )
 from sftent.sft import Pattern, forbidden_occurrences, is_locally_admissible, placements
 from sftent import counting
-from sftent.counting import _check_budget, _sweep_bans, admissible_extension_exists
+from sftent.counting import DEFAULT_BUDGET, _check_budget, _sweep_bans, admissible_extension_exists
 from sftent.lattice import _run_lengths
 from conftest import axis_specs, golden_count, meet_off, random_connected_lattice
 
@@ -1239,11 +1239,13 @@ AXIS_FAMILIES = [lshape(2), lshape(17), lshape(40), staircase(3), staircase(30),
 @settings(max_examples=30, deadline=None)
 @given(axis_specs(), st.sampled_from(AXIS_FAMILIES))
 def test_axis_log_count_sums_the_series_over_runs(spec, lat):
+    # the log sum and the exact product over the run census, written out
     runs = _run_lengths(lat, spec.pure_axis)     # ascending
     counts = plain_string_counts(spec, list(runs))
     expected = (float("-inf") if 0 in counts
                 else sum((mult * math.log(a) for a, mult in zip(counts, runs.values())), 0.0))
     assert repr(log_count(lat, spec)) == repr(expected)
+    assert count_profile_dp(lat, spec).value == math.prod(a ** mult for a, mult in zip(counts, runs.values()))
 
 
 def test_golden_mean_long_row_powers_the_transfer_matrix():
@@ -1261,8 +1263,9 @@ def test_golden_mean_long_row_powers_the_transfer_matrix():
 
 
 def test_string_count_prefix_stays_small():
-    # a cached prefix holds at most a_0..a_4096 and the counts by last
-    # symbol at its end, each below 2**63, however long the runs counted
+    # a cached prefix holds at most a_0..a_T, T <= _PREFIX, and the counts by
+    # last symbol at T, each a_L <= N**L of at most L * ceil(log2 N) + 1 bits,
+    # however long the runs counted
     specs = (GM_H, period_forcing_horizontal(), full_shift(3))
     counting._transfer.cache_clear()
     for spec in specs:
@@ -1271,10 +1274,39 @@ def test_string_count_prefix_stays_small():
         counting._string_counts(spec, range(5000))
     for spec in specs:
         t = counting._transfer(spec)
-        assert len(t.counts) <= 4097
-        assert max(t.counts + t.ending) < 2 ** 63
+        bits = (spec.alphabet_size - 1).bit_length()
+        assert len(t.counts) <= counting._PREFIX + 1
+        assert all(a.bit_length() <= length * bits + 1 for length, a in enumerate(t.counts))
+        assert max(t.ending).bit_length() <= (len(t.counts) - 1) * bits + 1
     # a_L = 2 for period-forcing-h: its prefix reaches the bound
-    assert len(counting._transfer(period_forcing_horizontal()).counts) == 4097
+    assert len(counting._transfer(period_forcing_horizontal()).counts) == counting._PREFIX + 1
+
+
+def test_string_counts_refuse_lengths_past_the_budget():
+    # a_L <= N**L: 2**30 bits fill 2**24 words, so the golden mean stops
+    # past L = 2**30 and three symbols past L = 2**29, before any step
+    counting._transfer.cache_clear()
+    start = time.perf_counter()
+    for spec, length in ((GM_H, 2 ** 30 + 1), (full_shift(3), 2 ** 29 + 1)):
+        with pytest.raises(BudgetExceeded, match="budget"):
+            counting._string_counts(spec, [5, length])
+    assert time.perf_counter() - start < 2
+    assert counting._string_counts(GM_H, [counting._PREFIX]) == [golden_count(counting._PREFIX)]
+
+
+def test_census_refuses_products_past_the_budget():
+    # a product past 2**24 words of a_L ** m is refused before it is formed
+    a = golden_count(64)
+    assert a.bit_length() == 45
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="budget"):
+        counting._census(GM_H, {64: 64 * DEFAULT_BUDGET // 45 + 1}, False)
+    with pytest.raises(BudgetExceeded):
+        counting._census(GM_H, {2: 10 ** 18, 64: 3}, False)
+    assert time.perf_counter() - start < 2
+    assert counting._census(GM_H, {64: 3, 2: 5}, False) == a ** 3 * 3 ** 5
+    # a log sum forms no product, so it is never refused
+    assert repr(counting._census(GM_H, {64: 10 ** 18}, True)) == repr(10 ** 18 * math.log(a))
 
 
 # ---------------------------------------------------------------------------

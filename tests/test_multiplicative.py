@@ -17,6 +17,7 @@ from sftent import (
     rectangle,
 )
 from sftent.multiplicative import _fiber_lengths
+from sftent.systems import omega_q_golden_mean_count
 from conftest import golden_count
 
 
@@ -155,3 +156,27 @@ def test_series_stops_inside_float_range():
     assert 0 < tail < t1000
     for q in (2, 3, 10):
         assert multiplicative_entropy_series(q, 10**6).tail_bound > 0
+
+
+@pytest.mark.parametrize("q", range(2, 11))
+def test_fiber_census_products(q):
+    # the products and log sums the fiber counts once wrote out, longest
+    # fiber first, and the wedge's rows: two of length 2L per fiber of length L
+    for n in (1, 2, q, q ** 2 + 1, 1000, 12345):
+        fibers = _fiber_lengths(n, q)
+        counts = [golden_count(length) for length in fibers]
+        assert count_multiplicative(n, q) == math.prod(a ** m for a, m in zip(counts, fibers.values()))
+        assert repr(log_count_multiplicative(n, q)) == repr(
+            sum(m * math.log(a) for a, m in zip(counts, fibers.values())))
+    for n in range(1, 5):
+        fibers = _fiber_lengths(q ** n, q)
+        assert omega_q_golden_mean_count(q, n) == math.prod(
+            golden_count(2 * length) ** (2 * m) for length, m in fibers.items())
+
+
+def test_exact_counts_past_the_budget_refuse():
+    # the log count at n = 10**12 is instant; its exact count (about 6.5·10**11
+    # bits) is refused before any product is formed
+    assert log_count_multiplicative(10 ** 12, 2) > 0
+    with pytest.raises(BudgetExceeded):
+        count_multiplicative(10 ** 12, 2)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from unittest.mock import patch
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import meet_off, random_connected_lattice, row_convex_point_sets
 from sftent import (
+    BudgetExceeded,
     ExpandingSystem,
     FiniteLattice,
     OverlapError,
@@ -42,7 +44,7 @@ from sftent import (
     stick_system,
     systems,
 )
-from sftent import systems
+from sftent import counting, systems
 from sftent.systems import ConditionRow
 
 GM_H = golden_mean_horizontal()
@@ -152,6 +154,34 @@ def test_golden_mean_count_matches_eq_1_10_product():
     for q, n in ((1, 3), (0, 3), (2, 0), (2, -1)):
         with pytest.raises(ValueError, match="need q >= 2 and n >= 1"):
             omega_q_golden_mean_count(q, n)
+
+
+def test_wedge_past_int64_is_a_value_error():
+    # q**n cells past int64: the rank and power arrays cannot hold them
+    for q, n in ((2, 63), (2, 64), (3, 40), (10, 19), (2, 10 ** 6)):
+        with pytest.raises(ValueError, match=f"q = {q}, n = {n}"):
+            omega_q_plus(q, n)
+        with pytest.raises(ValueError, match=f"q = {q}, n = {n}"):
+            omega_q(q, n)
+
+
+def test_golden_mean_count_past_the_budget_refuses():
+    # about 3.8·10**9 bits at n = 30: refused before the product is formed
+    start = time.perf_counter()
+    for n in (30, 64):
+        with pytest.raises(BudgetExceeded):
+            omega_q_golden_mean_count(2, n)
+    assert time.perf_counter() - start < 2
+
+
+def test_wedge_series_reads_its_counts_from_the_prefix():
+    # a_2..a_120 all lie in the cached prefix: a second series takes no step
+    omega_q_entropy_series(2, 60)
+    steps = []
+    real = counting._steps
+    with patch.object(counting, "_steps", lambda *args: steps.append(args) or real(*args)):
+        again = omega_q_entropy_series(2, 60)
+    assert steps == [] and again == omega_q_entropy_series(2, 60)
 
 
 def test_golden_mean_count_formula_vs_bruteforce():

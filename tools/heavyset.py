@@ -43,12 +43,16 @@ brute force at n = 40, q = 2 (its unread cells counted, not built).  One
 case asks a single extension question: does the 100x100 3-colouring (the
 3-symbol spec forbidding equal neighbours along both axes) extend symbol 0
 at the origin?  The search never backtracks, so its time is almost all the
-set-up of its constraint table.
+set-up of its constraint table.  One case counts nothing either: it dilates
+a seeded random 300x300 lattice at density 0.3 (18,955 row runs) by 100,
+where the rows' many short runs meet a large radius, and gives the
+dilation's size and run count as its result.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import resource
 import statistics
 import subprocess
@@ -88,7 +92,9 @@ ALL_READ = [[((0, 0), 2)], [((0, 0), 2), ((1, 0), 2)], [((0, 0), 2), ((0, 1), 2)
 # spec.  "gluing" verifies block gluing at the (gap, window, extent, variant) given,
 # and "bruteforce" runs the block search at a budget of N ** cells (for the
 # "multiplicative" family, at (n, q), 2 ** n); "exists" asks whether the
-# lattice has an admissible pattern with symbol 0 at the origin
+# lattice has an admissible pattern with symbol 0 at the origin; "dilate:R"
+# dilates the lattice by R.  The "random" family (side, density, seed) keeps
+# each cell of the side x side square with that probability, x outermost
 CASES = {
     "lshape-staircase-1000-geometry": (2, [], ("lshape+staircase", 1000), "geometry"),
     "report-n2xn-200-geometry": (2, [], ("system", N2XN, range(1, 201)), "report"),
@@ -110,6 +116,7 @@ CASES = {
     "allread-4x6-bruteforce": (3, ALL_READ, ("rectangle", 4, 6), "bruteforce"),
     "multiplicative-n40-q2-bruteforce": (2, [], ("multiplicative", 40, 2), "bruteforce"),
     "extension-3col-100x100-exists": (3, NO_EQUAL, ("rectangle", 100, 100), "exists"),
+    "dilate-random300-r100": (2, [], ("random", 300, 0.3, 3), "dilate:100"),
 }
 
 
@@ -121,6 +128,11 @@ def run_case(name: str) -> dict:
 
     n, forbidden, (family, *args), route = CASES[name]
     spec = sftent.SftSpec.make(n, forbidden)
+    if family == "random":      # built before the clock starts: only the route is timed
+        side, density, seed = args
+        rng = random.Random(seed)
+        lat = sftent.FiniteLattice([(x, y) for x in range(side) for y in range(side)
+                                    if rng.random() < density])
     t0 = time.perf_counter()
     if family == "rectangle":
         lat = sftent.rectangle((0, 0), *args)
@@ -133,8 +145,8 @@ def run_case(name: str) -> dict:
         lat = sftent.stick_system(v, a).lattice(size)
     elif family == "system":
         system, n_range = sftent.formats.resolve_system(args[0]), args[1]
-    elif family in ("gluing", "table", "multiplicative"):
-        pass        # no lattice: the verifier, the table or the fibers build their own
+    elif family in ("gluing", "table", "multiplicative", "random"):
+        pass        # built above, or the verifier, the table or the fibers build their own
     else:
         lats = [getattr(sftent, part)(*args) for part in family.split("+")]
     route, _, margin = route.partition(":")
@@ -149,6 +161,9 @@ def run_case(name: str) -> dict:
         result = repr(sftent.verify_block_gluing(spec, *args))
     elif route == "table":
         result = repr(sftent.rect_entropy_table(spec, *args).h_r_estimate)
+    elif route == "dilate":
+        dilated = sftent.dilate(lat, int(margin))
+        result = repr((len(dilated), len(dilated._runs)))
     elif route == "exists":
         result = repr(sftent.counting.admissible_extension_exists(lat, spec, {(0, 0): 0}))
     elif route == "bruteforce" and family == "multiplicative":
